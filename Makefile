@@ -44,9 +44,10 @@ race:
 	$(GO) test -race ./...
 
 # Chaos harness: drive CHAOS_REQUESTS mixed requests (poisoned designs that
-# panic, injected transient faults, NVM device-fault specs) through the
-# serving path under the race detector. Asserts zero process exits, breaker
-# containment, bounded uncorrectable rates, and same-seed determinism.
+# panic, NVM device-fault specs) through the serving path under the race
+# detector. Asserts zero process exits, one evaluation per request key
+# (poisoned repeats answered from negative entries), bounded uncorrectable
+# rates, and same-seed determinism.
 CHAOS_REQUESTS ?= 1000
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/serve -chaos-requests=$(CHAOS_REQUESTS) -v

@@ -9,7 +9,7 @@
 //	memsimd -warm Graph500           # profile one workload before readying
 //	memsimd -store /var/lib/memsimd  # durable result + profile store
 //	memsimd -runlog -                # JSONL request/profiling events to stderr
-//	memsimd -rate-limit 5 -rate-burst 20 -retry-budget 2   # admission control
+//	memsimd -rate-limit 5 -rate-burst 20     # per-client admission control
 //
 // Evaluate a design point:
 //
@@ -19,7 +19,10 @@
 // without re-replaying the boundary stream; /debug/vars exports request,
 // cache-hit, and replay-seconds-saved counters, and GET /metrics serves the
 // same registry in Prometheus text format (request-latency histograms by
-// outcome, cache hit ratio, breaker states, replay and fault counters).
+// outcome, cache hit ratio, negative-entry, replay and fault counters).
+// A design point whose evaluation fails permanently (a panic or an internal
+// error) is remembered for a minute: repeats get the same typed error
+// (X-Memsimd-Cache: negative) without evaluating again.
 // Every evaluate response carries X-Memsimd-Trace; pass X-Trace-Id to pin
 // the trace ID and correlate the -runlog events of one request (see
 // cmd/obsreport). SIGINT/SIGTERM trigger a graceful drain of in-flight
@@ -67,18 +70,11 @@ func main() {
 		runlog     = flag.String("runlog", "", `write structured JSONL run events here ("-" = stderr)`)
 		drainFor   = flag.Duration("drain", 30*time.Second, "max time to wait for in-flight evaluations on shutdown")
 
-		brkThreshold = flag.Int("breaker-threshold", fault.DefaultBreakerThreshold, "consecutive evaluation failures that open a design point's circuit breaker (negative = disabled)")
-		brkCooldown  = flag.Duration("breaker-cooldown", fault.DefaultBreakerCooldown, "open-breaker cooldown before a half-open probe is admitted")
-		retryN       = flag.Int("retry-attempts", fault.DefaultRetryAttempts, "total attempts per evaluation for transient faults (1 = no retries)")
-		retryBase    = flag.Duration("retry-base", fault.DefaultRetryBase, "first retry backoff delay (doubles per attempt, jittered)")
+		rateLimit = flag.Float64("rate-limit", 0, "per-client admission rate in requests/s (0 = unlimited); clients are keyed by X-Memsimd-Client or remote host and throttled requests get 429 rate_limited with Retry-After")
+		rateBurst = flag.Float64("rate-burst", 0, "per-client token-bucket burst capacity (0 = the -rate-limit value)")
 
-		rateLimit   = flag.Float64("rate-limit", 0, "per-client admission rate in requests/s (0 = unlimited); clients are keyed by X-Memsimd-Client or remote host and throttled requests get 429 rate_limited with Retry-After")
-		rateBurst   = flag.Float64("rate-burst", 0, "per-client token-bucket burst capacity (0 = the -rate-limit value)")
-		retryBudget = flag.Float64("retry-budget", 0, "process-wide transient-retry credits/s shared by every request (0 = unlimited); an empty budget fails would-be retries fast with 503 retry_budget")
-
-		chaosPanic     = flag.Float64("chaos-panic", 0, "TESTING: fraction of request keys whose evaluation always panics")
-		chaosTransient = flag.Float64("chaos-transient", 0, "TESTING: per-call transient failure probability")
-		chaosSeed      = flag.Uint64("chaos-seed", 1, "TESTING: seed for the chaos plan's deterministic decisions")
+		chaosPanic = flag.Float64("chaos-panic", 0, "TESTING: fraction of request keys whose evaluation always panics")
+		chaosSeed  = flag.Uint64("chaos-seed", 1, "TESTING: seed for the chaos plan's deterministic decisions")
 	)
 	var prof obs.Profile
 	prof.RegisterFlags(flag.CommandLine)
@@ -104,14 +100,9 @@ func main() {
 	})
 
 	var chaos *fault.ServicePlan
-	if *chaosPanic > 0 || *chaosTransient > 0 {
-		chaos = &fault.ServicePlan{
-			Seed:              *chaosSeed,
-			PanicFraction:     *chaosPanic,
-			TransientFraction: *chaosTransient,
-		}
-		fmt.Fprintf(os.Stderr, "memsimd: CHAOS MODE: panic=%g transient=%g seed=%d\n",
-			*chaosPanic, *chaosTransient, *chaosSeed)
+	if *chaosPanic > 0 {
+		chaos = &fault.ServicePlan{Seed: *chaosSeed, PanicFraction: *chaosPanic}
+		fmt.Fprintf(os.Stderr, "memsimd: CHAOS MODE: panic=%g seed=%d\n", *chaosPanic, *chaosSeed)
 	}
 
 	// The durable tier opens before the server exists: a warm restart is an
@@ -150,10 +141,7 @@ func main() {
 		CacheEntries: *cacheN,
 		MaxInFlight:  *inflight,
 		Timeout:      *timeout,
-		Breaker:      fault.BreakerConfig{Threshold: *brkThreshold, Cooldown: *brkCooldown},
-		Retry:        fault.RetryPolicy{Attempts: *retryN, BaseDelay: *retryBase},
 		RateLimit:    admit.LimiterConfig{Rate: *rateLimit, Burst: *rateBurst},
-		RetryBudget:  admit.BudgetConfig{Rate: *retryBudget},
 		Chaos:        chaos,
 		StoreGuard:   guard,
 		Catalog:      cat,

@@ -10,8 +10,8 @@
 //     the stage breakdown accounts for;
 //   - replay throughput: per-design refs/sec over design_point events;
 //   - request outcomes: http_request events tabulated by outcome (hit,
-//     miss, rate_limited, would_deadline, retry_budget, circuit_open, ...)
-//     with each outcome classed as served / refused / rejected / failed;
+//     miss, analytic, rate_limited, would_deadline, negative, ...) with
+//     each outcome classed as served / refused / rejected / failed;
 //   - store lifecycle: store_open and store_heal events plus store_wound
 //     and store_reopen_failed warnings, summarizing how the durable tier's
 //     self-healing behaved across the run;
@@ -342,23 +342,23 @@ func printThroughput(w io.Writer, recs []record) error {
 }
 
 // outcomeClass buckets one http_request outcome for the request-outcome
-// table. "served" answered with a result (whatever tier produced it);
-// "refused" is admission control and graceful degradation doing its job —
-// rate limiting, deadline shedding, retry-budget fail-fast, backpressure,
-// breakers, drain — where the client is expected to back off and retry;
-// "rejected" is the client's fault and not retryable; "failed" is an
-// evaluation that was admitted and then went wrong. Anything else reports
-// as "unknown" so a new outcome label cannot hide inside an old class.
+// table. "served" answered with a result (whatever tier or fidelity
+// produced it); "refused" is admission control and graceful degradation
+// doing its job — rate limiting, deadline shedding, backpressure, drain —
+// where the client is expected to back off and retry; "rejected" is the
+// client's fault and not retryable; "failed" is an evaluation that went
+// wrong, including repeats answered from a remembered failure
+// ("negative"). Anything else reports as "unknown" so a new outcome label
+// cannot hide inside an old class.
 func outcomeClass(outcome string) string {
 	switch outcome {
-	case "hit", "miss", "dedup", "store_hit":
+	case "hit", "miss", "dedup", "store_hit", "analytic":
 		return "served"
-	case "rate_limited", "would_deadline", "retry_budget", "overloaded",
-		"circuit_open", "shutting_down":
+	case "rate_limited", "would_deadline", "overloaded", "shutting_down":
 		return "refused"
 	case "invalid":
 		return "rejected"
-	case "panic", "timeout", "canceled", "error":
+	case "panic", "timeout", "canceled", "error", "negative":
 		return "failed"
 	default:
 		return "unknown"

@@ -22,7 +22,7 @@ not json at all
 {"event":"http_request","outcome":"hit","status":200,"wall_ms":0.1}
 {"event":"http_request","outcome":"rate_limited","status":429,"wall_ms":0.05}
 {"event":"http_request","outcome":"would_deadline","status":503,"wall_ms":0.05}
-{"event":"http_request","outcome":"retry_budget","status":503,"wall_ms":0.3}
+{"event":"http_request","outcome":"negative","status":500,"wall_ms":0.3}
 {"event":"http_request","outcome":"from_the_future","status":200,"wall_ms":1.0}
 {"event":"store_open","dir":"/tmp/x","streams":1,"docs":2,"torn_bytes_recovered":64,"wall_ms":3.0}
 {"event":"warning","message":"store_wound","err":"store: simulated crash (torn write injected)","state":"degraded"}
@@ -149,10 +149,13 @@ func TestPrintThroughputAndLatency(t *testing.T) {
 func TestOutcomeClassCoversServeLabels(t *testing.T) {
 	classes := map[string]string{
 		"hit": "served", "miss": "served", "dedup": "served", "store_hit": "served",
-		"rate_limited": "refused", "would_deadline": "refused", "retry_budget": "refused",
-		"overloaded": "refused", "circuit_open": "refused", "shutting_down": "refused",
+		"analytic":     "served",
+		"rate_limited": "refused", "would_deadline": "refused",
+		"overloaded": "refused", "shutting_down": "refused",
 		"invalid": "rejected",
 		"panic":   "failed", "timeout": "failed", "canceled": "failed", "error": "failed",
+		"negative":      "failed",
+		"circuit_open":  "unknown",
 		"something_new": "unknown",
 	}
 	for outcome, want := range classes {
@@ -175,8 +178,8 @@ func TestPrintOutcomes(t *testing.T) {
 	// Admission-control refusals must show up classed, and the unknown
 	// label must be flagged rather than absorbed.
 	for _, want := range []string{
-		"request outcomes", "rate_limited", "would_deadline", "retry_budget",
-		"refused", "served", "from_the_future", "unknown",
+		"request outcomes", "rate_limited", "would_deadline", "negative",
+		"refused", "served", "failed", "from_the_future", "unknown",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("outcome report missing %q:\n%s", want, text)

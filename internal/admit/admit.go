@@ -1,9 +1,9 @@
 // Package admit is the admission-control layer for the serving tier:
-// per-client token-bucket rate limiting and a server-side retry budget.
+// per-client token-bucket rate limiting.
 //
-// Both primitives sit in front of the expensive parts of the request path
-// (the replay semaphore, the evaluator) and decide cheaply whether work
-// may proceed. They share three design constraints with the rest of the
+// The limiter sits in front of the expensive parts of the request path
+// (the replay semaphore, the evaluator) and decides cheaply whether work
+// may proceed. It shares three design constraints with the rest of the
 // repo:
 //
 //   - Deterministic under test: every time source is injectable, so a

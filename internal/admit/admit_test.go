@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// fakeClock is a deterministic clock for limiter and budget tests.
+// fakeClock is a deterministic clock for limiter tests.
 type fakeClock struct {
 	nanos atomic.Int64
 }
@@ -135,55 +135,6 @@ func TestLimiterAllowZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestRetryBudgetSpendAndRefill(t *testing.T) {
-	var clk fakeClock
-	b := NewRetryBudget(BudgetConfig{Rate: 1, Burst: 2, Now: clk.Now})
-
-	if !b.Spend() || !b.Spend() {
-		t.Fatal("burst credits denied")
-	}
-	if b.Spend() {
-		t.Fatal("granted beyond burst with no refill")
-	}
-	clk.Advance(time.Second)
-	if !b.Spend() {
-		t.Fatal("denied after a full credit refilled")
-	}
-	granted, denied := b.Stats()
-	if granted != 3 || denied != 1 {
-		t.Fatalf("stats = (%d granted, %d denied), want (3, 1)", granted, denied)
-	}
-}
-
-func TestRetryBudgetFixedAllowance(t *testing.T) {
-	// Rate=0 with Burst>0: a non-replenishing allowance, the shape chaos
-	// tests use to exhaust the budget deterministically.
-	var clk fakeClock
-	b := NewRetryBudget(BudgetConfig{Burst: 2, Now: clk.Now})
-	if !b.Spend() || !b.Spend() {
-		t.Fatal("fixed allowance denied")
-	}
-	clk.Advance(time.Hour)
-	if b.Spend() {
-		t.Fatal("non-replenishing budget refilled")
-	}
-}
-
-func TestRetryBudgetDisabled(t *testing.T) {
-	if b := NewRetryBudget(BudgetConfig{}); b != nil {
-		t.Fatal("zero config must disable the budget")
-	}
-	var b *RetryBudget
-	if !b.Spend() {
-		t.Fatal("nil budget must grant every retry")
-	}
-	if g, d := b.Stats(); g != 0 || d != 0 {
-		t.Fatal("nil budget stats must be zero")
-	}
-}
-
-// BenchmarkTokenBucketAllow pins the admit hot path: admitting a known
-// client must report 0 allocs/op in the bench-json artifact.
 func BenchmarkTokenBucketAllow(b *testing.B) {
 	l := NewLimiter(LimiterConfig{Rate: 1e12, Burst: 1e12})
 	l.Allow("bench")

@@ -72,16 +72,26 @@ type LevelSpec struct {
 	PrefetchNext int
 }
 
-// build instantiates the level, clamping associativity to the line count so
-// heavily scaled small caches degrade to fully associative rather than
-// failing validation.
-func (s LevelSpec) build() (core.Level, error) {
+// config is the cache configuration the level builds, with associativity
+// clamped to the line count so heavily scaled small caches degrade to
+// fully associative rather than failing validation.
+func (s LevelSpec) config() cache.Config {
 	lines := int(s.Size / s.Line)
 	assoc := s.Assoc
 	if assoc > lines {
 		assoc = lines
 	}
-	cfg := cache.Config{Name: s.Name, Size: s.Size, LineSize: s.Line, Assoc: assoc, WriteThrough: s.WriteThrough}
+	return cache.Config{Name: s.Name, Size: s.Size, LineSize: s.Line, Assoc: assoc, WriteThrough: s.WriteThrough}
+}
+
+// Validate reports why the level's geometry cannot be built (a line size
+// or set count that is not a power of two, a size that is not a whole
+// number of sets), or nil. Line must be non-zero.
+func (s LevelSpec) Validate() error { return s.config().Validate() }
+
+// build instantiates the level.
+func (s LevelSpec) build() (core.Level, error) {
+	cfg := s.config()
 	if err := cfg.Validate(); err != nil {
 		return core.Level{}, err
 	}

@@ -8,29 +8,32 @@ const (
 	// ActNone lets the call through unharmed.
 	ActNone Action = iota
 	// ActPanic orders the worker to panic (a poisoned design point: every
-	// call against the key panics, so its circuit breaker trips).
+	// call against the key panics).
 	ActPanic
-	// ActTransient orders a retryable TransientError for this call only.
+	// ActTransient orders a one-off failure for this call only (the store
+	// chaos harness tears the append it decides on).
 	ActTransient
 )
 
-// ServicePlan injects service-level faults deterministically by request
-// key: a fixed fraction of keys are poisoned (every call panics) and a
-// fixed fraction of individual calls fail transiently. The chaos harness
-// drives a server through a plan to prove the resilience layer — panic
-// recovery, retries, the circuit breaker — keeps the process alive.
+// ServicePlan injects service-level faults deterministically by key: a
+// fixed fraction of keys are poisoned (every call panics) and a fixed
+// fraction of individual calls fail once. The serve chaos harness drives a
+// server through a plan's poisoned keys to prove panic recovery and
+// negative caching keep the process alive and contain each poisoned key to
+// one evaluation; the store chaos harness tears appends on the one-off
+// decisions.
 //
 // Decisions are pure functions of (Seed, key, call), so a plan replays
 // identically across runs. Poisoning is a property of the key alone:
-// retrying a poisoned key never helps, which is exactly the shape the
-// breaker exists for.
+// repeating a poisoned key never helps, which is exactly the shape a
+// negative cache entry remembers.
 type ServicePlan struct {
 	// Seed drives the deterministic decisions.
 	Seed uint64
 	// PanicFraction is the fraction of keys that are poisoned in [0, 1].
 	PanicFraction float64
-	// TransientFraction is the per-call probability of a transient
-	// failure on non-poisoned keys, in [0, 1].
+	// TransientFraction is the per-call probability of a one-off failure
+	// on non-poisoned keys, in [0, 1].
 	TransientFraction float64
 }
 

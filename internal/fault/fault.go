@@ -1,8 +1,8 @@
 // Package fault is the deterministic fault-injection and resilience layer:
 // it spans the simulator (an injectable NVM device-fault model with ECC,
 // page retirement, and graceful degradation) and the serving path (typed
-// panic capture, retry with exponential backoff and jitter, and a
-// per-design-point circuit breaker).
+// panic capture, deterministic chaos plans, and the jittered backoff that
+// paces store reopens).
 //
 // # Determinism
 //
@@ -16,8 +16,9 @@
 //
 // # Error taxonomy
 //
-//   - TransientError marks infrastructure-shaped failures that a retry may
-//     cure; RetryPolicy.Do retries exactly these.
+//   - TransientError marks infrastructure-shaped failures that a later
+//     attempt may cure. Nothing remembers them: the serving layer never
+//     caches a transient failure as a negative entry.
 //   - PanicError is a recovered panic converted into a value that flows
 //     through ordinary error returns; RecoverTo installs the conversion at
 //     harness boundaries (exp.ProfileWorkloadOpts, exp.EvaluateCtx, the
@@ -69,10 +70,10 @@ func hashString(s string) uint64 {
 // unit maps a hash to a uniform float64 in [0, 1).
 func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
 
-// TransientError marks a failure that a retry may cure: an injected chaos
-// fault, a spurious infrastructure error — anything whose cause is not a
-// deterministic property of the request itself. RetryPolicy.Do retries an
-// operation only while it fails with a TransientError.
+// TransientError marks a failure that a later attempt may cure: a spurious
+// infrastructure error — anything whose cause is not a deterministic
+// property of the request itself. The serving layer answers it with retry
+// guidance and never caches it.
 type TransientError struct {
 	// Op names the operation that failed.
 	Op string

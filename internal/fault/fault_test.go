@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -79,143 +78,6 @@ func TestRecoverToLeavesNormalReturnsAlone(t *testing.T) {
 	}
 }
 
-func TestBreakerLifecycle(t *testing.T) {
-	now := time.Unix(0, 0)
-	cfg := BreakerConfig{Threshold: 3, Cooldown: time.Minute, Now: func() time.Time { return now }}
-	b := NewBreaker(cfg)
-
-	for i := 0; i < 2; i++ {
-		if _, ok := b.Allow(); !ok {
-			t.Fatalf("closed breaker rejected request %d", i)
-		}
-		if opened := b.Record(false); opened {
-			t.Fatalf("breaker opened after %d failures, threshold is 3", i+1)
-		}
-	}
-	// A success resets the consecutive count.
-	b.Allow()
-	b.Record(true)
-	for i := 0; i < 2; i++ {
-		b.Allow()
-		if b.Record(false) {
-			t.Fatal("breaker opened early after a reset")
-		}
-	}
-	b.Allow()
-	if !b.Record(false) {
-		t.Fatal("third consecutive failure did not open the breaker")
-	}
-	if b.State() != StateOpen {
-		t.Fatalf("state = %v, want open", b.State())
-	}
-
-	// Open: rejected with a bounded retry hint.
-	retryAfter, ok := b.Allow()
-	if ok || retryAfter <= 0 || retryAfter > time.Minute {
-		t.Fatalf("open breaker: Allow = (%v, %v)", retryAfter, ok)
-	}
-
-	// After the cooldown one probe is admitted, the rest held back.
-	now = now.Add(2 * time.Minute)
-	if _, ok := b.Allow(); !ok {
-		t.Fatal("cooldown elapsed but no probe admitted")
-	}
-	if b.State() != StateHalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
-	}
-	if _, ok := b.Allow(); ok {
-		t.Fatal("second concurrent probe admitted in half-open")
-	}
-
-	// Failed probe reopens; successful probe closes.
-	if !b.Record(false) {
-		t.Fatal("failed probe did not report reopening")
-	}
-	now = now.Add(2 * time.Minute)
-	b.Allow()
-	b.Record(true)
-	if b.State() != StateClosed {
-		t.Fatalf("state after successful probe = %v, want closed", b.State())
-	}
-	if _, ok := b.Allow(); !ok {
-		t.Fatal("closed breaker rejects requests after recovery")
-	}
-}
-
-func TestBreakerReleaseReturnsProbe(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Minute, Now: func() time.Time { return now }})
-
-	// Release on a closed breaker is a no-op.
-	b.Allow()
-	b.Release()
-	if _, ok := b.Allow(); !ok {
-		t.Fatal("Release disturbed a closed breaker")
-	}
-	b.Record(false)
-	if b.State() != StateOpen {
-		t.Fatalf("state = %v, want open after threshold-1 failure", b.State())
-	}
-
-	// After the cooldown the probe reservation is handed out once.
-	now = now.Add(2 * time.Minute)
-	if _, ok := b.Allow(); !ok {
-		t.Fatal("cooldown elapsed but no probe admitted")
-	}
-	if _, ok := b.Allow(); ok {
-		t.Fatal("second probe admitted while the first is reserved")
-	}
-
-	// The probe concludes without a verdict (backpressure, cancellation):
-	// the reservation must return so the design is not rejected forever.
-	b.Release()
-	if b.State() != StateHalfOpen {
-		t.Fatalf("state after release = %v, want half-open", b.State())
-	}
-	if _, ok := b.Allow(); !ok {
-		t.Fatal("released probe reservation was not re-admitted")
-	}
-	b.Record(true)
-	if b.State() != StateClosed {
-		t.Fatalf("state = %v, want closed after successful probe", b.State())
-	}
-}
-
-func TestBreakerDisabled(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: -1})
-	for i := 0; i < 100; i++ {
-		if _, ok := b.Allow(); !ok {
-			t.Fatal("disabled breaker rejected a request")
-		}
-		if b.Record(false) {
-			t.Fatal("disabled breaker opened")
-		}
-	}
-}
-
-func TestBreakerSetIsolatesKeys(t *testing.T) {
-	s := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Hour})
-	s.Allow("bad")
-	if !s.Record("bad", false) {
-		t.Fatal("threshold-1 breaker did not open on first failure")
-	}
-	if _, ok := s.Allow("bad"); ok {
-		t.Fatal("open key still admits requests")
-	}
-	if _, ok := s.Allow("good"); !ok {
-		t.Fatal("unrelated key rejected")
-	}
-	if s.State("bad") != StateOpen || s.State("good") != StateClosed {
-		t.Fatalf("states: bad=%v good=%v", s.State("bad"), s.State("good"))
-	}
-	// Release is safe on any key and leaves unrelated state alone.
-	s.Release("bad")
-	s.Release("never-seen")
-	if s.State("bad") != StateOpen {
-		t.Fatal("Release changed an open breaker's state")
-	}
-}
-
 func TestRetryDelayJitterBounds(t *testing.T) {
 	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second, Seed: 7}
 	prevCap := time.Duration(0)
@@ -237,56 +99,6 @@ func TestRetryDelayJitterBounds(t *testing.T) {
 	}
 	if p.Delay("key", 1) == p.Delay("other", 1) {
 		t.Fatal("different keys drew identical jitter (decorrelation broken)")
-	}
-}
-
-func TestRetryDoRetriesOnlyTransient(t *testing.T) {
-	instant := func(ctx context.Context, d time.Duration) error { return nil }
-
-	// Transient failures consume the attempt budget.
-	calls := 0
-	p := RetryPolicy{Attempts: 3, Sleep: instant}
-	err := p.Do(context.Background(), "k", func(attempt int) error {
-		if attempt != calls {
-			t.Fatalf("attempt = %d, want %d", attempt, calls)
-		}
-		calls++
-		return Transient("op", nil)
-	})
-	if calls != 3 || !IsTransient(err) {
-		t.Fatalf("calls = %d err = %v, want 3 attempts ending transient", calls, err)
-	}
-
-	// Permanent failures return immediately.
-	calls = 0
-	perm := errors.New("permanent")
-	err = p.Do(context.Background(), "k", func(int) error { calls++; return perm })
-	if calls != 1 || !errors.Is(err, perm) {
-		t.Fatalf("permanent failure retried: calls = %d err = %v", calls, err)
-	}
-
-	// Success after a transient failure stops the loop.
-	calls = 0
-	err = p.Do(context.Background(), "k", func(attempt int) error {
-		calls++
-		if attempt == 0 {
-			return Transient("op", nil)
-		}
-		return nil
-	})
-	if calls != 2 || err != nil {
-		t.Fatalf("recovery path: calls = %d err = %v", calls, err)
-	}
-}
-
-func TestRetryDoHonorsContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p := RetryPolicy{Attempts: 5}
-	calls := 0
-	err := p.Do(ctx, "k", func(int) error { calls++; return Transient("op", nil) })
-	if calls != 1 || !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled ctx: calls = %d err = %v, want 1 call and ctx error", calls, err)
 	}
 }
 
@@ -314,51 +126,6 @@ func TestRetryDelayInjectableJitter(t *testing.T) {
 	p.Jitter = func(string, int) float64 { return 0 }
 	if d := p.Delay("k", 1); d != 50*time.Millisecond {
 		t.Fatalf("Delay with u=0 = %v, want 50ms (interval floor)", d)
-	}
-}
-
-type fixedBudget struct{ credits int }
-
-func (b *fixedBudget) Spend() bool {
-	if b.credits <= 0 {
-		return false
-	}
-	b.credits--
-	return true
-}
-
-func TestRetryDoBudgetCutsRetries(t *testing.T) {
-	instant := func(ctx context.Context, d time.Duration) error { return nil }
-	budget := &fixedBudget{credits: 1}
-	p := RetryPolicy{Attempts: 4, Sleep: instant, Budget: budget}
-
-	calls := 0
-	err := p.Do(context.Background(), "k", func(int) error {
-		calls++
-		return Transient("op", nil)
-	})
-	// One credit: the first retry runs, the second is denied, so exactly
-	// two attempts execute and the schedule ends in a BudgetError.
-	if calls != 2 {
-		t.Fatalf("calls = %d, want 2 (budget allowed one retry)", calls)
-	}
-	if !IsBudgetExhausted(err) {
-		t.Fatalf("err = %v, want a BudgetError", err)
-	}
-	// The BudgetError wraps the transient cause, so client-visible
-	// retryability is preserved even though the server stopped retrying.
-	if !IsTransient(err) {
-		t.Fatalf("BudgetError lost the transient cause: %v", err)
-	}
-
-	// Budget never charges the first attempt: a success spends nothing.
-	budget.credits = 0
-	calls = 0
-	if err := p.Do(context.Background(), "k", func(int) error { calls++; return nil }); err != nil || calls != 1 {
-		t.Fatalf("success with empty budget: calls = %d err = %v", calls, err)
-	}
-	if IsBudgetExhausted(errors.New("plain")) {
-		t.Fatal("IsBudgetExhausted matched a plain error")
 	}
 }
 

@@ -2,16 +2,11 @@ package fault
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"time"
 )
 
-// Retry defaults, applied by RetryPolicy.Do for zero-valued fields.
+// Backoff defaults, applied by RetryPolicy.Delay for zero-valued fields.
 const (
-	// DefaultRetryAttempts is the total attempt budget (first try
-	// included) when RetryPolicy.Attempts is zero.
-	DefaultRetryAttempts = 3
 	// DefaultRetryBase is the first backoff delay when
 	// RetryPolicy.BaseDelay is zero.
 	DefaultRetryBase = 25 * time.Millisecond
@@ -20,68 +15,36 @@ const (
 	DefaultRetryMax = 2 * time.Second
 )
 
-// RetryPolicy retries an operation that fails transiently, sleeping an
-// exponentially growing, deterministically jittered delay between attempts.
-// Only failures for which IsTransient holds are retried: permanent errors
-// (validation failures, panics, deterministic device faults) return
-// immediately.
+// RetryPolicy paces repeated attempts at an operation that fails for
+// reasons outside the request — real I/O, such as reopening a wounded
+// store (serve.StoreGuard) — with an exponentially growing,
+// deterministically jittered delay.
 //
 // The jitter is the "equal jitter" scheme — each delay is uniformly drawn
 // from [d/2, d) where d doubles per attempt from BaseDelay up to MaxDelay —
 // with the draw derived from hash(Seed, key, attempt), so a fleet of
-// clients retrying the same failure decorrelates while a fixed seed
+// processes retrying the same failure decorrelates while a fixed seed
 // reproduces the exact schedule.
+//
+// Evaluations are not retried: an evaluation is a pure function of its
+// request key, so a failed one fails identically every time (the serving
+// layer remembers such failures instead; see serve's negative cache
+// entries).
 type RetryPolicy struct {
-	// Attempts is the total attempt budget, first try included
-	// (0 = DefaultRetryAttempts; 1 disables retries).
-	Attempts int
 	// BaseDelay is the first backoff delay (0 = DefaultRetryBase).
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth (0 = DefaultRetryMax).
 	MaxDelay time.Duration
 	// Seed drives the deterministic jitter draws.
 	Seed uint64
-	// Sleep waits between attempts (nil = a ctx-aware timer); tests
-	// inject an instant clock.
+	// Sleep waits between attempts (nil = time.Sleep); tests inject an
+	// instant clock.
 	Sleep func(ctx context.Context, d time.Duration) error
 	// Jitter overrides the deterministic jitter draw for a retry: it
 	// returns a value in [0, 1) for (key, attempt). Nil uses the
 	// hash(Seed, key, attempt) draw. Tests inject a fixed source to pin
 	// exact delays without re-deriving the hash.
 	Jitter func(key string, attempt int) float64
-	// Budget, when non-nil, gates every retry (never the first
-	// attempt): a retry is scheduled only if Spend returns true.
-	// Sharing one budget across all RetryPolicy call sites caps the
-	// process-wide retry amplification factor, so transient faults
-	// during an overload degrade to fail-fast instead of multiplying
-	// the offered load. A denied retry returns a *BudgetError wrapping
-	// the attempt's error.
-	Budget interface{ Spend() bool }
-}
-
-// BudgetError reports a retry schedule cut short because the shared retry
-// budget was exhausted. It wraps the transient error that would otherwise
-// have been retried. Callers should treat it as retryable by the *client*
-// (after backing off) but must not count it against per-design health:
-// the design did not fail, the process declined to retry.
-type BudgetError struct {
-	// Err is the transient error the denied retry would have addressed.
-	Err error
-}
-
-// Error describes the denied retry and its cause.
-func (e *BudgetError) Error() string {
-	return fmt.Sprintf("retry budget exhausted: %v", e.Err)
-}
-
-// Unwrap exposes the underlying transient error.
-func (e *BudgetError) Unwrap() error { return e.Err }
-
-// IsBudgetExhausted reports whether err (or anything it wraps) is a
-// BudgetError.
-func IsBudgetExhausted(err error) bool {
-	var be *BudgetError
-	return errors.As(err, &be)
 }
 
 // Delay returns the jittered backoff before the given attempt (attempt 1 is
@@ -106,51 +69,4 @@ func (p RetryPolicy) Delay(key string, attempt int) time.Duration {
 		u = unit(hash(p.Seed, hashString(key), uint64(attempt)))
 	}
 	return d/2 + time.Duration(u*float64(d/2))
-}
-
-// sleep waits d or until ctx is done.
-func (p RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
-	if p.Sleep != nil {
-		return p.Sleep(ctx, d)
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// Do runs fn until it succeeds, fails permanently, or the attempt budget is
-// spent. fn receives the zero-based attempt number (so callers can count
-// retries). key seeds the jitter draws; ctx cancels the inter-attempt
-// sleeps (the in-flight fn must watch ctx itself). The returned error is
-// fn's last error, ctx's error when cancellation cut the schedule short, or
-// a *BudgetError when the shared retry Budget denied a retry.
-func (p RetryPolicy) Do(ctx context.Context, key string, fn func(attempt int) error) error {
-	attempts := p.Attempts
-	if attempts == 0 {
-		attempts = DefaultRetryAttempts
-	}
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			if p.Budget != nil && !p.Budget.Spend() {
-				return &BudgetError{Err: err}
-			}
-			if serr := p.sleep(ctx, p.Delay(key, a)); serr != nil {
-				return serr
-			}
-		}
-		err = fn(a)
-		if err == nil || !IsTransient(err) {
-			return err
-		}
-	}
-	return err
 }

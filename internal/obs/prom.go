@@ -191,8 +191,8 @@ func RegisterGaugeFunc(name, help string, f func() float64) {
 }
 
 // RegisterGaugeVecFunc exposes a computed labeled family (label value ->
-// gauge) as a Prometheus gauge family — e.g. circuit-breaker design counts
-// by state. Idempotent by name.
+// gauge) as a Prometheus gauge family — e.g. the durable store's state
+// (1 on the active state's label). Idempotent by name.
 func RegisterGaugeVecFunc(name, help, label string, f func() map[string]float64) {
 	DefaultRegistry.register(&gaugeVecFuncMetric{name: name, help: help, label: label, f: f})
 	PublishFunc(name, func() any { return f() })

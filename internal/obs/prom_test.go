@@ -20,9 +20,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.register(&gaugeFuncMetric{name: "memsimd.cache_hit_ratio", help: "Hit ratio.",
 		f: func() float64 { return 0.75 }})
 
-	r.register(&gaugeVecFuncMetric{name: "memsimd.breaker_states", help: "Breakers by state.",
+	r.register(&gaugeVecFuncMetric{name: "memsimd.store_state", help: "Store state.",
 		label: "state", f: func() map[string]float64 {
-			return map[string]float64{"closed": 3, "open": 1}
+			return map[string]float64{"ok": 1, "degraded": 0}
 		}})
 
 	h := &Histogram{name: "memsimd.request_seconds", help: "Latency.", factor: 1e-9}
@@ -37,11 +37,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	const golden = `# HELP memsimd_breaker_states Breakers by state.
-# TYPE memsimd_breaker_states gauge
-memsimd_breaker_states{state="closed"} 3
-memsimd_breaker_states{state="open"} 1
-# HELP memsimd_cache_hit_ratio Hit ratio.
+	const golden = `# HELP memsimd_cache_hit_ratio Hit ratio.
 # TYPE memsimd_cache_hit_ratio gauge
 memsimd_cache_hit_ratio 0.75
 # HELP memsimd_request_seconds Latency.
@@ -54,6 +50,10 @@ memsimd_request_seconds_count{outcome="hit"} 3
 # HELP memsimd_requests_total Total requests.
 # TYPE memsimd_requests_total counter
 memsimd_requests_total 42
+# HELP memsimd_store_state Store state.
+# TYPE memsimd_store_state gauge
+memsimd_store_state{state="degraded"} 0
+memsimd_store_state{state="ok"} 1
 `
 	if b.String() != golden {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", b.String(), golden)

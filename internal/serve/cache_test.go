@@ -16,15 +16,15 @@ func TestLRUCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	c := newLRUCache(2)
 	c.Add("a", res("a"))
 	c.Add("b", res("b"))
-	if _, ok := c.Get("a"); !ok { // promote a; b is now LRU
+	if _, _, ok := c.Get("a"); !ok { // promote a; b is now LRU
 		t.Fatal("a missing")
 	}
 	c.Add("c", res("c")) // evicts b
-	if _, ok := c.Get("b"); ok {
+	if _, _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := c.Get(k); !ok {
+		if _, _, ok := c.Get(k); !ok {
 			t.Fatalf("%s should be cached", k)
 		}
 	}
@@ -40,7 +40,7 @@ func TestLRUCacheRefreshExisting(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d after double add", c.Len())
 	}
-	got, _ := c.Get("a")
+	got, _, _ := c.Get("a")
 	if got.Key != "a2" {
 		t.Fatalf("refresh kept old value %q", got.Key)
 	}
@@ -48,32 +48,44 @@ func TestLRUCacheRefreshExisting(t *testing.T) {
 
 func TestFlightGroupCollapsesConcurrentCalls(t *testing.T) {
 	g := newFlightGroup[*EvalResult]()
-	var runs atomic.Int32
+	var runs, leaders, entered atomic.Int32
 	gate := make(chan struct{})
 	const n = 16
-	var leaders atomic.Int32
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r, led, err := g.Do(context.Background(), "k", func() (*EvalResult, error) {
-				runs.Add(1)
-				<-gate
-				return res("shared"), nil
-			})
-			if err != nil || r.Key != "shared" {
-				t.Errorf("Do = %v, %v", r, err)
-			}
-			if led {
-				leaders.Add(1)
-			}
-		}()
+	call := func() {
+		defer wg.Done()
+		r, led, err := g.Do(context.Background(), "k", func() (*EvalResult, error) {
+			runs.Add(1)
+			<-gate
+			return res("shared"), nil
+		})
+		if err != nil || r.Key != "shared" {
+			t.Errorf("Do = %v, %v", r, err)
+		}
+		if led {
+			leaders.Add(1)
+		}
 	}
-	// Wait until the leader is inside fn, then let everyone through.
+	// Start the leader and wait until it is inside fn, so every later
+	// call finds the flight in progress.
+	wg.Add(1)
+	go call()
 	for runs.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			entered.Add(1)
+			call()
+		}()
+	}
+	// Let every follower reach Do before the leader is released: a call
+	// that arrives after the flight ends rightly leads a flight of its own.
+	for entered.Load() < n-1 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
 	close(gate)
 	wg.Wait()
 	if runs.Load() != 1 {

@@ -18,8 +18,8 @@ import (
 )
 
 // overloadSeed drives every deterministic decision in the overload chaos
-// scenario: the chaos plan's transient-fault draws and, through them, which
-// design points the scenario casts as doomed vs clean.
+// scenario: the chaos plan's poisoned keys and, through them, which design
+// points the scenario casts as doomed vs clean.
 const overloadSeed = 21
 
 // overloadBody is testBody with a controllable workload-scale, so the
@@ -29,10 +29,10 @@ func overloadBody(design string, wscale uint64) string {
 		design, testScale, wscale)
 }
 
-// overloadKey derives the server-side request key for a body, exactly as
-// the handler does (decode, normalize, key), so the scenario can consult
-// the chaos plan and the durable tier about specific requests.
-func overloadKey(t *testing.T, body string) string {
+// requestKey derives the server-side request key for a body, exactly as
+// the handler does (decode, normalize, key), so the chaos scenarios can
+// consult the chaos plan and the durable tier about specific requests.
+func requestKey(t *testing.T, body string) string {
 	t.Helper()
 	var req EvalRequest
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
@@ -45,10 +45,10 @@ func overloadKey(t *testing.T, body string) string {
 }
 
 // castOverloadRoles partitions candidate request bodies by what the chaos
-// plan has in store for them: "doomed" bodies fail transiently on every
-// retry attempt (so they burn the whole retry schedule), "clean" bodies
-// never fault. The casting is a pure function of overloadSeed, so both
-// determinism runs agree on it.
+// plan has in store for them: the "doomed" body's key is poisoned (its
+// evaluation panics every time), "clean" bodies never fault. The casting
+// is a pure function of overloadSeed, so both determinism runs agree on
+// it.
 func castOverloadRoles(t *testing.T, plan *fault.ServicePlan) (doomed string, clean []string) {
 	t.Helper()
 	var designs []string
@@ -61,22 +61,11 @@ func castOverloadRoles(t *testing.T, plan *fault.ServicePlan) (doomed string, cl
 	for _, ws := range []uint64{2048, 4096, 8192, 1024} {
 		for _, d := range designs {
 			body := overloadBody(d, ws)
-			key := overloadKey(t, body)
-			allTransient, allClean := true, true
-			for attempt := 0; attempt < 3; attempt++ {
-				switch plan.Decide(key, uint64(attempt)) {
-				case fault.ActTransient:
-					allClean = false
-				case fault.ActNone:
-					allTransient = false
-				default:
-					allClean, allTransient = false, false
+			if plan.Poisoned(requestKey(t, body)) {
+				if doomed == "" {
+					doomed = body
 				}
-			}
-			if allTransient && doomed == "" {
-				doomed = body
-			}
-			if allClean {
+			} else {
 				clean = append(clean, body)
 			}
 		}
@@ -97,11 +86,11 @@ type overloadOutcome struct {
 }
 
 // runOverloadScenario drives one server through the three-phase overload
-// script — per-client saturation, retry-budget exhaustion, store wound and
-// heal — and returns the outcome sequence for determinism comparison.
+// script — per-client saturation, poisoned-key containment, store wound
+// and heal — and returns the outcome sequence for determinism comparison.
 func runOverloadScenario(t *testing.T) []overloadOutcome {
 	t.Helper()
-	plan := &fault.ServicePlan{Seed: overloadSeed, TransientFraction: 0.3}
+	plan := &fault.ServicePlan{Seed: overloadSeed, PanicFraction: 0.2}
 	doomed, clean := castOverloadRoles(t, plan)
 
 	// Durable tier with an armed torn write (tears exactly one append when
@@ -137,11 +126,8 @@ func runOverloadScenario(t *testing.T) []overloadOutcome {
 	s := New(Config{
 		Runner:      ev,
 		MaxInFlight: 4,
-		Retry:       fault.RetryPolicy{Attempts: 3, Sleep: instantSleep},
-		Breaker:     fault.BreakerConfig{Threshold: 3, Cooldown: time.Hour},
 		Chaos:       plan,
 		RateLimit:   admit.LimiterConfig{Rate: 1, Burst: 3, Now: clock.Now},
-		RetryBudget: admit.BudgetConfig{Burst: 2}, // 2 retry credits, no refill
 		StoreGuard:  guard,
 		Log:         logger,
 	})
@@ -183,31 +169,30 @@ func runOverloadScenario(t *testing.T) []overloadOutcome {
 	clock.Advance(time.Second) // one refill re-admits the sweep client
 	send("overload", "sweep", clean[0], http.StatusOK, "")
 
-	// --- Phase B: retry-budget exhaustion is contained. The doomed design
-	// fails transiently on every attempt: the first request burns the
-	// process's 2 retry credits and exhausts its own attempt schedule
-	// (internal); later requests are refused up front (retry_budget)
-	// instead of amplifying load with doomed retries. Clean designs keep
-	// succeeding and no breaker opens — budget exhaustion is an overload
-	// signal, not a design failure.
+	// --- Phase B: a poisoned key costs one evaluation. The doomed
+	// design's first request spends a replay and panics (500 eval_panic);
+	// every repeat is answered from its negative entry with the same error
+	// and no replay, while clean designs keep evaluating.
 	advance := func() { clock.Advance(time.Second) }
-	advance()
-	send("budget", "batch", doomed, http.StatusInternalServerError, CodeInternal)
-	for i := 0; i < 3; i++ {
+	replays0 := ev.replaysTotal.Value()
+	for i := 0; i < 4; i++ {
 		advance()
-		send("budget", "batch", doomed, http.StatusServiceUnavailable, CodeRetryBudget)
+		send("poison", "batch", doomed, http.StatusInternalServerError, CodePanic)
+	}
+	if d := ev.replaysTotal.Value() - replays0; d != 1 {
+		t.Fatalf("poisoned key cost %d replays over 4 requests, want 1", d)
 	}
 	advance()
-	send("budget", "batch", clean[0], http.StatusOK, "") // warm key still serves
+	send("poison", "batch", clean[0], http.StatusOK, "") // warm key still serves
 	advance()
-	send("budget", "batch", clean[1], http.StatusOK, "") // fresh evaluation unaffected
+	send("poison", "batch", clean[1], http.StatusOK, "") // fresh evaluation unaffected
 
 	// --- Phase C: a mid-traffic store wound degrades durability without
 	// dropping requests, and the background reopen restores it.
 	preBody, woundBody, duringBody, postBody := clean[2], clean[3], clean[4], clean[5]
 	advance()
 	send("wound", "steady", preBody, http.StatusOK, "")
-	if _, ok, err := guard.GetDoc(overloadKey(t, preBody)); err != nil || !ok {
+	if _, ok, err := guard.GetDoc(requestKey(t, preBody)); err != nil || !ok {
 		t.Fatalf("pre-wound result not durable (ok=%v err=%v)", ok, err)
 	}
 
@@ -253,29 +238,32 @@ func runOverloadScenario(t *testing.T) []overloadOutcome {
 	// recovery.
 	advance()
 	send("wound", "steady", postBody, http.StatusOK, "")
-	if _, ok, err := guard.GetDoc(overloadKey(t, postBody)); err != nil || !ok {
+	if _, ok, err := guard.GetDoc(requestKey(t, postBody)); err != nil || !ok {
 		t.Fatalf("post-heal result not durable (ok=%v err=%v)", ok, err)
 	}
-	if _, ok, err := guard.GetDoc(overloadKey(t, preBody)); err != nil || !ok {
+	if _, ok, err := guard.GetDoc(requestKey(t, preBody)); err != nil || !ok {
 		t.Fatalf("pre-wound result lost across the heal (ok=%v err=%v)", ok, err)
 	}
 
-	// The run log narrates the whole lifecycle.
+	// The run log narrates the whole lifecycle, and tags the poisoned
+	// repeats as answered from the negative entry.
 	var sawWound, sawHeal bool
+	negatives := 0
 	for _, rec := range logbuf.lines(t) {
 		switch {
 		case rec["event"] == "warning" && rec["message"] == "store_wound":
 			sawWound = true
 		case rec["event"] == "store_heal":
 			sawHeal = true
-		case rec["event"] == "http_request":
-			if rec["outcome"] == "circuit_open" {
-				t.Fatalf("a breaker opened during the scenario: %v", rec)
-			}
+		case rec["event"] == "http_request" && rec["outcome"] == "negative":
+			negatives++
 		}
 	}
 	if !sawWound || !sawHeal {
 		t.Fatalf("run log missing lifecycle events (wound=%v heal=%v)", sawWound, sawHeal)
+	}
+	if negatives != 3 {
+		t.Fatalf("run log has %d negative answers, want 3 (the poisoned repeats)", negatives)
 	}
 	return outcomes
 }
@@ -304,9 +292,9 @@ func readyzBody(t *testing.T, ts *httptest.Server) string {
 //
 //   - a client saturating its admission rate is throttled with exact refill
 //     guidance while an independently keyed client is never starved;
-//   - exhausting the process-wide retry budget stops server-side retries
-//     (fail-fast 503 retry_budget) without opening breakers or disturbing
-//     healthy designs;
+//   - a poisoned design point costs exactly one evaluation: its repeats are
+//     answered from a negative entry without replay, and healthy designs
+//     are undisturbed;
 //   - a mid-traffic store wound flips the server to a degraded,
 //     cache/replay-only mode (readyz says so, writes are dropped and
 //     counted) until the background reopen heals it, after which durable
@@ -325,17 +313,17 @@ func TestChaosOverloadWoundHeal(t *testing.T) {
 			t.Fatalf("request %d diverged across same-seed runs: %+v vs %+v", i, first[i], second[i])
 		}
 	}
-	var throttled, budget, healedOK int
+	var throttled, poisoned, healedOK int
 	for _, o := range first {
 		switch {
 		case o.code == CodeRateLimited:
 			throttled++
-		case o.code == CodeRetryBudget:
-			budget++
+		case o.code == CodePanic:
+			poisoned++
 		case o.phase == "wound" && o.status == http.StatusOK:
 			healedOK++
 		}
 	}
-	t.Logf("overload chaos: %d outcomes -> %d throttled, %d budget-refused, %d served through wound+heal",
-		len(first), throttled, budget, healedOK)
+	t.Logf("overload chaos: %d outcomes -> %d throttled, %d poisoned, %d served through wound+heal",
+		len(first), throttled, poisoned, healedOK)
 }

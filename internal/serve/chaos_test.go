@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
-	"time"
 
 	"hybridmem/internal/fault"
 )
@@ -18,26 +20,33 @@ var chaosRequests = flag.Int("chaos-requests", 200, "requests to drive through t
 // chaosOutcome is what one request contributed to the harness's evidence.
 type chaosOutcome struct {
 	status int
+	cache  string // X-Memsimd-Cache
 	code   string // typed error code for non-200s
+	body   string // raw error body for non-200s
 	fault  map[string]float64
 }
 
+// chaosRun is one server's pass over the deterministic request schedule:
+// the per-request outcomes plus the process counters the harness checks
+// containment against.
+type chaosRun struct {
+	outcomes     []chaosOutcome
+	poisoned     []bool // per body: is its key poisoned under the plan?
+	bodies       int    // distinct bodies in the schedule
+	replays      uint64 // memsimd.replays_total delta
+	panics       uint64 // memsimd.panics_recovered delta
+	negativeHits uint64 // memsimd.negative_hits delta
+}
+
 // runChaosServer drives the same deterministic request schedule through a
-// freshly built server and returns the per-request outcomes.
-func runChaosServer(t *testing.T, n int) []chaosOutcome {
+// freshly built server.
+func runChaosServer(t *testing.T, n int) chaosRun {
 	t.Helper()
-	plan := &fault.ServicePlan{Seed: 7, PanicFraction: 0.25, TransientFraction: 0.15}
-	s, _, ts := newTestServer(t, Config{
-		MaxInFlight: 4,
-		Retry:       fault.RetryPolicy{Attempts: 3, Sleep: instantSleep},
-		Breaker:     fault.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
-		Chaos:       plan,
-	})
-	_ = s
+	plan := &fault.ServicePlan{Seed: 7, PanicFraction: 0.25}
+	s, ev, ts := newTestServer(t, Config{MaxInFlight: 4, Chaos: plan})
 
 	// A mixed population: every Table 3 NMM row plus 4LC points, half of
-	// them with device-fault injection. Each body maps to one design so
-	// poisoned bodies produce consecutive failures for their breaker.
+	// them with device-fault injection. Each body is one request key.
 	var bodies []string
 	for i := 1; i <= 9; i++ {
 		d := fmt.Sprintf("NMM/N%d", i)
@@ -47,11 +56,27 @@ func runChaosServer(t *testing.T, n int) []chaosOutcome {
 	for i := 1; i <= 4; i++ {
 		bodies = append(bodies, testBody(fmt.Sprintf("4LC/EH%d", i)))
 	}
+	run := chaosRun{bodies: len(bodies)}
+	for _, b := range bodies {
+		run.poisoned = append(run.poisoned, plan.Poisoned(requestKey(t, b)))
+	}
 
-	outcomes := make([]chaosOutcome, 0, n)
+	replays0, panics0, neg0 := ev.replaysTotal.Value(), s.panics.Value(), s.negativeHits.Value()
 	for i := 0; i < n; i++ {
-		resp, decoded := post(t, ts, bodies[i%len(bodies)])
-		o := chaosOutcome{status: resp.StatusCode}
+		resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(bodies[i%len(bodies)]))
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("request %d: reading body: %v", i, err)
+		}
+		var decoded map[string]any
+		if err := json.Unmarshal(raw, &decoded); err != nil {
+			t.Fatalf("request %d: malformed response %q: %v", i, raw, err)
+		}
+		o := chaosOutcome{status: resp.StatusCode, cache: resp.Header.Get("X-Memsimd-Cache")}
 		switch resp.StatusCode {
 		case http.StatusOK:
 			m := decoded["metrics"].(map[string]any)
@@ -60,75 +85,103 @@ func runChaosServer(t *testing.T, n int) []chaosOutcome {
 				"fault_stuck_lines", "fault_retired_pages", "fault_remapped"} {
 				o.fault[k] = m[k].(float64)
 			}
-		case http.StatusInternalServerError, http.StatusServiceUnavailable,
-			http.StatusTooManyRequests:
-			o.code = errorCode(t, decoded)
 		default:
-			t.Fatalf("request %d: unexpected status %d (%v)", i, resp.StatusCode, decoded)
+			o.code = errorCode(t, decoded)
+			o.body = string(raw)
 		}
-		outcomes = append(outcomes, o)
+		run.outcomes = append(run.outcomes, o)
 	}
-	return outcomes
+	run.replays = ev.replaysTotal.Value() - replays0
+	run.panics = s.panics.Value() - panics0
+	run.negativeHits = s.negativeHits.Value() - neg0
+	return run
 }
 
 // TestChaos is the harness behind `make chaos`: a deterministic chaos plan
-// poisons a quarter of the request population (evaluations panic) and
-// injects transient failures into the rest, while half the healthy requests
-// also carry NVM fault injection. The server must absorb all of it —
+// poisons a quarter of the request keys (their evaluations panic after
+// spending a replay), while half the healthy requests also carry NVM fault
+// injection. The server must absorb all of it —
 //
 //   - zero process exits: every request gets a well-formed HTTP response
 //     (panics recover into typed 500s);
-//   - the circuit breaker engages for poisoned designs (503 circuit_open);
-//   - healthy designs keep succeeding throughout;
+//   - containment: every key, poisoned or healthy, costs exactly one
+//     evaluation, counted by memsimd.replays_total — a poisoned key's
+//     repeats are answered from its negative entry with a byte-identical
+//     eval_panic body, a healthy key's from its cached result;
 //   - uncorrectable device-error rates stay bounded (ECC corrects the
 //     overwhelming majority at the injected BER);
-//   - a second server fed the same schedule reproduces every fault
-//     statistic bit-for-bit.
+//   - a second server fed the same schedule reproduces every status, body,
+//     and fault statistic bit-for-bit.
 func TestChaos(t *testing.T) {
 	n := *chaosRequests
 	first := runChaosServer(t, n)
 
-	var ok200, panics500, open503, transient500 int
-	for i, o := range first {
+	sent := first.bodies
+	if n < sent {
+		sent = n
+	}
+	var poisonedSent int
+	for b := 0; b < sent; b++ {
+		if first.poisoned[b] {
+			poisonedSent++
+		}
+	}
+	firstBody := map[int]string{}
+	var ok200, panics500 int
+	for i, o := range first.outcomes {
+		b := i % first.bodies
+		repeat := i >= first.bodies
 		switch {
-		case o.status == http.StatusOK:
-			ok200++
-		case o.code == CodePanic:
+		case first.poisoned[b]:
+			if o.status != http.StatusInternalServerError || o.code != CodePanic {
+				t.Fatalf("request %d (poisoned): status %d code %q, want 500 %s", i, o.status, o.code, CodePanic)
+			}
 			panics500++
-		case o.code == CodeCircuitOpen:
-			open503++
-		case o.code == CodeInternal:
-			transient500++
-		case o.code == CodeOverloaded:
+			if !repeat {
+				firstBody[b] = o.body
+				continue
+			}
+			if o.cache != "negative" || o.body != firstBody[b] {
+				t.Fatalf("request %d: poisoned repeat answered as %q with body %s, want negative %s",
+					i, o.cache, o.body, firstBody[b])
+			}
 		default:
-			t.Fatalf("request %d: status %d code %q unexpected under chaos", i, o.status, o.code)
+			if o.status != http.StatusOK {
+				t.Fatalf("request %d (healthy): status %d code %q unexpected under chaos", i, o.status, o.code)
+			}
+			ok200++
+			want := "miss"
+			if repeat {
+				want = "hit"
+			}
+			if o.cache != want {
+				t.Fatalf("request %d (healthy): answered as %q, want %q", i, o.cache, want)
+			}
 		}
 	}
 	if ok200 == 0 {
 		t.Fatal("no request succeeded under chaos")
 	}
-	if panics500 == 0 {
+	if poisonedSent == 0 {
 		t.Fatal("chaos plan poisoned nothing; harness is not exercising panic recovery")
 	}
-	if open503 == 0 {
-		t.Fatal("circuit breaker never engaged for poisoned designs")
+	if first.replays != uint64(sent) {
+		t.Fatalf("replays_total delta = %d, want %d (one evaluation per distinct key)", first.replays, sent)
 	}
-	t.Logf("chaos: %d requests -> %d ok, %d panics, %d circuit-open, %d transient-exhausted",
-		n, ok200, panics500, open503, transient500)
-
-	// Once a poisoned design's breaker opens it stays open (cooldown is an
-	// hour), so total panics are bounded by the population size times a few
-	// pre-trip rounds — independent of how many requests the harness sends.
-	if panics500 > 4*22 {
-		t.Fatalf("panics (%d) kept burning capacity; breakers are not containing poisoned designs (%d open rejections)",
-			panics500, open503)
+	if first.panics != uint64(poisonedSent) {
+		t.Fatalf("panics_recovered delta = %d, want %d (one per poisoned key)", first.panics, poisonedSent)
 	}
+	if want := uint64(panics500 - poisonedSent); first.negativeHits != want {
+		t.Fatalf("negative_hits delta = %d, want %d (every poisoned repeat)", first.negativeHits, want)
+	}
+	t.Logf("chaos: %d requests over %d keys -> %d ok, %d eval_panic (%d poisoned keys, %d negative answers), %d replays",
+		n, sent, ok200, panics500, poisonedSent, first.negativeHits, first.replays)
 
 	// Bounded uncorrectable rate: at BER 1e-6, SECDED corrects the
 	// overwhelming majority; detected-uncorrectable must stay a small
 	// minority of observed device errors.
 	var corrected, uncorrected float64
-	for _, o := range first {
+	for _, o := range first.outcomes {
 		if o.fault != nil {
 			corrected += o.fault["fault_corrected"]
 			uncorrected += o.fault["fault_uncorrected"]
@@ -143,20 +196,17 @@ func TestChaos(t *testing.T) {
 	}
 
 	// Determinism: an identical server fed the identical schedule must
-	// reproduce every status and every fault counter exactly.
+	// reproduce every status, error body, and fault counter exactly.
 	second := runChaosServer(t, n)
-	for i := range first {
-		if first[i].status != second[i].status || first[i].code != second[i].code {
-			t.Fatalf("request %d diverged across same-seed runs: (%d,%q) vs (%d,%q)",
-				i, first[i].status, first[i].code, second[i].status, second[i].code)
+	for i := range first.outcomes {
+		a, b := first.outcomes[i], second.outcomes[i]
+		if a.status != b.status || a.code != b.code || a.cache != b.cache || a.body != b.body {
+			t.Fatalf("request %d diverged across same-seed runs: (%d,%q,%q) vs (%d,%q,%q)",
+				i, a.status, a.code, a.cache, b.status, b.code, b.cache)
 		}
-		if first[i].fault == nil {
-			continue
-		}
-		for k, v := range first[i].fault {
-			if second[i].fault[k] != v {
-				t.Fatalf("request %d: fault metric %s diverged: %g vs %g",
-					i, k, v, second[i].fault[k])
+		for k, v := range a.fault {
+			if b.fault[k] != v {
+				t.Fatalf("request %d: fault metric %s diverged: %g vs %g", i, k, v, b.fault[k])
 			}
 		}
 	}

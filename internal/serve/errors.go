@@ -49,11 +49,6 @@ const (
 	// instead of occupying a replay slot it was doomed to waste. Retry
 	// with a longer deadline, or not at all.
 	CodeWouldDeadline = "would_deadline"
-	// CodeRetryBudget means a transient evaluation fault would normally
-	// have been retried server-side, but the process-wide retry budget
-	// was exhausted (an overload signal). The design itself is healthy;
-	// retry after backing off.
-	CodeRetryBudget = "retry_budget"
 	// CodeTimeout means the per-request deadline expired; the in-flight
 	// replay was aborted.
 	CodeTimeout = "timeout"
@@ -64,13 +59,13 @@ const (
 	CodeShuttingDown = "shutting_down"
 	// CodePanic means the evaluation panicked and was recovered; the
 	// process survived and the failing design point returned this typed
-	// error instead. Retrying the identical request will panic again.
+	// error instead. The failure is a property of the request: the server
+	// remembers it as a negative entry and answers repeats with the same
+	// error (X-Memsimd-Cache: negative) without evaluating again.
 	CodePanic = "eval_panic"
-	// CodeCircuitOpen means this design point's circuit breaker is open
-	// after repeated failures; retry after the Retry-After delay, when
-	// the breaker admits a probe.
-	CodeCircuitOpen = "circuit_open"
-	// CodeInternal marks unexpected evaluation failures.
+	// CodeInternal marks unexpected evaluation failures. Without retry
+	// guidance the failure is permanent and remembered like CodePanic;
+	// with retry guidance it was transient and is never remembered.
 	CodeInternal = "internal"
 )
 
@@ -87,24 +82,30 @@ const (
 // The Retry-After response header repeats RetryAfterMS rounded up to whole
 // seconds for generic HTTP clients.
 //
-//   - CodeOverloaded (429) and CodeCircuitOpen (503): retry with the given
-//     backoff; the breaker admits a probe once its cooldown elapses.
+//   - CodeOverloaded (429): retry with the given backoff.
 //   - CodeRateLimited (429): this client exceeded its admission rate;
 //     RetryAfterMS is the exact bucket refill time, so earlier retries
 //     are wasted round trips.
 //   - CodeShuttingDown (503): this process is draining; retry against the
 //     fleet after the given backoff and another instance will serve it.
-//   - CodeRetryBudget (503): the server declined to retry a transient
-//     fault because the shared retry budget was exhausted — an overload
-//     signal, not a design failure; retry with the given backoff.
-//   - CodeInternal (500) with retry guidance: a transient fault survived
-//     the server's own retries; one client-side retry is reasonable.
+//   - CodeInternal (500) with retry guidance: a transient fault; the server
+//     does not retry evaluations itself, so one client-side retry after
+//     the backoff is reasonable.
 //   - CodeTimeout (504): retry only with a smaller request (larger
 //     workload_scale) — the same request will time out again.
 //   - CodeWouldDeadline (503): the offered deadline cannot be met; retry
 //     only with a longer X-Memsimd-Deadline-Ms.
-//   - CodePanic (500) and all 4xx codes: do not retry; the failure is a
-//     deterministic property of the request.
+//   - CodePanic (500), CodeInternal (500) without retry guidance, and all
+//     4xx codes: do not retry; the failure is a deterministic property of
+//     the request. The server remembers a 500 of this kind as a negative
+//     entry and answers repeats with a byte-identical body, marked
+//     X-Memsimd-Cache: negative, until NegativeTTL expires.
+//
+// Earlier servers also sent 503 circuit_open after repeated failures of a
+// design and 503 retry_budget when a shared budget cut their own retries.
+// Neither code is sent any more, and circuit_open is deliberately not kept
+// as an alias for negative answers: it told clients to retry after a
+// cooldown, while a remembered failure will fail the same way every time.
 type APIError struct {
 	// Code is one of the Code* constants.
 	Code string `json:"code"`
@@ -167,7 +168,7 @@ func httpStatus(code string) int {
 		return http.StatusTooManyRequests
 	case CodeTimeout, CodeCanceled:
 		return http.StatusGatewayTimeout
-	case CodeShuttingDown, CodeCircuitOpen, CodeWouldDeadline, CodeRetryBudget:
+	case CodeShuttingDown, CodeWouldDeadline:
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError

@@ -21,11 +21,11 @@ func TestWriteErrorRetryAfterRounding(t *testing.T) {
 		err  *APIError
 		want string // "" = no Retry-After header
 	}{
-		{"1ms rounds to 1s", &APIError{Code: CodeCircuitOpen, RetryAfterMS: 1}, "1"},
-		{"999ms rounds to 1s", &APIError{Code: CodeCircuitOpen, RetryAfterMS: 999}, "1"},
-		{"1000ms is exactly 1s", &APIError{Code: CodeCircuitOpen, RetryAfterMS: 1000}, "1"},
-		{"1001ms rounds to 2s", &APIError{Code: CodeCircuitOpen, RetryAfterMS: 1001}, "2"},
-		{"2500ms rounds to 3s", &APIError{Code: CodeCircuitOpen, RetryAfterMS: 2500}, "3"},
+		{"1ms rounds to 1s", &APIError{Code: CodeShuttingDown, RetryAfterMS: 1}, "1"},
+		{"999ms rounds to 1s", &APIError{Code: CodeShuttingDown, RetryAfterMS: 999}, "1"},
+		{"1000ms is exactly 1s", &APIError{Code: CodeShuttingDown, RetryAfterMS: 1000}, "1"},
+		{"1001ms rounds to 2s", &APIError{Code: CodeShuttingDown, RetryAfterMS: 1001}, "2"},
+		{"2500ms rounds to 3s", &APIError{Code: CodeShuttingDown, RetryAfterMS: 2500}, "3"},
 		{"overloaded fallback", &APIError{Code: CodeOverloaded}, "1"},
 		{"rate_limited fallback", &APIError{Code: CodeRateLimited}, "1"},
 		{"no guidance, no header", &APIError{Code: CodeInvalidRequest}, ""},
@@ -62,8 +62,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 	errs := []*APIError{
 		{Code: CodeOverloaded, RetryAfterMS: 1000, JitterMS: 500},
 		{Code: CodeRateLimited, RetryAfterMS: 200, JitterMS: 100},
-		{Code: CodeRetryBudget, RetryAfterMS: 1000, JitterMS: 1000},
-		{Code: CodeCircuitOpen, RetryAfterMS: 15000, JitterMS: 7500},
+		{Code: CodeInternal, RetryAfterMS: 1000, JitterMS: 500}, // transient fault
 		{Code: CodeShuttingDown, RetryAfterMS: drainRetryAfterMS, JitterMS: drainRetryAfterMS / 2},
 		{Code: CodeInternal, RetryAfterMS: 1, JitterMS: 0}, // zero jitter: exact sleep
 	}

@@ -46,8 +46,8 @@ func (b *syncBuffer) lines(t *testing.T) []map[string]any {
 
 // TestMetricsEndpoint drives a hit, a miss, and an invalid request through
 // the server and asserts the Prometheus exposition carries the
-// outcome-labeled latency histogram (>= 3 outcomes) plus the cache and
-// breaker gauges.
+// outcome-labeled latency histogram (>= 3 outcomes) plus the cache gauge
+// and the negative-entry counters.
 func TestMetricsEndpoint(t *testing.T) {
 	_, _, ts := newTestServer(t, Config{})
 
@@ -87,7 +87,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE memsimd_request_seconds histogram",
 		`memsimd_request_seconds_bucket{outcome="hit",le="+Inf"}`,
 		"# TYPE memsimd_cache_hit_ratio gauge",
-		`memsimd_breaker_states{state="closed"}`,
+		"memsimd_negative_hits",
 		"memsimd_requests_total",
 		"memsimd_replay_refs_total",
 		"hybridmem_fan_width",

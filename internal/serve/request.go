@@ -521,6 +521,15 @@ func (d *DesignSpec) normalize(cat *tech.Catalog) *APIError {
 			if l.Assoc < 0 || l.PrefetchNext < 0 {
 				return errField(CodeInvalidRequest, field, "assoc and prefetch_next must be >= 0")
 			}
+			// Reject every geometry the back end cannot build here, as a
+			// typed 400, rather than as an internal error after profiling.
+			if err := l.levelSpec(field).Validate(); err != nil {
+				return errField(CodeInvalidRequest, field, err.Error())
+			}
+			if i > 0 && l.LineBytes < d.Custom.Caches[i-1].LineBytes {
+				return errField(CodeInvalidRequest, field+".line_bytes",
+					"line_bytes must not shrink below the line of the cache above")
+			}
 		}
 		mt, err := cat.Tech(d.Custom.Memory.Tech)
 		if err != nil {
@@ -631,11 +640,22 @@ func (r *EvalRequest) registry() *design.Registry {
 	return r.effReg
 }
 
-// breakerKey returns the design-point identity the circuit breaker tracks:
-// failures are a property of the design (a panicking hierarchy spec), not
-// of the workload it happened to run, so one breaker guards every request
-// against the same design.
-func (d *DesignSpec) breakerKey() string {
+// levelSpec is the cache level a custom spec builds (technology left for
+// the caller to resolve), with the default associativity of 16 applied.
+func (l CustomLevel) levelSpec(name string) design.LevelSpec {
+	assoc := l.Assoc
+	if assoc == 0 {
+		assoc = 16
+	}
+	return design.LevelSpec{
+		Name: name, Size: l.SizeBytes, Line: l.LineBytes,
+		Assoc: assoc, WriteThrough: l.WriteThrough, PrefetchNext: l.PrefetchNext,
+	}
+}
+
+// label returns the design point's short identity for logs and panic
+// messages (e.g. "NMM/N6/PCM", or "custom/<name>").
+func (d *DesignSpec) label() string {
 	if d.Family == "custom" && d.Custom != nil {
 		return "custom/" + d.Custom.Name
 	}
@@ -679,14 +699,9 @@ func (r *EvalRequest) backend(footprint uint64) (b design.Backend, ok bool, err 
 			if name == "" {
 				name = fmt.Sprintf("L%d", i+4)
 			}
-			assoc := l.Assoc
-			if assoc == 0 {
-				assoc = 16
-			}
-			b.Caches = append(b.Caches, design.LevelSpec{
-				Name: name, Tech: lt, Size: l.SizeBytes, Line: l.LineBytes,
-				Assoc: assoc, WriteThrough: l.WriteThrough, PrefetchNext: l.PrefetchNext,
-			})
+			spec := l.levelSpec(name)
+			spec.Tech = lt
+			b.Caches = append(b.Caches, spec)
 		}
 		mt, err := reg.Tech(d.Custom.Memory.Tech)
 		if err != nil {

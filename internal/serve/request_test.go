@@ -95,3 +95,35 @@ func TestNormalizeRejectsExtendedMisuse(t *testing.T) {
 		}
 	}
 }
+
+// TestCustomGeometryRejectedOnArrival: a custom cache the back end cannot
+// build is a typed 400 from normalization, pinned to the offending level,
+// never an internal error after profiling (which the server would then
+// remember as a negative entry).
+func TestCustomGeometryRejectedOnArrival(t *testing.T) {
+	custom := func(caches string) string {
+		return `{"design":{"family":"custom","custom":{"caches":` + caches +
+			`,"memory":{"tech":"PCM"}}},"workload":"CG","scale":64,"workload_scale":2048}`
+	}
+	for _, tc := range []struct {
+		name, caches, field string
+	}{
+		{"set count 3", `[{"tech":"eDRAM","size_bytes":196608,"line_bytes":4096}]`, "design.custom.caches[0]"},
+		{"assoc 3", `[{"tech":"eDRAM","size_bytes":65536,"line_bytes":4096,"assoc":3}]`, "design.custom.caches[0]"},
+		{"line 96", `[{"tech":"eDRAM","size_bytes":98304,"line_bytes":96}]`, "design.custom.caches[0]"},
+		{"shrinking line", `[{"tech":"eDRAM","size_bytes":65536,"line_bytes":4096},{"tech":"eDRAM","size_bytes":1048576,"line_bytes":512}]`,
+			"design.custom.caches[1].line_bytes"},
+	} {
+		var r EvalRequest
+		if err := json.Unmarshal([]byte(custom(tc.caches)), &r); err != nil {
+			t.Fatal(err)
+		}
+		apiErr := r.Normalize()
+		if apiErr == nil || apiErr.Code != CodeInvalidRequest || apiErr.Field != tc.field {
+			t.Errorf("%s: Normalize = %v, want %s on %s", tc.name, apiErr, CodeInvalidRequest, tc.field)
+		}
+	}
+	// Power-of-two geometries, including a small cache whose associativity
+	// clamps to its line count, normalize cleanly.
+	norm(t, custom(`[{"tech":"eDRAM","size_bytes":16384,"line_bytes":4096},{"tech":"eDRAM","size_bytes":8388608,"line_bytes":4096,"assoc":8}]`))
+}

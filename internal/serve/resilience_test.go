@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,9 +16,6 @@ import (
 	"hybridmem/internal/fault"
 )
 
-// instantSleep makes retry backoff free in tests.
-func instantSleep(ctx context.Context, d time.Duration) error { return nil }
-
 func TestPanicRecoveryServesTypedError(t *testing.T) {
 	var calls atomic.Int64
 	runner := &stubRunner{fn: func(ctx context.Context, req *EvalRequest) (*EvalResult, error) {
@@ -26,7 +24,7 @@ func TestPanicRecoveryServesTypedError(t *testing.T) {
 		}
 		return &EvalResult{Key: req.Key(), Metrics: map[string]float64{"norm_time": 1}}, nil
 	}}
-	s := New(Config{Runner: runner, Retry: fault.RetryPolicy{Attempts: 1}})
+	s := New(Config{Runner: runner})
 	ts := newHTTPServer(t, s)
 	panicsBefore := s.panics.Value()
 
@@ -41,13 +39,30 @@ func TestPanicRecoveryServesTypedError(t *testing.T) {
 		t.Fatalf("panics_recovered delta = %d, want 1", got)
 	}
 
-	// The process survived; the same design evaluates fine afterwards.
-	resp2, decoded2 := post(t, ts, testBody("NMM/N1"))
+	// The panic is a property of the key: the repeat is answered from the
+	// negative entry with the same typed error, without evaluating again.
+	resp, decoded = post(t, ts, testBody("NMM/N1"))
+	if resp.StatusCode != http.StatusInternalServerError || errorCode(t, decoded) != CodePanic {
+		t.Fatalf("repeat status = %d (%v), want the remembered 500 %s", resp.StatusCode, decoded, CodePanic)
+	}
+	if got := resp.Header.Get("X-Memsimd-Cache"); got != "negative" {
+		t.Fatalf("repeat X-Memsimd-Cache = %q, want negative", got)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("runner called %d times, want 1 (repeat re-evaluated a poisoned key)", calls.Load())
+	}
+
+	// The process survived; the next design evaluates fine.
+	resp2, decoded2 := post(t, ts, testBody("NMM/N2"))
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-panic status = %d, want 200 (%v)", resp2.StatusCode, decoded2)
 	}
 }
 
+// TestTransientFailuresRetryToSuccess: a transient fault is never
+// remembered, so a client retrying after the advertised backoff reaches the
+// evaluator again and eventually succeeds. The server does not retry
+// evaluations itself: each request is one attempt.
 func TestTransientFailuresRetryToSuccess(t *testing.T) {
 	var calls atomic.Int64
 	runner := &stubRunner{fn: func(ctx context.Context, req *EvalRequest) (*EvalResult, error) {
@@ -56,28 +71,37 @@ func TestTransientFailuresRetryToSuccess(t *testing.T) {
 		}
 		return &EvalResult{Key: req.Key(), Metrics: map[string]float64{"norm_time": 1}}, nil
 	}}
-	s := New(Config{Runner: runner, Retry: fault.RetryPolicy{Attempts: 3, Sleep: instantSleep}})
+	s := New(Config{Runner: runner})
 	ts := newHTTPServer(t, s)
-	retriesBefore := s.retries.Value()
+	negativeBefore := s.negativeEntries.Value()
 
+	for attempt := 1; attempt <= 2; attempt++ {
+		resp, decoded := post(t, ts, testBody("NMM/N2"))
+		if resp.StatusCode != http.StatusInternalServerError || errorCode(t, decoded) != CodeInternal {
+			t.Fatalf("attempt %d: status = %d (%v), want 500 %s", attempt, resp.StatusCode, decoded, CodeInternal)
+		}
+		if calls.Load() != int64(attempt) {
+			t.Fatalf("attempt %d: runner called %d times; the server retried or remembered a transient",
+				attempt, calls.Load())
+		}
+	}
 	resp, decoded := post(t, ts, testBody("NMM/N2"))
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 after retries (%v)", resp.StatusCode, decoded)
+		t.Fatalf("third attempt status = %d, want 200 (%v)", resp.StatusCode, decoded)
 	}
-	if calls.Load() != 3 {
-		t.Fatalf("runner called %d times, want 3", calls.Load())
-	}
-	if got := s.retries.Value() - retriesBefore; got != 2 {
-		t.Fatalf("retries_total delta = %d, want 2", got)
+	if got := s.negativeEntries.Value() - negativeBefore; got != 0 {
+		t.Fatalf("transient faults created %d negative entries, want 0", got)
 	}
 }
 
+// TestTransientExhaustionCarriesRetryGuidance: the one server-side attempt
+// a transient fault gets ends in a 500 with retry guidance, which is what
+// tells a client it may come back.
 func TestTransientExhaustionCarriesRetryGuidance(t *testing.T) {
 	runner := &stubRunner{fn: func(ctx context.Context, req *EvalRequest) (*EvalResult, error) {
 		return nil, fault.Transient("replay", nil)
 	}}
-	s := New(Config{Runner: runner, Retry: fault.RetryPolicy{Attempts: 2, Sleep: instantSleep},
-		Breaker: fault.BreakerConfig{Threshold: -1}})
+	s := New(Config{Runner: runner})
 	ts := newHTTPServer(t, s)
 
 	resp, decoded := post(t, ts, testBody("NMM/N3"))
@@ -89,127 +113,163 @@ func TestTransientExhaustionCarriesRetryGuidance(t *testing.T) {
 	}
 	e := decoded["error"].(map[string]any)
 	if e["retry_after_ms"].(float64) <= 0 || e["jitter_ms"].(float64) <= 0 {
-		t.Fatalf("exhausted transient lacks retry guidance: %v", e)
+		t.Fatalf("transient failure lacks retry guidance: %v", e)
 	}
 	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("exhausted transient without Retry-After header")
+		t.Fatal("transient failure without Retry-After header")
+	}
+	if got := resp.Header.Get("X-Memsimd-Cache"); got == "negative" {
+		t.Fatal("a transient failure was answered from a negative entry")
 	}
 }
 
-func TestCircuitBreakerTripAndRecover(t *testing.T) {
+// TestNegativeEntryAnswersRepeatsUntilTTL pins negative entries: a
+// permanent failure is remembered under its key for NegativeTTL, repeats
+// get a byte-identical typed error without an evaluation, other keys of
+// the same design are unaffected, and after the TTL the key is evaluated
+// once more.
+func TestNegativeEntryAnswersRepeatsUntilTTL(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
+	var calls atomic.Int64
 	runner := &stubRunner{fn: func(ctx context.Context, req *EvalRequest) (*EvalResult, error) {
-		if failing.Load() {
+		calls.Add(1)
+		if failing.Load() && req.Iters == 0 {
 			return nil, fmt.Errorf("device model exploded")
 		}
 		return &EvalResult{Key: req.Key(), Metrics: map[string]float64{"norm_time": 1}}, nil
 	}}
 	var clock atomic.Int64 // unix nanos
-	s := New(Config{
-		Runner: runner,
-		Retry:  fault.RetryPolicy{Attempts: 1},
-		Breaker: fault.BreakerConfig{
-			Threshold: 2,
-			Cooldown:  10 * time.Second,
-			Now:       func() time.Time { return time.Unix(0, clock.Load()) },
-		},
-	})
+	s := New(Config{Runner: runner})
+	s.cache.now = func() time.Time { return time.Unix(0, clock.Load()) }
 	ts := newHTTPServer(t, s)
-	openedBefore := s.breakerOpened.Value()
+	storedBefore, hitsBefore := s.negativeEntries.Value(), s.negativeHits.Value()
 	body := testBody("NMM/N4")
 
-	// Two consecutive failures open the design's breaker.
-	for i := 0; i < 2; i++ {
-		resp, decoded := post(t, ts, body)
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("failure %d status = %d (%v)", i, resp.StatusCode, decoded)
+	rawPost := func(body string) (*http.Response, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, string(b)
+	}
+	first, firstBody := rawPost(body)
+	if first.StatusCode != http.StatusInternalServerError || !strings.Contains(firstBody, CodeInternal) {
+		t.Fatalf("failure status = %d body %s", first.StatusCode, firstBody)
+	}
+	for i := 0; i < 3; i++ {
+		resp, repeat := rawPost(body)
+		if resp.StatusCode != http.StatusInternalServerError || repeat != firstBody {
+			t.Fatalf("repeat %d: status %d body %s, want the remembered %s", i, resp.StatusCode, repeat, firstBody)
+		}
+		if got := resp.Header.Get("X-Memsimd-Cache"); got != "negative" {
+			t.Fatalf("repeat %d: X-Memsimd-Cache = %q, want negative", i, got)
 		}
 	}
-	if got := s.breakerOpened.Value() - openedBefore; got != 1 {
-		t.Fatalf("breaker_open_total delta = %d, want 1", got)
+	if calls.Load() != 1 {
+		t.Fatalf("runner called %d times, want 1", calls.Load())
+	}
+	if d := s.negativeEntries.Value() - storedBefore; d != 1 {
+		t.Fatalf("negative_entries_total delta = %d, want 1", d)
+	}
+	if d := s.negativeHits.Value() - hitsBefore; d != 3 {
+		t.Fatalf("negative_hits delta = %d, want 3", d)
 	}
 
-	// Open: fast 503 with retry guidance, without touching the runner.
-	resp, decoded := post(t, ts, body)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("open-breaker status = %d, want 503 (%v)", resp.StatusCode, decoded)
-	}
-	if code := errorCode(t, decoded); code != CodeCircuitOpen {
-		t.Fatalf("code = %q, want %q", code, CodeCircuitOpen)
-	}
-	e := decoded["error"].(map[string]any)
-	if e["retry_after_ms"].(float64) <= 0 {
-		t.Fatalf("circuit_open without retry_after_ms: %v", e)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("circuit_open without Retry-After header")
-	}
-
-	// Other designs are unaffected: the breaker is per design point.
-	failing.Store(false)
-	if resp, decoded := post(t, ts, testBody("NMM/N5")); resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthy design behind someone else's open breaker: %d (%v)", resp.StatusCode, decoded)
-	}
-
-	// After the cooldown a half-open probe goes through and closes it.
-	clock.Store(int64(11 * time.Second))
-	if resp, decoded := post(t, ts, body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("half-open probe status = %d, want 200 (%v)", resp.StatusCode, decoded)
-	}
-	// Closed again: a cache hit would also return 200, so force a fresh
-	// evaluation of the same design to prove the breaker itself admits it.
-	fresh := fmt.Sprintf(`{"design":"NMM/N4","workload":"CG","scale":%d,"workload_scale":%d,"iters":2}`,
+	// The entry is per key, not per design: the same design with other
+	// parameters evaluates normally.
+	other := fmt.Sprintf(`{"design":"NMM/N4","workload":"CG","scale":%d,"workload_scale":%d,"iters":2}`,
 		testScale, testWScale)
-	if resp, decoded := post(t, ts, fresh); resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-recovery status = %d, want 200 (%v)", resp.StatusCode, decoded)
+	if resp, decoded := post(t, ts, other); resp.StatusCode != http.StatusOK {
+		t.Fatalf("other key of the failing design: %d (%v)", resp.StatusCode, decoded)
+	}
+
+	// After the TTL the key is evaluated once more; the fresh result
+	// replaces the negative entry.
+	failing.Store(false)
+	clock.Store(int64(NegativeTTL))
+	calls.Store(0)
+	for i := 0; i < 2; i++ {
+		if resp, decoded := post(t, ts, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("post-TTL request %d status = %d, want 200 (%v)", i, resp.StatusCode, decoded)
+		}
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("post-TTL runner calls = %d, want 1 (evaluate once, then hit)", calls.Load())
 	}
 }
 
-// TestBreakerProbeReleasedOnNeutralOutcome reproduces the probe leak: a
-// half-open probe admitted by the breaker but concluded with an outcome
-// that says nothing about the design's health (here a 429 backpressure
-// rejection) must return its reservation. Before the Release path, the
-// reservation leaked and every later request for the design answered
-// circuit_open until process restart.
-func TestBreakerProbeReleasedOnNeutralOutcome(t *testing.T) {
-	var failing atomic.Bool
-	failing.Store(true)
-	started := make(chan struct{})
-	release := make(chan struct{})
+// TestUnnamedCustomDesignsFailIndependently: negative entries are keyed by
+// the whole request, so a failing unnamed custom design cannot refuse a
+// different unnamed custom design, although both carry the design label
+// "custom/custom".
+func TestUnnamedCustomDesignsFailIndependently(t *testing.T) {
+	var calls atomic.Int64
 	runner := &stubRunner{fn: func(ctx context.Context, req *EvalRequest) (*EvalResult, error) {
-		if strings.Contains(req.Design.Config, "N8") {
-			close(started)
-			<-release
-			return &EvalResult{Key: req.Key(), Metrics: map[string]float64{"norm_time": 1}}, nil
-		}
-		if failing.Load() {
-			return nil, fmt.Errorf("device model exploded")
+		calls.Add(1)
+		if req.Design.Custom.Caches[0].SizeBytes == 65536 {
+			return nil, fmt.Errorf("replay exploded")
 		}
 		return &EvalResult{Key: req.Key(), Metrics: map[string]float64{"norm_time": 1}}, nil
 	}}
-	var clock atomic.Int64 // unix nanos
-	s := New(Config{
-		Runner:      runner,
-		MaxInFlight: 1,
-		Retry:       fault.RetryPolicy{Attempts: 1},
-		Breaker: fault.BreakerConfig{
-			Threshold: 2,
-			Cooldown:  10 * time.Second,
-			Now:       func() time.Time { return time.Unix(0, clock.Load()) },
-		},
-	})
-	ts := newHTTPServer(t, s)
-	bad := testBody("NMM/N9")
-
-	// Two consecutive failures open the design's breaker.
-	for i := 0; i < 2; i++ {
-		if resp, decoded := post(t, ts, bad); resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("failure %d status = %d (%v)", i, resp.StatusCode, decoded)
+	ts := newHTTPServer(t, New(Config{Runner: runner}))
+	custom := func(size int) string {
+		return fmt.Sprintf(`{"design":{"family":"custom","custom":{"caches":[{"tech":"eDRAM","size_bytes":%d,"line_bytes":4096}],"memory":{"tech":"PCM"}}},"workload":"CG","scale":%d,"workload_scale":%d}`,
+			size, testScale, testWScale)
+	}
+	for i := 0; i < 6; i++ {
+		if resp, decoded := post(t, ts, custom(65536)); resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("failing custom design request %d: %d (%v)", i, resp.StatusCode, decoded)
 		}
 	}
+	if resp, decoded := post(t, ts, custom(131072)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("another unnamed custom design: %d (%v)", resp.StatusCode, decoded)
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("runner calls = %d, want 2 (one per distinct key)", calls.Load())
+	}
+}
 
-	// Occupy the only evaluation slot with a slow, unrelated design.
+// TestNeutralOutcomesAreNotRemembered: outcomes that say nothing about the
+// key — backpressure and a deadline — never become negative entries, so
+// the next request for the key is evaluated and succeeds.
+func TestNeutralOutcomesAreNotRemembered(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var slowOnce atomic.Bool
+	runner := &stubRunner{fn: func(ctx context.Context, req *EvalRequest) (*EvalResult, error) {
+		switch {
+		case strings.Contains(req.Design.Config, "N8"):
+			close(started)
+			<-release
+		case strings.Contains(req.Design.Config, "N7") && slowOnce.CompareAndSwap(false, true):
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return &EvalResult{Key: req.Key(), Metrics: map[string]float64{"norm_time": 1}}, nil
+	}}
+	s := New(Config{Runner: runner, MaxInFlight: 1})
+	s.estimate = func() time.Duration { return 0 } // never shed on the deadline
+	ts := newHTTPServer(t, s)
+	storedBefore := s.negativeEntries.Value()
+
+	// A deadline: 504, then the same key evaluates.
+	short := map[string]string{deadlineHeader: "50"}
+	if resp, decoded := postWith(t, ts, testBody("NMM/N7"), short); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("slow evaluation status = %d, want 504 (%v)", resp.StatusCode, decoded)
+	}
+	if resp, decoded := post(t, ts, testBody("NMM/N7")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("after timeout status = %d, want 200 (%v)", resp.StatusCode, decoded)
+	}
+
+	// Backpressure: occupy the only evaluation slot, get a 429, free the
+	// slot, and the same key evaluates.
 	blocked := make(chan struct{})
 	go func() {
 		defer close(blocked)
@@ -220,23 +280,17 @@ func TestBreakerProbeReleasedOnNeutralOutcome(t *testing.T) {
 		}
 	}()
 	<-started
-
-	// Cooldown elapses: the probe is admitted, then immediately hits the
-	// full in-flight limit — a neutral outcome, not a health verdict.
-	clock.Store(int64(11 * time.Second))
-	failing.Store(false)
-	resp, decoded := post(t, ts, bad)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("probe under backpressure status = %d, want 429 (%v)", resp.StatusCode, decoded)
+	bad := testBody("NMM/N9")
+	if resp, decoded := post(t, ts, bad); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("request under backpressure status = %d, want 429 (%v)", resp.StatusCode, decoded)
 	}
-
-	// Slot freed: the design must get a fresh probe and recover.
 	close(release)
 	<-blocked
-	resp, decoded = post(t, ts, bad)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-backpressure status = %d, want 200 — probe reservation leaked (%v)",
-			resp.StatusCode, decoded)
+	if resp, decoded := post(t, ts, bad); resp.StatusCode != http.StatusOK {
+		t.Fatalf("after backpressure status = %d, want 200 (%v)", resp.StatusCode, decoded)
+	}
+	if d := s.negativeEntries.Value() - storedBefore; d != 0 {
+		t.Fatalf("neutral outcomes created %d negative entries, want 0", d)
 	}
 }
 
@@ -331,7 +385,7 @@ func TestDrainRacesWithPanickingEvaluations(t *testing.T) {
 		}
 		return &EvalResult{Key: req.Key(), Metrics: map[string]float64{"norm_time": 1}}, nil
 	}}
-	s := New(Config{Runner: runner, MaxInFlight: 4, Retry: fault.RetryPolicy{Attempts: 1}})
+	s := New(Config{Runner: runner, MaxInFlight: 4})
 	ts := newHTTPServer(t, s)
 
 	bodies := []string{

@@ -27,8 +27,7 @@
 //     with the actual bucket refill time as Retry-After), client deadline
 //     propagation via X-Memsimd-Deadline-Ms with load shedding (503
 //     would_deadline when the remaining deadline is below the live
-//     service-time estimate), and a process-wide retry budget so
-//     transient-fault retries cannot amplify an overload;
+//     service-time estimate);
 //   - wounded-store self-healing (StoreGuard): a durable-tier write
 //     failure quarantines the store, serving continues cache/replay-only
 //     while a background reopen with equal-jitter backoff restores
@@ -39,12 +38,14 @@
 //   - request-scoped observability: every evaluate request runs under its
 //     own trace (honoring a client X-Trace-Id), logs an http_request event
 //     with a per-stage wall-time breakdown, and feeds an outcome-labeled
-//     latency histogram exposed — with the cache, breaker, replay, and
-//     fault metrics — in Prometheus text format on GET /metrics;
+//     latency histogram exposed — with the cache, replay, and fault
+//     metrics — in Prometheus text format on GET /metrics;
 //   - a crash-proof evaluation path: panics recover into typed CodePanic
-//     errors, transient faults retry with deterministic jittered backoff,
-//     and a per-design-point circuit breaker (CodeCircuitOpen) stops
-//     repeatedly failing designs from burning replay capacity;
+//     errors, and because an evaluation is a pure function of its key, a
+//     permanent failure (a panic or a non-transient internal error) is
+//     remembered as a negative entry in the result LRU for NegativeTTL —
+//     repeats of the key get the same typed error (X-Memsimd-Cache:
+//     negative) without spending replay capacity;
 //   - an optional durable tier (Config.Store, backed by internal/store):
 //     results evicted from the LRU — or computed by a previous process —
 //     are served from disk as "store_hit" and written through on every
@@ -92,6 +93,13 @@ const DefaultCacheEntries = 4096
 // Config.Timeout is zero.
 const DefaultTimeout = 2 * time.Minute
 
+// NegativeTTL is how long a key's permanent evaluation failure (a panic or
+// a non-transient internal error) stays in the result LRU as a negative
+// entry: long enough that a sweep hammering a broken design costs one
+// evaluation per key per minute, short enough that a failure wrongly
+// classed as permanent heals on its own.
+const NegativeTTL = time.Minute
+
 // Config assembles a Server.
 type Config struct {
 	// Runner evaluates requests (required; typically NewEvaluator).
@@ -104,15 +112,10 @@ type Config struct {
 	// Timeout is the per-request evaluation deadline (0 = DefaultTimeout,
 	// negative = no deadline).
 	Timeout time.Duration
-	// Breaker configures the per-design-point circuit breaker (zero value
-	// = defaults; Threshold < 0 disables breaking).
-	Breaker fault.BreakerConfig
-	// Retry configures transient-failure retries inside the evaluation
-	// flight (zero value = defaults; Attempts = 1 disables retries).
-	Retry fault.RetryPolicy
-	// Chaos injects deterministic service-level faults — poisoned design
-	// points that panic and per-call transient failures — for resilience
-	// testing (nil = none; see fault.ServicePlan).
+	// Chaos injects deterministic service-level faults for resilience
+	// testing: the evaluation of a poisoned key panics after spending its
+	// replay (nil = none; see fault.ServicePlan — only its poisoned keys
+	// apply here).
 	Chaos *fault.ServicePlan
 	// Catalog is the technology catalog requests resolve against (nil =
 	// tech.Builtin(), the paper's Table 1 plus post-2014 extensions).
@@ -140,12 +143,6 @@ type Config struct {
 	// the request's remote host; a throttled request is refused with 429
 	// rate_limited before any validation or cache work.
 	RateLimit admit.LimiterConfig
-	// RetryBudget bounds server-side transient-fault retries across all
-	// requests when enabled (see admit.BudgetConfig): once the shared
-	// credit bucket empties, a would-be retry fails fast with 503
-	// retry_budget instead of amplifying an overload. Ignored when
-	// Retry.Budget is already set.
-	RetryBudget admit.BudgetConfig
 	// Log receives http_request events (may be nil).
 	Log *obs.Logger
 }
@@ -157,9 +154,7 @@ type Server struct {
 	cache    *lruCache
 	flight   *flightGroup[*EvalResult]
 	inflight chan struct{}
-	breakers *fault.BreakerSet
 	limiter  *admit.Limiter
-	budget   *admit.RetryBudget
 	guard    *StoreGuard
 	ready    atomic.Bool
 	draining atomic.Bool
@@ -170,23 +165,24 @@ type Server struct {
 	// estimateServiceTime). Tests substitute a fixed estimator.
 	estimate func() time.Duration
 
-	requests        *obs.Counter
-	hits            *obs.Counter
-	misses          *obs.Counter
-	rejected        *obs.Counter
-	savedMS         *obs.Counter
-	evalErrors      *obs.Counter
-	panics          *obs.Counter
-	retries         *obs.Counter
-	breakerOpened   *obs.Counter
-	breakerRejected *obs.Counter
+	requests   *obs.Counter
+	hits       *obs.Counter
+	misses     *obs.Counter
+	rejected   *obs.Counter
+	savedMS    *obs.Counter
+	evalErrors *obs.Counter
+	panics     *obs.Counter
+
+	// Negative-entry traffic: permanent failures remembered in the result
+	// LRU, and repeats answered from them without an evaluation.
+	negativeEntries *obs.Counter
+	negativeHits    *obs.Counter
 
 	// Admission-control outcomes: requests refused by the per-client
-	// limiter, shed because their propagated deadline could not be met,
-	// and retry schedules cut by the shared retry budget.
-	rateLimited     *obs.Counter
-	deadlineShed    *obs.Counter
-	budgetExhausted *obs.Counter
+	// limiter, and requests shed because their propagated deadline could
+	// not be met.
+	rateLimited  *obs.Counter
+	deadlineShed *obs.Counter
 
 	// Per-client admission traffic, bounded-cardinality (the obs vec caps
 	// distinct label values and overflows to "other").
@@ -230,34 +226,27 @@ func New(cfg Config) *Server {
 	if cfg.StoreGuard == nil && cfg.Store != nil {
 		cfg.StoreGuard = NewStoreGuard(cfg.Store, nil, fault.RetryPolicy{}, cfg.Log)
 	}
-	budget := admit.NewRetryBudget(cfg.RetryBudget)
-	if cfg.Retry.Budget == nil && budget != nil {
-		cfg.Retry.Budget = budget
-	}
 	s := &Server{
 		cfg:      cfg,
 		cache:    newLRUCache(cfg.CacheEntries),
 		flight:   newFlightGroup[*EvalResult](),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
-		breakers: fault.NewBreakerSet(cfg.Breaker),
 		limiter:  admit.NewLimiter(cfg.RateLimit),
-		budget:   budget,
 		guard:    cfg.StoreGuard,
 
-		requests:        obs.NewCounter("memsimd.requests_total"),
-		hits:            obs.NewCounter("memsimd.cache_hits"),
-		misses:          obs.NewCounter("memsimd.cache_misses"),
-		rejected:        obs.NewCounter("memsimd.rejected_total"),
-		savedMS:         obs.NewCounter("memsimd.replay_ms_saved"),
-		evalErrors:      obs.NewCounter("memsimd.eval_errors"),
-		panics:          obs.NewCounter("memsimd.panics_recovered"),
-		retries:         obs.NewCounter("memsimd.retries_total"),
-		breakerOpened:   obs.NewCounter("memsimd.breaker_open_total"),
-		breakerRejected: obs.NewCounter("memsimd.breaker_rejected"),
+		requests:   obs.NewCounter("memsimd.requests_total"),
+		hits:       obs.NewCounter("memsimd.cache_hits"),
+		misses:     obs.NewCounter("memsimd.cache_misses"),
+		rejected:   obs.NewCounter("memsimd.rejected_total"),
+		savedMS:    obs.NewCounter("memsimd.replay_ms_saved"),
+		evalErrors: obs.NewCounter("memsimd.eval_errors"),
+		panics:     obs.NewCounter("memsimd.panics_recovered"),
 
-		rateLimited:     obs.NewCounter("memsimd.rate_limited_total"),
-		deadlineShed:    obs.NewCounter("memsimd.deadline_shed_total"),
-		budgetExhausted: obs.NewCounter("memsimd.retry_budget_exhausted_total"),
+		negativeEntries: obs.NewCounter("memsimd.negative_entries_total"),
+		negativeHits:    obs.NewCounter("memsimd.negative_hits"),
+
+		rateLimited:  obs.NewCounter("memsimd.rate_limited_total"),
+		deadlineShed: obs.NewCounter("memsimd.deadline_shed_total"),
 
 		clientRequests: obs.NewCounterVec("memsimd.client_requests",
 			"Evaluate requests by admission-control client key.", "client"),
@@ -270,7 +259,7 @@ func New(cfg Config) *Server {
 		storeDropped:     obs.NewCounter("memsimd.store_dropped_writes"),
 
 		latency: obs.NewLatencyHistogramVec("memsimd.request_seconds",
-			"Evaluate-request latency by outcome (hit, miss, analytic, dedup, invalid, timeout, ...).",
+			"Evaluate-request latency by outcome (hit, miss, analytic, dedup, negative, invalid, timeout, ...).",
 			"outcome"),
 	}
 	s.estimate = s.estimateServiceTime
@@ -288,15 +277,6 @@ func New(cfg Config) *Server {
 	// The counters they derive from are process-global anyway.
 	obs.RegisterGaugeFunc("memsimd.cache_hit_ratio",
 		"Result-cache hit ratio (hits / (hits + misses)) since process start.", hitRatio)
-	obs.RegisterGaugeVecFunc("memsimd.breaker_states",
-		"Per-design circuit breakers by state.", "state",
-		func() map[string]float64 {
-			out := map[string]float64{}
-			for st, n := range s.breakers.StateCounts() {
-				out[st] = float64(n)
-			}
-			return out
-		})
 	return s
 }
 
@@ -424,8 +404,9 @@ func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request) {
 // maxBodyBytes bounds evaluate request bodies.
 const maxBodyBytes = 1 << 20
 
-// handleEvaluate is the core endpoint: validate, consult the result cache,
-// and on a miss run (or join) the deduplicated evaluation flight.
+// handleEvaluate is the core endpoint: validate, consult the result cache
+// (results and negative entries), and on a miss run (or join) the
+// deduplicated evaluation flight.
 //
 // Every request runs under its own trace (a client-supplied X-Trace-Id pins
 // the trace ID; the response echoes it in X-Memsimd-Trace) with a stage
@@ -527,8 +508,19 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	key := req.Key()
 
 	stopLookup := obs.TimeStage(ctx, "cache_lookup")
-	res, ok := s.cache.Get(key)
+	res, failure, ok := s.cache.Get(key)
 	stopLookup()
+	if ok && failure != nil {
+		// A negative entry: this key's evaluation already failed
+		// permanently, and it is a pure function of the key, so answer the
+		// repeat with the same typed error instead of failing it again.
+		s.negativeHits.Add(1)
+		respond(httpStatus(failure.Code), "negative", func() {
+			w.Header().Set("X-Memsimd-Cache", "negative")
+			writeError(w, failure)
+		})
+		return
+	}
 	if ok {
 		s.hits.Add(1)
 		s.savedMS.Add(uint64(res.EvalMS))
@@ -537,9 +529,9 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Durable second tier: one bloom-guarded index probe per cold miss.
-	// Like an LRU hit, a store hit costs no replay capacity, so it too
-	// bypasses the breaker; the result is promoted back into the LRU so
-	// the next identical request is a plain "hit".
+	// Like an LRU hit, a store hit costs no replay capacity; the result is
+	// promoted back into the LRU so the next identical request is a plain
+	// "hit".
 	if s.guard != nil {
 		stopStore := obs.TimeStage(ctx, "store_lookup")
 		res, ok = s.storeGet(key)
@@ -571,20 +563,6 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Cache hits bypass the breaker (they cost nothing and prove
-	// nothing); only requests about to spend replay capacity consult it.
-	bkey := req.Design.breakerKey()
-	if retryAfter, ok := s.breakers.Allow(bkey); !ok {
-		s.breakerRejected.Add(1)
-		fail("circuit_open", &APIError{
-			Code:         CodeCircuitOpen,
-			Message:      "circuit breaker open for design " + bkey + " after repeated failures",
-			RetryAfterMS: retryAfter.Milliseconds(),
-			JitterMS:     retryAfter.Milliseconds() / 2,
-		})
-		return
-	}
-
 	if s.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
@@ -592,21 +570,22 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	flightStart := time.Now()
 	res, led, err := s.flight.Do(ctx, key, func() (*EvalResult, error) {
-		var res *EvalResult
-		err := s.cfg.Retry.Do(ctx, key, func(attempt int) error {
-			if attempt > 0 {
-				s.retries.Add(1)
-			}
-			select {
-			case s.inflight <- struct{}{}:
-			default:
-				return errOverloaded // not transient: no retry
-			}
-			defer func() { <-s.inflight }()
-			var aerr error
-			res, aerr = s.safeEvaluate(ctx, &req, key, attempt)
-			return aerr
-		})
+		select {
+		case s.inflight <- struct{}{}:
+		default:
+			return nil, errOverloaded
+		}
+		defer func() { <-s.inflight }()
+		res, err := s.safeEvaluate(ctx, &req, key)
+		// The answer enters the LRU before the flight is released, so a
+		// request arriving just after the leader finishes finds it rather
+		// than evaluating the key again.
+		if err == nil {
+			s.cache.Add(key, res)
+		} else if failure, ok := s.permanentFailure(ctx, err); ok {
+			s.cache.AddNegative(key, failure, NegativeTTL)
+			s.negativeEntries.Add(1)
+		}
 		return res, err
 	})
 	if !led {
@@ -614,14 +593,11 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		// the leader's time is attributed stage by stage below it.
 		obs.AddStage(ctx, "singleflight_wait", time.Since(flightStart))
 	}
-	s.concludeBreaker(bkey, led, err)
 	if err != nil {
 		apiErr := toAPIError(err)
 		switch apiErr.Code {
 		case CodeOverloaded:
 			s.rejected.Add(1)
-		case CodeRetryBudget:
-			s.budgetExhausted.Add(1)
 		case CodeInternal:
 			s.evalErrors.Add(1)
 		}
@@ -630,7 +606,6 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	if led {
 		s.misses.Add(1)
-		s.cache.Add(key, res)
 		if s.guard != nil {
 			stopWrite := obs.TimeStage(ctx, "store_write")
 			s.storePut(key, res)
@@ -750,16 +725,12 @@ func outcomeForCode(code string) string {
 		return "invalid"
 	case CodeShuttingDown:
 		return "shutting_down"
-	case CodeCircuitOpen:
-		return "circuit_open"
 	case CodeOverloaded:
 		return "overloaded"
 	case CodeRateLimited:
 		return "rate_limited"
 	case CodeWouldDeadline:
 		return "would_deadline"
-	case CodeRetryBudget:
-		return "retry_budget"
 	case CodeTimeout:
 		return "timeout"
 	case CodeCanceled:
@@ -771,68 +742,48 @@ func outcomeForCode(code string) string {
 	}
 }
 
-// safeEvaluate runs one evaluation attempt with the resilience wrapping:
-// any chaos-plan injection for this (key, attempt) fires first, and a panic
+// safeEvaluate runs one evaluation with the resilience wrapping: a panic
 // anywhere below — injected or organic — is recovered into a typed
 // *fault.PanicError so the worker survives and the request fails with
-// CodePanic.
-func (s *Server) safeEvaluate(ctx context.Context, req *EvalRequest, key string, attempt int) (res *EvalResult, err error) {
+// CodePanic. A chaos-poisoned key panics after its evaluation has spent
+// its replay, the costliest way a design can fail, so a repeat that
+// reached the evaluator would show in memsimd.replays_total.
+func (s *Server) safeEvaluate(ctx context.Context, req *EvalRequest, key string) (res *EvalResult, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			s.panics.Add(1)
-			err = &fault.PanicError{Op: "evaluate " + req.Design.breakerKey(), Value: v, Stack: debug.Stack()}
+			err = &fault.PanicError{Op: "evaluate " + req.Design.label(), Value: v, Stack: debug.Stack()}
 			if s.cfg.Log != nil {
 				s.cfg.Log.Warn("panic_recovered", obs.Fields{
-					"design": req.Design.breakerKey(), "workload": req.Workload,
+					"design": req.Design.label(), "workload": req.Workload,
 					"panic": err.Error(),
 				})
 			}
 		}
 	}()
-	if s.cfg.Chaos != nil {
-		switch s.cfg.Chaos.Decide(key, uint64(attempt)) {
-		case fault.ActPanic:
-			panic("chaos: poisoned design point " + req.Design.breakerKey())
-		case fault.ActTransient:
-			return nil, fault.Transient("chaos evaluate", nil)
-		}
+	res, err = s.cfg.Runner.Evaluate(ctx, req)
+	if s.cfg.Chaos.Poisoned(key) {
+		panic("chaos: poisoned design point " + req.Design.label())
 	}
-	return s.cfg.Runner.Evaluate(ctx, req)
+	return res, err
 }
 
-// concludeBreaker concludes one breaker-admitted request. Flight leaders
-// report a health verdict: success closes the breaker, evaluation failures
-// (panics, internal errors, timeouts) count toward opening it. Every other
-// admitted request — deduplicated followers (their leader reports for the
-// same design) and leaders whose outcome says nothing about the design's
-// health (backpressure rejections, client cancellations) — still releases
-// the breaker: if this request's Allow acquired the half-open probe
-// reservation, dropping it silently would leave the design rejected with
-// circuit_open forever.
-func (s *Server) concludeBreaker(bkey string, led bool, err error) {
-	if !led {
-		s.breakers.Release(bkey)
-		return
+// permanentFailure reports whether err is a permanent failure of the key's
+// evaluation — worth remembering as a negative entry — and its typed form.
+// Only panics and non-transient internal errors qualify. Timeouts,
+// cancellations, backpressure, and transient faults say nothing about the
+// key, and a failure that raced the request's own context ending is
+// suspect, so none of them is remembered.
+func (s *Server) permanentFailure(ctx context.Context, err error) (*APIError, bool) {
+	if ctx.Err() != nil || fault.IsTransient(err) {
+		return nil, false
 	}
-	if err == nil {
-		s.breakers.Record(bkey, true)
-		return
+	apiErr := toAPIError(err)
+	switch apiErr.Code {
+	case CodePanic, CodeInternal:
+		return apiErr, true
 	}
-	switch toAPIError(err).Code {
-	case CodePanic, CodeInternal, CodeTimeout:
-		if s.breakers.Record(bkey, false) {
-			s.breakerOpened.Add(1)
-			if s.cfg.Log != nil {
-				s.cfg.Log.Warn("breaker_open", obs.Fields{"design": bkey})
-			}
-		}
-	default:
-		// CodeRetryBudget lands here deliberately: the shared budget
-		// denying a retry is an overload property of the process, not
-		// evidence against this design, so it must not open breakers
-		// for healthy designs.
-		s.breakers.Release(bkey)
-	}
+	return nil, false
 }
 
 // toAPIError maps evaluation-path failures onto typed API errors.
@@ -851,15 +802,8 @@ func toAPIError(err error) *APIError {
 		return &APIError{Code: CodeCanceled, Message: "request canceled; in-flight replay aborted"}
 	case errors.As(err, &panicErr):
 		return &APIError{Code: CodePanic, Message: panicErr.Error()}
-	// Checked before IsTransient: a BudgetError wraps the transient cause
-	// (so clients still see it as retryable) but must map to its own code
-	// — the design is healthy, the process declined the retry.
-	case fault.IsBudgetExhausted(err):
-		return &APIError{Code: CodeRetryBudget,
-			Message:      "server retry budget exhausted: " + err.Error(),
-			RetryAfterMS: 1000, JitterMS: 1000}
 	case fault.IsTransient(err):
-		return &APIError{Code: CodeInternal, Message: err.Error() + " (transient; retries exhausted)",
+		return &APIError{Code: CodeInternal, Message: err.Error() + " (transient; retry after backing off)",
 			RetryAfterMS: 1000, JitterMS: 500}
 	default:
 		return &APIError{Code: CodeInternal, Message: err.Error()}
@@ -906,7 +850,7 @@ func (s *Server) logRequest(ctx context.Context, r *http.Request, status int, st
 		"wall_ms": float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	switch outcome {
-	case "hit", "miss", "dedup", "store_hit":
+	case "hit", "miss", "dedup", "store_hit", "negative":
 		f["cache"] = outcome
 	}
 	if req != nil && req.Workload != "" {
