@@ -5,7 +5,6 @@
 package hybridmem
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -110,7 +109,8 @@ func BenchmarkExtRowBuffer(b *testing.B) {
 }
 
 // BenchmarkExtReuseProfiler measures the Fenwick-based reuse-distance
-// profiler over a workload stream and reports the 90% working set.
+// profiler (a single-granularity Sketcher) over a workload's full stream
+// and reports the 90% working set.
 func BenchmarkExtReuseProfiler(b *testing.B) {
 	w, err := catalog.New("CG", workload.Options{Scale: 2048})
 	if err != nil {
@@ -119,62 +119,47 @@ func BenchmarkExtReuseProfiler(b *testing.B) {
 	var ws uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := reuse.New(64)
+		s, err := reuse.NewSketcher(64)
 		if err != nil {
 			b.Fatal(err)
 		}
-		w.Run(p)
-		ws = p.Histogram().WorkingSet(0.9)
+		w.Run(s)
+		ws = s.Sketch().Grans[0].Access.WorkingSet(0.9)
 	}
 	b.ReportMetric(float64(ws), "workingSet90lines")
 }
 
-// BenchmarkExtTraceCodec measures trace encode and decode throughput.
+// BenchmarkExtTraceCodec measures the packed stream codec — the format the
+// store persists boundary streams in — encoding a recorded boundary stream
+// record by record and decoding it block by block.
 func BenchmarkExtTraceCodec(b *testing.B) {
 	s := suite(b)
 	refs := s.Profiles[0].Boundary.Refs()
+	var p trace.Packed
+	for _, r := range refs {
+		p.Access(r)
+	}
+	bytesPerRef := float64(p.PackedBytes()) / float64(len(refs))
 	b.Run("encode", func(b *testing.B) {
-		var buf bytes.Buffer
+		b.SetBytes(int64(p.PackedBytes()))
 		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			w, err := trace.NewWriter(&buf)
-			if err != nil {
-				b.Fatal(err)
-			}
+			var enc trace.Packed
 			for _, r := range refs {
-				w.Access(r)
+				enc.Access(r)
 			}
-			if err := w.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(buf.Len()))
 		}
 		b.ReportMetric(float64(len(refs)), "refs")
+		b.ReportMetric(bytesPerRef, "B/ref")
 	})
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range refs {
-		w.Access(r)
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	encoded := buf.Bytes()
 	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(p.PackedBytes()))
+		buf := make([]trace.Ref, 0, trace.BlockRefs)
 		for i := 0; i < b.N; i++ {
-			r, err := trace.NewReader(bytes.NewReader(encoded))
-			if err != nil {
-				b.Fatal(err)
+			for blk := 0; blk < p.Blocks(); blk++ {
+				buf = p.DecodeBlock(blk, buf)
 			}
-			var c trace.Counter
-			if _, err := r.CopyTo(&c); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(encoded)))
 		}
+		b.ReportMetric(bytesPerRef, "B/ref")
 	})
 }
 

@@ -17,8 +17,8 @@
 //
 // Identical requests are answered from an LRU cache (X-Memsimd-Cache: hit)
 // without re-replaying the boundary stream; /debug/vars exports request,
-// cache-hit, and replay-seconds-saved counters, and GET /metrics serves the
-// same registry in Prometheus text format (request-latency histograms by
+// cache-hit, and memsimd.replay_ms_saved counters, and GET /metrics serves
+// the same registry in Prometheus text format (request-latency histograms by
 // outcome, cache hit ratio, negative-entry, replay and fault counters).
 // A design point whose evaluation fails permanently (a panic or an internal
 // error) is remembered for a minute: repeats get the same typed error
@@ -32,8 +32,9 @@
 // restarts (content-addressed on-disk format, FORMATS.md): startup is an
 // O(index) scan — no boundary replay — after which previously computed
 // design points answer as X-Memsimd-Cache: store_hit and previously
-// profiled workloads restore without a profiling pass. Combine with -warm
-// to verify the restore before reporting ready.
+// profiled workloads, tracecat -capture records included, restore without
+// a profiling pass. Combine with -warm to verify the restore before
+// reporting ready.
 package main
 
 import (

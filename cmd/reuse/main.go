@@ -1,13 +1,17 @@
 // Command reuse computes LRU reuse-distance histograms for workloads or
-// captured traces, and prints the predicted fully-associative hit-rate
-// curve — the quantity that justifies the repository's capacity co-scaling
-// (DESIGN.md).
+// their stored boundary streams, and prints the predicted
+// fully-associative hit-rate curve — the quantity that justifies the
+// repository's capacity co-scaling (DESIGN.md).
 //
 // Usage:
 //
 //	reuse -workload CG                  # profile a workload's full stream
 //	reuse -workload CG -boundary        # profile its post-L3 stream
-//	reuse -trace cg.hmtr                # profile a captured trace file
+//	reuse -workload CG -store DIR       # read its stored profile record
+//
+// A stored record (see tracecat -capture and memsimd -store) carries the
+// boundary stream's reuse sketch, so line sizes the sketch captured print
+// with no replay at all; other line sizes replay the stored stream.
 package main
 
 import (
@@ -19,54 +23,61 @@ import (
 	"hybridmem/internal/exp"
 	"hybridmem/internal/report"
 	"hybridmem/internal/reuse"
-	"hybridmem/internal/trace"
+	"hybridmem/internal/serve"
 	"hybridmem/internal/workload"
 	"hybridmem/internal/workload/catalog"
 )
 
 func main() {
 	var (
-		wlName    = flag.String("workload", "", "workload to profile")
-		traceFile = flag.String("trace", "", "captured .hmtr trace to profile")
-		boundary  = flag.Bool("boundary", false, "profile the post-L3 boundary stream instead of the full stream")
-		lineSize  = flag.Uint64("line", 64, "line granularity in bytes (power of two)")
-		scale     = flag.Uint64("scale", design.DefaultScale, "workload co-scaling divisor")
+		wlName   = flag.String("workload", "", "workload to profile")
+		storeDir = flag.String("store", "", "store directory holding the workload's profile record (see tracecat -capture)")
+		boundary = flag.Bool("boundary", false, "profile the post-L3 boundary stream instead of the full stream")
+		lineSize = flag.Uint64("line", 64, "line granularity in bytes (power of two)")
+		scale    = flag.Uint64("scale", design.DefaultScale, "workload co-scaling divisor")
 	)
 	flag.Parse()
-
-	p, err := reuse.New(*lineSize)
-	exitOn(err)
-
-	var label string
-	switch {
-	case *traceFile != "":
-		label = *traceFile
-		f, err := os.Open(*traceFile)
-		exitOn(err)
-		defer f.Close()
-		tr, err := trace.NewReader(f)
-		exitOn(err)
-		_, err = tr.CopyTo(p)
-		exitOn(err)
-	case *wlName != "":
-		label = *wlName
-		w, err := catalog.New(*wlName, workload.Options{Scale: *scale})
-		exitOn(err)
-		if *boundary {
-			label += " (post-L3)"
-			fmt.Fprintf(os.Stderr, "profiling %s...\n", *wlName)
-			wp, err := exp.ProfileWorkload(w, *scale, exp.NoDilution)
-			exitOn(err)
-			wp.Boundary.Replay(p)
-		} else {
-			w.Run(p)
-		}
-	default:
+	if *wlName == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	h := p.Histogram()
+	s, err := reuse.NewSketcher(*lineSize)
+	exitOn(err)
+	label := *wlName
+	var wp *exp.WorkloadProfile
+	switch {
+	case *storeDir != "":
+		label += " (stored post-L3)"
+		p, st, err := serve.OpenStoredProfile(*storeDir, *wlName, *scale)
+		exitOn(err)
+		defer st.Close()
+		wp = p
+	default:
+		w, err := catalog.New(*wlName, workload.Options{Scale: *scale})
+		exitOn(err)
+		if !*boundary {
+			w.Run(s)
+			break
+		}
+		label += " (post-L3)"
+		fmt.Fprintf(os.Stderr, "profiling %s...\n", *wlName)
+		wp, err = exp.ProfileWorkload(w, *scale, exp.NoDilution)
+		exitOn(err)
+	}
+
+	// A boundary profile's sketch answers the granularities it captured
+	// with no replay; any other line size replays the boundary stream.
+	g, ok := reuse.GranSketch{}, false
+	if wp != nil {
+		if g, ok = wp.Sketch.At(*lineSize); !ok {
+			wp.Boundary.Replay(s)
+		}
+	}
+	if !ok {
+		g = s.Sketch().Grans[0]
+	}
+	h := g.Access
 	fmt.Printf("%s: %d line-accesses over %d distinct %dB lines (%.1f MB footprint)\n",
 		label, h.Total, h.Lines, *lineSize, float64(h.Lines**lineSize)/(1<<20))
 	fmt.Printf("cold (first-touch): %d (%.2f%%); mean finite reuse distance: %.0f lines\n\n",
@@ -76,12 +87,10 @@ func main() {
 		Title:   "reuse-distance histogram",
 		Headers: []string{"distance", "accesses", "share", "cum. hit rate at this cache size"},
 	}
-	var cum uint64
 	for k, n := range h.Buckets {
 		if n == 0 {
 			continue
 		}
-		cum += n
 		lo := uint64(1) << uint(k)
 		if k == 0 {
 			lo = 0

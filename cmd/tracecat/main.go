@@ -1,12 +1,17 @@
-// Command tracecat captures, inspects, and replays binary reference
-// traces (the .hmtr format of internal/trace).
+// Command tracecat captures, inspects, and replays a workload's stored
+// post-L3 boundary stream: the profile record (packed blocks plus profile
+// manifest, FORMATS.md) that memsimd -store persists.
 //
-// Capture a workload's post-L3 boundary stream once, then replay it into
-// design points offline without re-running the workload:
+// Capture a workload's boundary stream once, then replay it into design
+// points offline without re-running the workload:
 //
-//	tracecat -capture CG -out cg.hmtr            # capture boundary stream
-//	tracecat -stat cg.hmtr                       # summarize a trace
-//	tracecat -replay cg.hmtr -design nmm -config N6 -nvm PCM
+//	tracecat -capture CG -store DIR              # profile CG, persist its record
+//	tracecat -stat CG -store DIR                 # summarize the stored stream
+//	tracecat -replay CG -store DIR -design nmm -config N6 -nvm PCM
+//
+// memsimd -store DIR -warm CG restores a capture without profiling (with
+// -warm-scale equal to -scale). -stat and -replay only read: a workload
+// tuple that was never captured is an error and leaves the store unchanged.
 //
 // Replayed statistics are per-backend only (the SRAM prefix behaviour is
 // baked into the captured stream), so replays report raw hit rates and
@@ -14,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -21,126 +27,112 @@ import (
 	"hybridmem/internal/design"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/report"
-	"hybridmem/internal/tech"
+	"hybridmem/internal/serve"
+	"hybridmem/internal/store"
 	"hybridmem/internal/trace"
-	"hybridmem/internal/workload"
-	"hybridmem/internal/workload/catalog"
 )
 
 func main() {
 	var (
-		capture = flag.String("capture", "", "workload whose boundary stream to capture")
-		out     = flag.String("out", "trace.hmtr", "output path for -capture")
-		stat    = flag.String("stat", "", "trace file to summarize")
-		replay  = flag.String("replay", "", "trace file to replay into a design back end")
-		dsgn    = flag.String("design", "nmm", "replay design: reference, 4lc, nmm, 4lcnvm")
-		cfgName = flag.String("config", "N6", "replay configuration")
-		llcName = flag.String("llc", "eDRAM", "LLC technology for 4lc/4lcnvm")
-		nvmName = flag.String("nvm", "PCM", "NVM technology for nmm/4lcnvm")
-		scale   = flag.Uint64("scale", design.DefaultScale, "capacity co-scaling divisor")
+		capture  = flag.String("capture", "", "workload whose boundary stream to capture into -store")
+		storeDir = flag.String("store", "", "store directory holding the profile records")
+		stat     = flag.String("stat", "", "workload whose stored boundary stream to summarize")
+		replay   = flag.String("replay", "", "workload whose stored boundary stream to replay into a design back end")
+		dsgn     = flag.String("design", "nmm", "replay design: reference, 4lc, nmm, 4lcnvm")
+		cfgName  = flag.String("config", "N6", "replay configuration")
+		llcName  = flag.String("llc", "eDRAM", "LLC technology for 4lc/4lcnvm")
+		nvmName  = flag.String("nvm", "PCM", "NVM technology for nmm/4lcnvm")
+		scale    = flag.Uint64("scale", design.DefaultScale, "capacity co-scaling divisor")
 	)
 	flag.Parse()
 
 	switch {
+	case *storeDir == "":
+		exitOn(fmt.Errorf("-store DIR is required"))
 	case *capture != "":
-		doCapture(*capture, *out, *scale)
+		doCapture(*capture, *storeDir, *scale)
 	case *stat != "":
-		doStat(*stat)
+		wp, st, err := serve.OpenStoredProfile(*storeDir, *stat, *scale)
+		exitOn(err)
+		defer st.Close()
+		doStat(wp)
 	case *replay != "":
-		doReplay(*replay, *dsgn, *cfgName, *llcName, *nvmName, *scale)
+		wp, st, err := serve.OpenStoredProfile(*storeDir, *replay, *scale)
+		exitOn(err)
+		defer st.Close()
+		doReplay(wp, *dsgn, *cfgName, *llcName, *nvmName, *scale)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 }
 
-func doCapture(name, out string, scale uint64) {
-	w, err := catalog.New(name, workload.Options{Scale: scale})
+// doCapture profiles the workload through the serving evaluator, whose
+// write-through persists the profile record (a tuple already in the store
+// is restored, not profiled again), then reads the record back as -stat
+// and -replay will.
+func doCapture(name, dir string, scale uint64) {
+	req, err := serve.ProfileRequest(name, scale)
 	exitOn(err)
-	fmt.Fprintf(os.Stderr, "profiling %s...\n", name)
-	wp, err := exp.ProfileWorkload(w, scale, exp.NoDilution)
+	st, err := store.Open(dir, store.Options{})
 	exitOn(err)
+	ev := serve.NewEvaluator(1, nil)
+	ev.SetStore(st)
+	fmt.Fprintf(os.Stderr, "capturing %s...\n", name)
+	_, err = ev.Evaluate(context.Background(), req)
+	exitOn(err)
+	exitOn(st.Close())
 
-	f, err := os.Create(out)
+	wp, st, err := serve.OpenStoredProfile(dir, name, scale)
 	exitOn(err)
-	defer f.Close()
-	tw, err := trace.NewWriter(f)
-	exitOn(err)
-	wp.Boundary.Replay(tw)
-	exitOn(tw.Flush())
-	info, err := f.Stat()
-	exitOn(err)
-	fmt.Printf("captured %d boundary refs (%d total refs) to %s (%.2f bytes/ref)\n",
-		tw.Count(), wp.TotalRefs, out, float64(info.Size())/float64(tw.Count()))
+	defer st.Close()
+	n := wp.Boundary.Len()
+	fmt.Printf("stored %d boundary refs (%d total refs) of %s at scale %d in %s (%.2f packed bytes/ref)\n",
+		n, wp.TotalRefs, name, scale, dir, float64(wp.Boundary.PackedBytes())/float64(n))
 }
 
-func doStat(path string) {
-	f, err := os.Open(path)
-	exitOn(err)
-	defer f.Close()
-	tr, err := trace.NewReader(f)
-	exitOn(err)
+func doStat(wp *exp.WorkloadProfile) {
 	var c trace.Counter
 	var minAddr, maxAddr uint64 = ^uint64(0), 0
-	n, err := tr.CopyTo(trace.NewTee(&c, trace.SinkFunc(func(r trace.Ref) {
-		if r.Addr < minAddr {
-			minAddr = r.Addr
+	wp.Boundary.Batches(nil, func(refs []trace.Ref) error {
+		c.AccessBatch(refs)
+		for _, r := range refs {
+			minAddr = min(minAddr, r.Addr)
+			maxAddr = max(maxAddr, r.Addr+uint64(r.Size))
 		}
-		if end := r.Addr + uint64(r.Size); end > maxAddr {
-			maxAddr = end
-		}
-	})))
-	exitOn(err)
-	fmt.Printf("%s: %d refs (%d loads, %d stores), %d load bytes, %d store bytes\n",
-		path, n, c.Loads, c.Stores, c.LoadBytes, c.StoreBytes)
+		return nil
+	})
+	n := wp.Boundary.Len()
+	fmt.Printf("%s: %d refs (%d loads, %d stores), %d load bytes, %d store bytes, %.2f packed bytes/ref\n",
+		wp.Name, n, c.Loads, c.Stores, c.LoadBytes, c.StoreBytes, float64(wp.Boundary.PackedBytes())/float64(max(n, 1)))
 	if n > 0 {
 		fmt.Printf("address span: [%#x, %#x) = %.1f MB\n", minAddr, maxAddr, float64(maxAddr-minAddr)/(1<<20))
 	}
 }
 
-func doReplay(path, dsgn, cfgName, llcName, nvmName string, scale uint64) {
-	llc, err := tech.ByName(llcName)
-	exitOn(err)
-	nvm, err := tech.ByName(nvmName)
-	exitOn(err)
-
-	f, err := os.Open(path)
-	exitOn(err)
-	defer f.Close()
-	tr, err := trace.NewReader(f)
-	exitOn(err)
-
-	// Memory capacity (static power only, not printed here): assume the
-	// largest Table 4 footprint at this scale.
-	var backend design.Backend
-	cap64 := uint64(4) << 30 / scale
+func doReplay(wp *exp.WorkloadProfile, dsgn, cfgName, llcName, nvmName string, scale uint64) {
+	reg := design.DefaultRegistry()
+	var b design.Backend
+	var err error
 	switch dsgn {
 	case "reference":
-		backend = design.Reference(cap64)
+		b = reg.Reference(wp.Footprint)
 	case "4lc":
-		cfg, err := design.EHByName(cfgName)
-		exitOn(err)
-		backend = design.FourLC(cfg, llc, scale, cap64)
+		b, err = reg.FourLC(cfgName, llcName, scale, wp.Footprint)
 	case "nmm":
-		cfg, err := design.NByName(cfgName)
-		exitOn(err)
-		backend = design.NMM(cfg, nvm, scale, cap64)
+		b, err = reg.NMM(cfgName, nvmName, scale, wp.Footprint)
 	case "4lcnvm":
-		cfg, err := design.EHByName(cfgName)
-		exitOn(err)
-		backend = design.FourLCNVM(cfg, llc, nvm, scale, cap64)
+		b, err = reg.FourLCNVM(cfgName, llcName, nvmName, scale, wp.Footprint)
 	default:
-		exitOn(fmt.Errorf("unknown design %q", dsgn))
+		err = fmt.Errorf("unknown design %q (reference, 4lc, nmm, 4lcnvm)", dsgn)
 	}
-
-	built, err := backend.Build()
 	exitOn(err)
-	n, err := tr.CopyTo(trace.SinkFunc(built.Access))
+	built, err := b.Build()
 	exitOn(err)
-	built.Flush()
+	built.Replay(wp.Boundary)
 
 	t := &report.Table{
-		Title:   fmt.Sprintf("%s: %d refs replayed into %s", path, n, backend.Name),
+		Title:   fmt.Sprintf("%s: %d refs replayed into %s", wp.Name, wp.Boundary.Len(), b.Name),
 		Headers: []string{"level", "tech", "loads", "stores", "hit rate", "writebacks"},
 	}
 	for _, l := range built.Snapshot() {

@@ -12,15 +12,14 @@
 // The implementation is the classic O(log n)-per-access algorithm: a
 // Fenwick tree over access timestamps holds one bit per currently-resident
 // line at its most recent access time; the distance of a reuse is the
-// number of set bits after the line's previous timestamp.
+// number of set bits after the line's previous timestamp. Sketcher runs it
+// at one or more line granularities in a single pass; a single-granularity
+// Sketcher is the plain reuse profiler.
 package reuse
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-
-	"hybridmem/internal/trace"
 )
 
 // fenwick is a binary indexed tree over access timestamps.
@@ -75,88 +74,6 @@ func (f *fenwick) sum(i int) int64 {
 	return s
 }
 
-// Profiler is a trace.Sink that accumulates a reuse-distance histogram at a
-// fixed line granularity.
-type Profiler struct {
-	lineShift uint
-	last      map[uint64]int // line -> timestamp of latest access
-	bit       fenwick
-	t         int
-
-	// hist[k] counts accesses with distance in [2^k, 2^(k+1)) (hist[0]
-	// covers distance 0 and 1).
-	hist [48]uint64
-	cold uint64 // first-touch accesses (infinite distance)
-}
-
-// New returns a profiler at the given line size (power of two).
-func New(lineSize uint64) (*Profiler, error) {
-	if lineSize == 0 || lineSize&(lineSize-1) != 0 {
-		return nil, fmt.Errorf("reuse: line size %d not a power of two", lineSize)
-	}
-	return &Profiler{
-		lineShift: uint(bits.TrailingZeros64(lineSize)),
-		last:      make(map[uint64]int),
-	}, nil
-}
-
-// Access implements trace.Sink. References spanning multiple lines charge
-// each covered line.
-func (p *Profiler) Access(r trace.Ref) {
-	size := uint64(r.Size)
-	if size == 0 {
-		size = 1
-	}
-	first := r.Addr >> p.lineShift
-	last := (r.Addr + size - 1) >> p.lineShift
-	for line := first; line <= last; line++ {
-		p.touch(line)
-	}
-}
-
-// AccessBatch implements trace.BatchSink. The per-Ref loop is hoisted here
-// so batch-native replay does not pay an interface call per reference; the
-// hot loop itself allocates only when the footprint grows (map inserts and
-// Fenwick doubling).
-func (p *Profiler) AccessBatch(refs []trace.Ref) {
-	shift := p.lineShift
-	for i := range refs {
-		r := &refs[i]
-		size := uint64(r.Size)
-		if size == 0 {
-			size = 1
-		}
-		first := r.Addr >> shift
-		last := (r.Addr + size - 1) >> shift
-		for line := first; line <= last; line++ {
-			p.touch(line)
-		}
-	}
-}
-
-// touch records one line access.
-func (p *Profiler) touch(line uint64) {
-	if prev, ok := p.last[line]; ok {
-		// Distinct lines touched strictly after prev.
-		d := p.bit.sum(p.t) - p.bit.sum(prev)
-		if d < 0 {
-			d = 0
-		}
-		p.record(uint64(d))
-		p.bit.add(prev, -1)
-	} else {
-		p.cold++
-	}
-	p.bit.add(p.t, 1)
-	p.last[line] = p.t
-	p.t++
-}
-
-// record buckets one reuse distance.
-func (p *Profiler) record(d uint64) {
-	p.hist[bucket(d)]++
-}
-
 // bucket maps a finite reuse distance to its histogram bucket index:
 // bucket 0 covers distances 0 and 1, bucket k covers [2^k, 2^(k+1)).
 func bucket(d uint64) int {
@@ -170,9 +87,9 @@ func bucket(d uint64) int {
 	return k
 }
 
-// Histogram is the profiler's result. The JSON tags define the persisted
-// sketch schema (FORMATS.md); empty buckets marshal as an explicit array so
-// restored histograms compare equal.
+// Histogram is one reuse-distance histogram of a Sketch. The JSON tags
+// define the persisted sketch schema (FORMATS.md); empty buckets marshal as
+// an explicit array so restored histograms compare equal.
 type Histogram struct {
 	// Buckets[k] counts accesses with reuse distance in [2^k, 2^(k+1))
 	// (bucket 0 covers distances 0 and 1).
@@ -183,17 +100,6 @@ type Histogram struct {
 	Lines uint64 `json:"lines"`
 	// Total is the total line-accesses profiled.
 	Total uint64 `json:"total"`
-}
-
-// Histogram snapshots the profiler.
-func (p *Profiler) Histogram() Histogram {
-	h := Histogram{
-		Buckets: append([]uint64(nil), p.hist[:]...),
-		Cold:    p.cold,
-		Lines:   uint64(len(p.last)),
-		Total:   uint64(p.t),
-	}
-	return h
 }
 
 // HitRate estimates the hit rate of a fully-associative LRU cache holding

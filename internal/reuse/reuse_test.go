@@ -3,40 +3,57 @@ package reuse
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"hybridmem/internal/trace"
 )
 
-func touchLines(p *Profiler, lines ...uint64) {
+// newLineSketcher returns the single-granularity sketcher these tests
+// profile with: 64 B lines, the plain reuse profiler.
+func newLineSketcher(t testing.TB) *Sketcher {
+	t.Helper()
+	s, err := NewSketcher(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// touchLines loads one byte range inside each given 64 B line.
+func touchLines(s *Sketcher, lines ...uint64) {
 	for _, l := range lines {
-		p.Access(trace.Ref{Addr: l * 64, Size: 8, Kind: trace.Load})
+		s.Access(trace.Ref{Addr: l * 64, Size: 8, Kind: trace.Load})
 	}
 }
 
+// hist returns the 64 B access histogram of a newLineSketcher.
+func hist(s *Sketcher) Histogram { return s.Sketch().Grans[0].Access }
+
 func TestValidation(t *testing.T) {
-	if _, err := New(0); err == nil {
-		t.Error("zero line size should fail")
+	if _, err := NewSketcher(64, 48); err == nil {
+		t.Error("a non-power-of-two granularity among valid ones should fail")
 	}
-	if _, err := New(48); err == nil {
-		t.Error("non-power-of-two line size should fail")
+	s := newLineSketcher(t).Sketch()
+	if len(s.Grans) != 1 || s.Grans[0].Gran != 64 {
+		t.Fatalf("NewSketcher(64) captured %+v, want exactly the 64 B granularity", s.Grans)
 	}
 }
 
 func TestColdAccesses(t *testing.T) {
-	p, _ := New(64)
+	p := newLineSketcher(t)
 	touchLines(p, 1, 2, 3, 4)
-	h := p.Histogram()
+	h := hist(p)
 	if h.Cold != 4 || h.Total != 4 || h.Lines != 4 {
 		t.Fatalf("histogram = %+v", h)
 	}
 }
 
 func TestImmediateReuse(t *testing.T) {
-	p, _ := New(64)
+	p := newLineSketcher(t)
 	touchLines(p, 7, 7, 7)
-	h := p.Histogram()
+	h := hist(p)
 	if h.Cold != 1 {
 		t.Fatalf("cold = %d", h.Cold)
 	}
@@ -49,13 +66,13 @@ func TestImmediateReuse(t *testing.T) {
 func TestCyclicDistance(t *testing.T) {
 	// Cycling over N lines gives distance N-1 on every reuse.
 	const n = 8
-	p, _ := New(64)
+	p := newLineSketcher(t)
 	for rep := 0; rep < 3; rep++ {
 		for l := uint64(0); l < n; l++ {
 			touchLines(p, l)
 		}
 	}
-	h := p.Histogram()
+	h := hist(p)
 	if h.Cold != n {
 		t.Fatalf("cold = %d", h.Cold)
 	}
@@ -73,9 +90,9 @@ func TestCyclicDistance(t *testing.T) {
 }
 
 func TestSpanningRefTouchesBothLines(t *testing.T) {
-	p, _ := New(64)
+	p := newLineSketcher(t)
 	p.Access(trace.Ref{Addr: 60, Size: 8, Kind: trace.Load}) // lines 0 and 1
-	h := p.Histogram()
+	h := hist(p)
 	if h.Total != 2 || h.Cold != 2 {
 		t.Fatalf("histogram = %+v", h)
 	}
@@ -110,13 +127,13 @@ func (n *naiveDistance) touch(line uint64) {
 func TestAgainstNaiveStack(t *testing.T) {
 	f := func(seed uint64, nOps uint16) bool {
 		rng := rand.New(rand.NewPCG(seed, 1))
-		p, _ := New(64)
+		p := newLineSketcher(t)
 		var oracle naiveDistance
 		perBucket := map[int]uint64{}
 		ops := int(nOps)%500 + 50
 		for i := 0; i < ops; i++ {
 			line := rng.Uint64N(40)
-			p.touch(line)
+			touchLines(p, line)
 			oracle.touch(line)
 		}
 		for d, c := range oracle.hist {
@@ -126,7 +143,7 @@ func TestAgainstNaiveStack(t *testing.T) {
 			}
 			perBucket[k] += c
 		}
-		h := p.Histogram()
+		h := hist(p)
 		if h.Cold != oracle.cold {
 			return false
 		}
@@ -157,13 +174,13 @@ func leadingZeros(x uint64) int {
 // mode of zero-extending a truncated update chain) undercounts these.
 func TestGrowthBoundaryDistances(t *testing.T) {
 	const n = 2000 // > fenwickMinSpan timestamps in the first pass alone
-	p, _ := New(64)
+	p := newLineSketcher(t)
 	for rep := 0; rep < 2; rep++ {
 		for l := uint64(0); l < n; l++ {
-			p.touch(l)
+			touchLines(p, l)
 		}
 	}
-	h := p.Histogram()
+	h := hist(p)
 	if h.Cold != n {
 		t.Fatalf("cold = %d, want %d", h.Cold, n)
 	}
@@ -181,18 +198,18 @@ func TestGrowthBoundaryDistances(t *testing.T) {
 // timestamps) must still match the explicit LRU stack exactly.
 func TestGrowthBoundaryAgainstNaiveStack(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1234, 5678))
-	p, _ := New(64)
+	p := newLineSketcher(t)
 	var oracle naiveDistance
 	perBucket := map[int]uint64{}
 	for i := 0; i < 5000; i++ {
 		line := rng.Uint64N(1500)
-		p.touch(line)
+		touchLines(p, line)
 		oracle.touch(line)
 	}
 	for d, c := range oracle.hist {
 		perBucket[bucket(d)] += c
 	}
-	h := p.Histogram()
+	h := hist(p)
 	if h.Cold != oracle.cold {
 		t.Fatalf("cold = %d, want %d", h.Cold, oracle.cold)
 	}
@@ -204,7 +221,7 @@ func TestGrowthBoundaryAgainstNaiveStack(t *testing.T) {
 }
 
 // TestAccessBatchMatchesAccess replays the same stream through the per-Ref
-// and batch entry points and requires identical histograms.
+// and batch entry points and requires identical sketches.
 func TestAccessBatchMatchesAccess(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	refs := make([]trace.Ref, 3000)
@@ -215,35 +232,38 @@ func TestAccessBatchMatchesAccess(t *testing.T) {
 			Kind: trace.Kind(rng.Uint64N(2)),
 		}
 	}
-	one, _ := New(64)
-	batch, _ := New(64)
+	one, batch := newLineSketcher(t), newLineSketcher(t)
 	for _, r := range refs {
 		one.Access(r)
 	}
 	batch.AccessBatch(refs)
-	ho, hb := one.Histogram(), batch.Histogram()
-	if ho.Cold != hb.Cold || ho.Total != hb.Total || ho.Lines != hb.Lines {
-		t.Fatalf("scalars differ: %+v vs %+v", ho, hb)
-	}
-	for k := range ho.Buckets {
-		if ho.Buckets[k] != hb.Buckets[k] {
-			t.Fatalf("bucket[%d]: %d vs %d", k, ho.Buckets[k], hb.Buckets[k])
-		}
+	if so, sb := one.Sketch(), batch.Sketch(); !reflect.DeepEqual(so, sb) {
+		t.Fatalf("per-ref and batch sketches differ:\n%+v\n%+v", so, sb)
 	}
 }
 
-// TestAccessBatchZeroAlloc pins the batch hot loop at zero allocations once
-// the footprint is established (map keys present, Fenwick tree pre-grown).
+// TestAccessBatchZeroAlloc pins the sketch hot loop — every design
+// granularity, loads and stores, batch and per-ref entry points — at zero
+// allocations once the footprint is established (page and stored-line map
+// keys present, Fenwick trees pre-grown).
 func TestAccessBatchZeroAlloc(t *testing.T) {
-	p, _ := New(64)
+	s, err := NewSketcher()
+	if err != nil {
+		t.Fatal(err)
+	}
 	refs := make([]trace.Ref, 64)
 	for i := range refs {
-		refs[i] = trace.Ref{Addr: uint64(i) * 64, Size: 8, Kind: trace.Load}
+		refs[i] = trace.Ref{Addr: uint64(i) * 64, Size: 8, Kind: trace.Kind(i % 3 / 2)}
 	}
-	p.AccessBatch(refs) // establish the footprint
-	p.bit.grow(1 << 20) // pre-grow past every timestamp the loop will mint
-	if n := testing.AllocsPerRun(100, func() { p.AccessBatch(refs) }); n != 0 {
-		t.Fatalf("AccessBatch allocated %v times per run on a warm footprint", n)
+	s.AccessBatch(refs) // establish the footprint
+	for gi := range s.grans {
+		s.grans[gi].bit.grow(1 << 20) // past every timestamp the loop will mint
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		s.AccessBatch(refs)
+		s.Access(refs[len(refs)-1])
+	}); n != 0 {
+		t.Fatalf("Sketcher allocated %v times per run on a warm footprint", n)
 	}
 }
 
@@ -262,12 +282,12 @@ func BenchmarkFenwickGrow(b *testing.B) {
 }
 
 func TestHitRateMonotone(t *testing.T) {
-	p, _ := New(64)
+	p := newLineSketcher(t)
 	rng := rand.New(rand.NewPCG(9, 9))
 	for i := 0; i < 20000; i++ {
 		touchLines(p, rng.Uint64N(256))
 	}
-	h := p.Histogram()
+	h := hist(p)
 	prev := -1.0
 	for k := 0; k < 12; k++ {
 		hr := h.HitRate(1 << k)
@@ -282,7 +302,7 @@ func TestHitRateMonotone(t *testing.T) {
 }
 
 func TestWorkingSet(t *testing.T) {
-	p, _ := New(64)
+	p := newLineSketcher(t)
 	// Cycle over 100 lines: working set for any positive target is the
 	// first power of two >= 100.
 	for rep := 0; rep < 5; rep++ {
@@ -290,22 +310,22 @@ func TestWorkingSet(t *testing.T) {
 			touchLines(p, l)
 		}
 	}
-	h := p.Histogram()
+	h := hist(p)
 	if ws := h.WorkingSet(0.5); ws != 128 {
 		t.Fatalf("WorkingSet(0.5) = %d, want 128", ws)
 	}
 	// All-cold stream has no reachable target.
-	q, _ := New(64)
+	q := newLineSketcher(t)
 	touchLines(q, 1, 2, 3)
-	if ws := q.Histogram().WorkingSet(0.5); ws != 0 {
+	if ws := hist(q).WorkingSet(0.5); ws != 0 {
 		t.Fatalf("all-cold working set = %d, want 0", ws)
 	}
 }
 
 func TestMeanDistance(t *testing.T) {
-	p, _ := New(64)
+	p := newLineSketcher(t)
 	touchLines(p, 1, 1) // distance 0
-	h := p.Histogram()
+	h := hist(p)
 	if h.MeanDistance() != 1 { // bucket 0 midpoint (0+2)/2
 		t.Fatalf("mean = %g", h.MeanDistance())
 	}
@@ -320,7 +340,7 @@ func TestMeanDistance(t *testing.T) {
 // same hit rate at cache size C/k as the original at C.
 func TestCoScalingInvariance(t *testing.T) {
 	run := func(footLines uint64) Histogram {
-		p, _ := New(64)
+		p := newLineSketcher(t)
 		rng := rand.New(rand.NewPCG(42, 42))
 		// Self-similar mix: 70% hot eighth, 30% uniform.
 		for i := 0; i < 40000; i++ {
@@ -332,7 +352,7 @@ func TestCoScalingInvariance(t *testing.T) {
 			}
 			touchLines(p, l)
 		}
-		return p.Histogram()
+		return hist(p)
 	}
 	big := run(4096)
 	small := run(512) // scaled down 8x

@@ -114,8 +114,8 @@ func (s *Sketch) Footprint(gran uint64) uint64 {
 	return 0
 }
 
-// Sketcher is a trace.BatchSink that captures a Sketch in one pass over a
-// reference stream. It runs the classic Fenwick-tree reuse-distance
+// Sketcher is a trace.Sink and BatchSink that captures a Sketch in one pass
+// over a reference stream. It runs the classic Fenwick-tree reuse-distance
 // algorithm at every granularity simultaneously and additionally tracks,
 // per page, the maximum gap since the page's last store (the dirty-episode
 // histogram) and the exact byte-union of stores (DistinctStoreBytes).
@@ -166,6 +166,9 @@ func NewSketcher(grans ...uint64) (*Sketcher, error) {
 	}
 	return s, nil
 }
+
+// Access implements trace.Sink, so a workload can Run into a Sketcher.
+func (s *Sketcher) Access(r trace.Ref) { s.AccessBatch([]trace.Ref{r}) }
 
 // AccessBatch implements trace.BatchSink. References spanning multiple
 // pages charge each covered page (boundary streams never span, but the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -289,6 +290,46 @@ func (e *Evaluator) restoreProfile(key string) (*exp.WorkloadProfile, bool) {
 		})
 	}
 	return wp, true
+}
+
+// ProfileRequest returns the normalized reference-design request for the
+// workload tuple (workload at co-scaling divisor scale, default iterations
+// and dilution, builtin catalog): evaluating it profiles the workload and
+// writes the profile record through, exactly as memsimd -warm does.
+func ProfileRequest(workload string, scale uint64) (*EvalRequest, error) {
+	r := &EvalRequest{Design: DesignSpec{Family: "reference"}, Workload: workload, Scale: scale}
+	if apiErr := r.Normalize(); apiErr != nil {
+		return nil, apiErr
+	}
+	return r, nil
+}
+
+// OpenStoredProfile restores the ProfileRequest tuple's profile record —
+// the record a -store run of memsimd or tracecat -capture writes — from the
+// existing store at dir. It never profiles, never creates a store, and
+// writes no record. The profile's boundary stream decodes out of the
+// store's mapped segments, so close the returned store only after the
+// profile's last use.
+func OpenStoredProfile(dir, workload string, scale uint64) (*exp.WorkloadProfile, *store.Store, error) {
+	r, err := ProfileRequest(workload, scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := os.Stat(dir); err != nil {
+		return nil, nil, err
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	ev := NewEvaluator(1, nil)
+	ev.SetStore(st)
+	wp, ok := ev.restoreProfile(profileKey(r))
+	if !ok {
+		st.Close()
+		return nil, nil, fmt.Errorf("serve: store %s holds no readable profile of %s at scale %d", dir, r.Workload, r.Scale)
+	}
+	return wp, st, nil
 }
 
 // persistProfile writes a freshly profiled workload through to the durable

@@ -1,9 +1,16 @@
 package serve
 
 import (
+	"context"
+	"crypto/sha256"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"hybridmem/internal/store"
+	"hybridmem/internal/tech"
 )
 
 // openStore opens (or reopens) the durable tier at dir.
@@ -131,5 +138,87 @@ func TestStoreMissFallsThrough(t *testing.T) {
 	}
 	if s.storeMisses.Value() == 0 {
 		t.Fatal("store miss not counted")
+	}
+}
+
+// dirDigest maps every file under dir to its contents' SHA-256, so a test
+// can assert that an operation left a store directory byte-identical.
+func dirDigest(t *testing.T, dir string) map[string][32]byte {
+	t.Helper()
+	out := map[string][32]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		out[path] = sha256.Sum256(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestStoredProfileReadsWithoutWriting pins the read-only restore path the
+// offline tools use: a persisted profile record restores with zero
+// profiling, while a workload tuple that was never persisted (or a store
+// that does not exist) is an error that profiles nothing and leaves the
+// directory byte-identical. ProfileRequest must name the tuple memsimd
+// -warm profiles, so tracecat captures and memsimd restores share records.
+func TestStoredProfileReadsWithoutWriting(t *testing.T) {
+	dir := t.TempDir()
+	absent := filepath.Join(dir, "absent")
+	if _, _, err := OpenStoredProfile(absent, "CG", testScale); err == nil {
+		t.Fatal("OpenStoredProfile on a missing directory succeeded")
+	}
+	if _, err := os.Stat(absent); !os.IsNotExist(err) {
+		t.Fatalf("OpenStoredProfile created %s (stat err %v)", absent, err)
+	}
+
+	req := &EvalRequest{Design: DesignSpec{Family: "reference"}, Workload: "CG", Scale: testScale, WorkloadScale: testWScale}
+	if apiErr := req.Normalize(); apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	st1 := openStore(t, dir)
+	ev1 := NewEvaluator(0, nil)
+	ev1.SetStore(st1)
+	if _, err := ev1.Evaluate(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The restore OpenStoredProfile runs, on the persisted tuple (the
+	// co-scaled ProfileRequest tuple would cost a full-size profile here).
+	st2 := openStore(t, dir)
+	ev2 := NewEvaluator(0, nil)
+	ev2.SetStore(st2)
+	wp, ok := ev2.restoreProfile(profileKey(req))
+	if !ok || wp.Boundary.Len() == 0 || wp.Sketch == nil {
+		t.Fatalf("persisted profile did not restore (ok=%v)", ok)
+	}
+	if ev2.ProfilesRun() != 0 {
+		t.Fatalf("restore profiled %d times, want 0", ev2.ProfilesRun())
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := &EvalRequest{Design: DesignSpec{Family: "reference"}, Workload: "CG", Scale: testScale}
+	if apiErr := warm.NormalizeWith(tech.Builtin()); apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	if pr, err := ProfileRequest("CG", testScale); err != nil || profileKey(pr) != profileKey(warm) {
+		t.Fatalf("ProfileRequest key differs from the memsimd -warm key (err %v)", err)
+	}
+
+	before := dirDigest(t, dir)
+	if _, _, err := OpenStoredProfile(dir, "CG", testScale); err == nil {
+		t.Fatal("OpenStoredProfile restored a tuple that was never persisted")
+	}
+	if after := dirDigest(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatal("a missed OpenStoredProfile changed the store directory")
 	}
 }

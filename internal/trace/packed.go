@@ -18,13 +18,19 @@ const refStructBytes = 16
 
 // Packed record layout: one flags byte, then the address delta against the
 // previous record as a little-endian integer of deltaWidth bytes, then (only
-// when the size changed) the size as a uvarint. The low flag bits reuse the
-// .hmtr trace-file conventions (bit0 = store, bit1 = size follows, bit2 =
-// negative delta); bits 3-6 hold deltaWidth (0-8). Fixed-width deltas decode
-// with a single unaligned word read instead of a byte-at-a-time varint loop
-// — the decode is on the replay hot path — and never cost more bytes than
-// the equivalent varint.
+// when the size changed) the size as a uvarint. The low flag bits are
+// bit0 = store, bit1 = size follows, bit2 = negative delta; bits 3-6 hold
+// deltaWidth (0-8). Fixed-width deltas decode with a single unaligned word
+// read instead of a byte-at-a-time varint loop — the decode is on the
+// replay hot path — and never cost more bytes than the equivalent varint.
+//
+// The flag values are part of the persisted block format (internal/store
+// writes encoded blocks to disk as they are): never renumber them.
 const (
+	flagStore    = 1 << 0
+	flagHasSize  = 1 << 1
+	flagNegDelta = 1 << 2
+
 	packedWidthShift = 3
 	packedWidthMask  = 0xf
 )
