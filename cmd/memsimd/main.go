@@ -16,10 +16,11 @@
 //	curl -s localhost:8080/v1/evaluate -d '{"design":"4LC/EH4","workload":"Graph500"}'
 //
 // Identical requests are answered from an LRU cache (X-Memsimd-Cache: hit)
-// without re-replaying the boundary stream; /debug/vars exports request,
-// cache-hit, and memsimd.replay_ms_saved counters, and GET /metrics serves
-// the same registry in Prometheus text format (request-latency histograms by
-// outcome, cache hit ratio, negative-entry, replay and fault counters).
+// without re-replaying the boundary stream. GET /metrics serves every metric
+// in Prometheus text format: request, cache-hit and memsimd_replay_ms_saved
+// counters, request-latency histograms by outcome, the cache hit ratio,
+// negative-entry, replay and fault counters, and with -store the
+// memsimd_store_stats gauges.
 // A design point whose evaluation fails permanently (a panic or an internal
 // error) is remembered for a minute: repeats get the same typed error
 // (X-Memsimd-Cache: negative) without evaluating again.
@@ -39,6 +40,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -130,7 +132,15 @@ func main() {
 			"torn_bytes_recovered": stats.TornBytesRecovered,
 			"wall_ms":              float64(time.Since(openStart)) / float64(time.Millisecond),
 		})
-		obs.PublishFunc("memsimd.store_stats", func() any { return guard.Stats() })
+		obs.RegisterGaugeVecFunc("memsimd.store_stats",
+			"Durable store summary (store.Stats), one sample per JSON field.", "field",
+			func() map[string]float64 {
+				// store.Stats holds only numbers, so neither call can fail.
+				var fields map[string]float64
+				b, _ := json.Marshal(guard.Stats())
+				json.Unmarshal(b, &fields)
+				return fields
+			})
 	}
 
 	ev := serve.NewEvaluator(*profiles, logger)

@@ -37,7 +37,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "replay worker bound; same-workload design points within the bound share each block decode (0 = GOMAXPROCS)")
 
 		epoch      = flag.Uint64("epoch", 0, "sample an epoch time-series every N references while profiling workloads (0 = off)")
-		timeseries = flag.String("timeseries", "", `write the profiling epoch time-series as long-form CSV here ("-" = stderr-free stdout is taken by sweep rows, so name a file)`)
+		timeseries = flag.String("timeseries", "", `write the profiling epoch time-series as long-form CSV here ("-" = stderr; stdout carries the sweep CSV)`)
 		runlog     = flag.String("runlog", "", `write structured JSONL run events here ("-" = stderr)`)
 	)
 	var prof obs.Profile
@@ -151,12 +151,13 @@ func main() {
 
 // emitTimeSeries writes the long-form epoch CSV (one row per
 // workload/epoch/level) collected during suite profiling to the -timeseries
-// destination.
+// destination. "-" means stderr: stdout carries the sweep CSV, and the two
+// must not interleave.
 func emitTimeSeries(path string, s *exp.Suite) error {
 	if path == "" {
 		return nil
 	}
-	w, closeTS, err := obs.OpenSink(path, os.Stdout)
+	w, closeTS, err := obs.OpenSink(path, os.Stderr)
 	if err != nil {
 		return err
 	}

@@ -20,9 +20,10 @@ const histBuckets = 65
 // carry at most a 2x bucket-resolution error — plenty for spotting order-of-
 // magnitude latency shifts, which is what the log2 layout is for.
 //
-// By convention latency histograms observe nanoseconds and are created with
-// NewLatencyHistogram, which marks them for seconds-scaled Prometheus
-// exposition; plain NewHistogram observes unscaled counts (e.g. fan widths).
+// By convention latency histograms observe nanoseconds and are created
+// through NewLatencyHistogramVec, which marks them for seconds-scaled
+// Prometheus exposition; plain NewHistogram observes unscaled counts (e.g.
+// fan widths).
 type Histogram struct {
 	name   string
 	help   string
@@ -125,63 +126,13 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 // Quantile estimates the q-quantile of everything observed so far.
 func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
 
-// summary renders the histogram for expvar: count, sum, max, and the
-// standard percentile trio, scaled by the exposition factor.
-func (h *Histogram) summary() map[string]float64 {
-	s := h.Snapshot()
-	return map[string]float64{
-		"count": float64(s.Count),
-		"sum":   float64(s.Sum) * h.factor,
-		"max":   float64(s.Max) * h.factor,
-		"p50":   s.Quantile(0.50) * h.factor,
-		"p90":   s.Quantile(0.90) * h.factor,
-		"p99":   s.Quantile(0.99) * h.factor,
-	}
-}
-
-var (
-	histMu sync.Mutex
-	hists  = map[string]*Histogram{}
-)
-
-// newHistogram creates or returns the named histogram.
-func newHistogram(name, help string, factor float64) *Histogram {
-	histMu.Lock()
-	defer histMu.Unlock()
-	if h, ok := hists[name]; ok {
-		return h
-	}
-	h := &Histogram{name: name, help: help, factor: factor}
-	hists[name] = h
-	DefaultRegistry.register(&histMetric{h})
-	PublishFunc(name, func() any { return h.summary() })
-	return h
-}
-
 // NewHistogram returns the process-global histogram with the given name,
-// creating, expvar-publishing (a count/sum/max/p50/p90/p99 summary), and
-// Prometheus-registering it on first use. Values are exposed unscaled.
-func NewHistogram(name, help string) *Histogram { return newHistogram(name, help, 1) }
-
-// NewLatencyHistogram is NewHistogram for durations: observations are
-// nanoseconds (use ObserveDuration) and exposition scales them to seconds,
-// following the Prometheus convention that the name should reflect (end it
-// in "_seconds").
-func NewLatencyHistogram(name, help string) *Histogram { return newHistogram(name, help, 1e-9) }
-
-// Gauge is a named instantaneous value (an int64, settable and addable).
-type Gauge struct {
-	v atomic.Int64
+// registering it on first use. Values are exposed unscaled.
+func NewHistogram(name, help string) *Histogram {
+	return getOrCreate(DefaultRegistry, name, func() *histMetric {
+		return &histMetric{&Histogram{name: name, help: help, factor: 1}}
+	}).h
 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta (negative deltas decrease it).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the gauge's current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // maxLabelValues bounds each vector's label cardinality. Labels beyond the
 // bound collapse into the overflow value, so a caller-controlled label
@@ -247,63 +198,17 @@ type CounterVec struct {
 }
 
 // NewCounterVec returns the process-global counter vector with the given
-// name, creating, expvar-publishing, and Prometheus-registering it on first
-// use. label names the one label dimension.
+// name, registering it on first use. label names the one label dimension.
 func NewCounterVec(name, help, label string) *CounterVec {
-	vecsMu.Lock()
-	defer vecsMu.Unlock()
-	if v, ok := counterVecs[name]; ok {
-		return v
-	}
-	v := &CounterVec{name: name, help: help, label: label}
-	v.vec = vec[Counter]{m: map[string]*Counter{}, mk: func() *Counter { return &Counter{} }, max: maxLabelValues}
-	counterVecs[name] = v
-	DefaultRegistry.register(&counterVecMetric{v})
-	PublishFunc(name, func() any {
-		out := map[string]uint64{}
-		for k, c := range v.vec.snapshot() {
-			out[k] = c.Value()
-		}
-		return out
-	})
-	return v
+	return getOrCreate(DefaultRegistry, name, func() *counterVecMetric {
+		v := &CounterVec{name: name, help: help, label: label}
+		v.vec = vec[Counter]{m: map[string]*Counter{}, mk: func() *Counter { return &Counter{} }, max: maxLabelValues}
+		return &counterVecMetric{v}
+	}).v
 }
 
 // With returns the counter for the given label value.
 func (v *CounterVec) With(value string) *Counter { return v.vec.with(value) }
-
-// GaugeVec is a family of gauges distinguished by a single label.
-type GaugeVec struct {
-	name  string
-	help  string
-	label string
-	vec   vec[Gauge]
-}
-
-// NewGaugeVec returns the process-global gauge vector with the given name,
-// creating, expvar-publishing, and Prometheus-registering it on first use.
-func NewGaugeVec(name, help, label string) *GaugeVec {
-	vecsMu.Lock()
-	defer vecsMu.Unlock()
-	if v, ok := gaugeVecs[name]; ok {
-		return v
-	}
-	v := &GaugeVec{name: name, help: help, label: label}
-	v.vec = vec[Gauge]{m: map[string]*Gauge{}, mk: func() *Gauge { return &Gauge{} }, max: maxLabelValues}
-	gaugeVecs[name] = v
-	DefaultRegistry.register(&gaugeVecMetric{v})
-	PublishFunc(name, func() any {
-		out := map[string]int64{}
-		for k, g := range v.vec.snapshot() {
-			out[k] = g.Value()
-		}
-		return out
-	})
-	return v
-}
-
-// With returns the gauge for the given label value.
-func (v *GaugeVec) With(value string) *Gauge { return v.vec.with(value) }
 
 // HistogramVec is a family of histograms distinguished by a single label —
 // the serving layer's request-latency histogram labeled by outcome.
@@ -317,46 +222,16 @@ type HistogramVec struct {
 
 // NewLatencyHistogramVec returns the process-global latency-histogram
 // vector with the given name (observations in nanoseconds, exposed as
-// seconds), creating and registering it on first use.
+// seconds), registering it on first use.
 func NewLatencyHistogramVec(name, help, label string) *HistogramVec {
-	return newHistogramVec(name, help, label, 1e-9)
-}
-
-// NewHistogramVec is NewLatencyHistogramVec for unscaled count-valued
-// histograms.
-func NewHistogramVec(name, help, label string) *HistogramVec {
-	return newHistogramVec(name, help, label, 1)
-}
-
-// newHistogramVec creates or returns the named histogram vector.
-func newHistogramVec(name, help, label string, factor float64) *HistogramVec {
-	vecsMu.Lock()
-	defer vecsMu.Unlock()
-	if v, ok := histVecs[name]; ok {
-		return v
-	}
-	v := &HistogramVec{name: name, help: help, label: label, factor: factor}
-	v.vec = vec[Histogram]{m: map[string]*Histogram{}, mk: func() *Histogram {
-		return &Histogram{name: name, help: help, factor: factor}
-	}, max: maxLabelValues}
-	histVecs[name] = v
-	DefaultRegistry.register(&histVecMetric{v})
-	PublishFunc(name, func() any {
-		out := map[string]map[string]float64{}
-		for k, h := range v.vec.snapshot() {
-			out[k] = h.summary()
-		}
-		return out
-	})
-	return v
+	return getOrCreate(DefaultRegistry, name, func() *histVecMetric {
+		v := &HistogramVec{name: name, help: help, label: label, factor: 1e-9}
+		v.vec = vec[Histogram]{m: map[string]*Histogram{}, mk: func() *Histogram {
+			return &Histogram{name: name, help: help, factor: v.factor}
+		}, max: maxLabelValues}
+		return &histVecMetric{v}
+	}).v
 }
 
 // With returns the histogram for the given label value.
 func (v *HistogramVec) With(value string) *Histogram { return v.vec.with(value) }
-
-var (
-	vecsMu      sync.Mutex
-	counterVecs = map[string]*CounterVec{}
-	gaugeVecs   = map[string]*GaugeVec{}
-	histVecs    = map[string]*HistogramVec{}
-)

@@ -140,17 +140,3 @@ func TestVecParallelWith(t *testing.T) {
 		t.Fatalf("histogram vec total = %d, want %d", hTotal, workers*per)
 	}
 }
-
-func TestGaugeSetAdd(t *testing.T) {
-	var g Gauge
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
-	}
-	gv := NewGaugeVec("test.gauge_vec", "", "state")
-	gv.With("open").Set(2)
-	if got := gv.With("open").Value(); got != 2 {
-		t.Fatalf("gauge vec = %d, want 2", got)
-	}
-}

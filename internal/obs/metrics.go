@@ -1,17 +1,12 @@
 package obs
 
-import (
-	"expvar"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Counter is a named, monotonically increasing counter published through
-// expvar (and therefore visible on /debug/vars of any process that mounts
-// the expvar handler, including memsimd). Counters are process-global and
-// looked up by name, so independent components — and tests constructing
-// several servers — can share one counter without tripping expvar's
-// duplicate-publish panic.
+// Counter is a named, monotonically increasing counter exposed on the
+// Prometheus registry (GET /metrics of any process that mounts
+// MetricsHandler, including memsimd). Counters are process-global and
+// looked up by name in DefaultRegistry, so independent components — and
+// tests constructing several servers — share one counter per name.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -22,38 +17,11 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the counter's current value.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-var (
-	metricsMu sync.Mutex
-	counters  = map[string]*Counter{}
-	published = map[string]bool{}
-)
-
 // NewCounter returns the process-global counter with the given name,
-// creating and expvar-publishing it on first use. Subsequent calls with the
-// same name return the same counter.
+// registering it on first use. Subsequent calls with the same name return
+// the same counter.
 func NewCounter(name string) *Counter {
-	metricsMu.Lock()
-	defer metricsMu.Unlock()
-	if c, ok := counters[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	counters[name] = c
-	expvar.Publish(name, expvar.Func(func() any { return c.Value() }))
-	DefaultRegistry.register(&counterMetric{name: name, c: c})
-	return c
-}
-
-// PublishFunc expvar-publishes a computed variable (e.g. a cache hit
-// ratio derived from two counters). Unlike expvar.Publish it is idempotent:
-// re-publishing an existing name replaces nothing and does not panic, which
-// lets tests build multiple servers in one process.
-func PublishFunc(name string, f func() any) {
-	metricsMu.Lock()
-	defer metricsMu.Unlock()
-	if published[name] {
-		return
-	}
-	published[name] = true
-	expvar.Publish(name, expvar.Func(f))
+	return getOrCreate(DefaultRegistry, name, func() *counterMetric {
+		return &counterMetric{name: name, c: &Counter{}}
+	}).c
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -18,13 +17,19 @@ func TestNewCounterIsIdempotentPerName(t *testing.T) {
 	if a.Value() != 7 {
 		t.Fatalf("Value = %d, want 7", a.Value())
 	}
-	v := expvar.Get("test.metrics.counter")
-	if v == nil {
-		t.Fatal("counter not published to expvar")
+	if text := exposition(t); !strings.Contains(text, "\ntest_metrics_counter 7\n") {
+		t.Fatalf("counter not exposed with value 7:\n%s", text)
 	}
-	if got := v.String(); !strings.Contains(got, "7") {
-		t.Fatalf("expvar value = %s", got)
+}
+
+// exposition renders the default registry.
+func exposition(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	if err := WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
+	return b.String()
 }
 
 func TestCounterConcurrentAdd(t *testing.T) {
@@ -45,14 +50,21 @@ func TestCounterConcurrentAdd(t *testing.T) {
 	}
 }
 
-func TestPublishFuncIdempotent(t *testing.T) {
-	PublishFunc("test.metrics.ratio", func() any { return 0.5 })
-	PublishFunc("test.metrics.ratio", func() any { return 0.9 }) // must not panic
-	v := expvar.Get("test.metrics.ratio")
-	if v == nil {
-		t.Fatal("func not published")
+func TestRegisterGaugeFuncFirstRegistrationWins(t *testing.T) {
+	RegisterGaugeFunc("test.metrics.ratio", "", func() float64 { return 0.5 })
+	RegisterGaugeFunc("test.metrics.ratio", "", func() float64 { return 0.9 }) // must not panic
+	text := exposition(t)
+	if !strings.Contains(text, "\ntest_metrics_ratio 0.5\n") || strings.Contains(text, "test_metrics_ratio 0.9") {
+		t.Fatalf("first registration should win:\n%s", text)
 	}
-	if got := v.String(); got != "0.5" {
-		t.Fatalf("first publish should win, got %s", got)
-	}
+}
+
+func TestRegisteringOneNameAsTwoKindsPanics(t *testing.T) {
+	NewCounter("test.metrics.kind_clash")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering a counter's name as a histogram did not panic")
+		}
+	}()
+	NewHistogram("test.metrics.kind_clash", "")
 }

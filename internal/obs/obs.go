@@ -16,48 +16,37 @@
 //   - Logger emits structured JSON-lines events (run/workload/design-point
 //     boundaries, durations, refs/sec throughput, config echo, warnings)
 //     behind any io.Writer, so CLIs can log to stderr or a file.
-//   - Profile wires the standard -cpuprofile/-memprofile/-trace flags, and
-//     an expvar-published live counter tracks references processed.
+//   - Profile wires the standard -cpuprofile/-memprofile/-trace flags.
+//   - DefaultRegistry is the one metric registry: counters, labeled
+//     vectors, log2 histograms and computed gauges are named once there
+//     and rendered in Prometheus text format by MetricsHandler (memsimd's
+//     GET /metrics), including live counters of references processed and
+//     boundary blocks decoded.
 //
 // Everything is opt-in: with no sampler wrapped and a nil Logger, the
 // simulator hot path is untouched.
 package obs
 
-import (
-	"expvar"
-	"sync/atomic"
-)
+// refsProcessed counts simulated references processed by epoch samplers
+// and profiling passes (hybridmem_refs_processed on /metrics). Scrape it
+// (or read it in-process) to watch a long sweep make progress.
+var refsProcessed = NewCounter("hybridmem.refs_processed")
 
-// liveRefs is the expvar-published live counter of simulated references
-// processed by epoch samplers and profiling passes. Attach an HTTP server
-// with the expvar handler (or read it in-process) to watch a long sweep
-// make progress.
-var liveRefs atomic.Uint64
-
-// liveBlocks is the expvar-published live counter of packed boundary blocks
-// decoded by the replay engine. Under fan-out replay each block is decoded
-// once per workload chunk regardless of how many design points consume it,
-// so the ratio of this counter to replayed references is the direct
-// observable for the decode-sharing win.
-var liveBlocks atomic.Uint64
-
-func init() {
-	expvar.Publish("hybridmem.refs_processed", expvar.Func(func() any {
-		return liveRefs.Load()
-	}))
-	expvar.Publish("hybridmem.blocks_decoded", expvar.Func(func() any {
-		return liveBlocks.Load()
-	}))
-}
+// blocksDecoded counts packed boundary blocks decoded by the replay engine
+// (hybridmem_blocks_decoded on /metrics). Under fan-out replay each block
+// is decoded once per workload chunk regardless of how many design points
+// consume it, so the ratio of this counter to replayed references is the
+// direct observable for the decode-sharing win.
+var blocksDecoded = NewCounter("hybridmem.blocks_decoded")
 
 // CountRefs adds n processed references to the live counter.
-func CountRefs(n uint64) { liveRefs.Add(n) }
+func CountRefs(n uint64) { refsProcessed.Add(n) }
 
 // RefsProcessed returns the live counter's current value.
-func RefsProcessed() uint64 { return liveRefs.Load() }
+func RefsProcessed() uint64 { return refsProcessed.Value() }
 
 // CountDecodedBlocks adds n decoded boundary blocks to the live counter.
-func CountDecodedBlocks(n uint64) { liveBlocks.Add(n) }
+func CountDecodedBlocks(n uint64) { blocksDecoded.Add(n) }
 
 // DecodedBlocks returns the decoded-block counter's current value.
-func DecodedBlocks() uint64 { return liveBlocks.Load() }
+func DecodedBlocks() uint64 { return blocksDecoded.Value() }

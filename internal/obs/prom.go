@@ -25,14 +25,15 @@ type promMetric interface {
 	writeProm(w io.Writer) error
 }
 
-// Registry collects metric families for Prometheus exposition. The
+// Registry is the one index of metric families: byName maps each
+// registration name to its family, and WritePrometheus renders them. The
 // process-global DefaultRegistry receives everything created through
-// NewCounter, NewCounterVec, NewGaugeVec, NewHistogram, NewHistogramVec,
-// and RegisterGaugeFunc; tests build private registries for golden output.
+// NewCounter, NewCounterVec, NewHistogram, NewLatencyHistogramVec,
+// RegisterGaugeFunc and RegisterGaugeVecFunc; tests build private
+// registries for golden output.
 type Registry struct {
-	mu      sync.Mutex
-	byName  map[string]promMetric
-	ordered []promMetric
+	mu     sync.Mutex
+	byName map[string]promMetric
 }
 
 // NewRegistry builds an empty registry.
@@ -43,23 +44,39 @@ func NewRegistry() *Registry {
 // DefaultRegistry is the process-global registry behind MetricsHandler.
 var DefaultRegistry = NewRegistry()
 
-// register adds a metric family, keeping the first registration of a name.
-func (r *Registry) register(m promMetric) {
+// getOrCreate returns the family registered under name, registering mk()
+// first when the name is new. Lookups are idempotent, so independent
+// components (and tests building several servers) share one family per
+// name. Registering one name as two different kinds is a programming error
+// and panics.
+func getOrCreate[M promMetric](r *Registry, name string, mk func() M) M {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.byName[m.metricName()]; ok {
-		return
+	if old, ok := r.byName[name]; ok {
+		m, ok := old.(M)
+		if !ok {
+			panic(fmt.Sprintf("obs: metric %q registered as %T, requested as %T", name, old, m))
+		}
+		return m
 	}
-	r.byName[m.metricName()] = m
-	r.ordered = append(r.ordered, m)
+	m := mk()
+	r.byName[name] = m
+	return m
+}
+
+// register adds a metric family, keeping the first registration of a name.
+func (r *Registry) register(m promMetric) {
+	getOrCreate(r, m.metricName(), func() promMetric { return m })
 }
 
 // WritePrometheus renders every registered family in name order.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
-	ms := append([]promMetric(nil), r.ordered...)
+	ms := make([]promMetric, 0, len(r.byName))
+	for _, name := range sortedKeys(r.byName) {
+		ms = append(ms, r.byName[name])
+	}
 	r.mu.Unlock()
-	sort.Slice(ms, func(i, j int) bool { return ms[i].metricName() < ms[j].metricName() })
 	for _, m := range ms {
 		if err := m.writeProm(w); err != nil {
 			return err
@@ -183,19 +200,21 @@ func (m *gaugeVecFuncMetric) writeProm(w io.Writer) error {
 	return nil
 }
 
-// RegisterGaugeFunc exposes a computed value as a Prometheus gauge (and via
-// expvar). Idempotent by name, like PublishFunc.
+// RegisterGaugeFunc exposes a computed value as a Prometheus gauge. The
+// first registration of a name wins; later ones are no-ops.
 func RegisterGaugeFunc(name, help string, f func() float64) {
-	DefaultRegistry.register(&gaugeFuncMetric{name: name, help: help, f: f})
-	PublishFunc(name, func() any { return f() })
+	getOrCreate(DefaultRegistry, name, func() *gaugeFuncMetric {
+		return &gaugeFuncMetric{name: name, help: help, f: f}
+	})
 }
 
 // RegisterGaugeVecFunc exposes a computed labeled family (label value ->
 // gauge) as a Prometheus gauge family — e.g. the durable store's state
-// (1 on the active state's label). Idempotent by name.
+// (1 on the active state's label). The first registration of a name wins.
 func RegisterGaugeVecFunc(name, help, label string, f func() map[string]float64) {
-	DefaultRegistry.register(&gaugeVecFuncMetric{name: name, help: help, label: label, f: f})
-	PublishFunc(name, func() any { return f() })
+	getOrCreate(DefaultRegistry, name, func() *gaugeVecFuncMetric {
+		return &gaugeVecFuncMetric{name: name, help: help, label: label, f: f}
+	})
 }
 
 // counterVecMetric exposes a CounterVec.
@@ -206,25 +225,6 @@ func (m *counterVecMetric) metricName() string { return m.v.name }
 func (m *counterVecMetric) writeProm(w io.Writer) error {
 	name := promName(m.v.name)
 	if err := writeHeader(w, name, m.v.help, "counter"); err != nil {
-		return err
-	}
-	children := m.v.vec.snapshot()
-	for _, k := range sortedKeys(children) {
-		if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", name, m.v.label, escapeLabel(k), children[k].Value()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// gaugeVecMetric exposes a GaugeVec.
-type gaugeVecMetric struct{ v *GaugeVec }
-
-func (m *gaugeVecMetric) metricName() string { return m.v.name }
-
-func (m *gaugeVecMetric) writeProm(w io.Writer) error {
-	name := promName(m.v.name)
-	if err := writeHeader(w, name, m.v.help, "gauge"); err != nil {
 		return err
 	}
 	children := m.v.vec.snapshot()

@@ -64,20 +64,13 @@ func (l *Logger) Event(event string, fields Fields) {
 	}
 }
 
-// runlogDropped counts run-log events lost to sink write errors, across
-// every Logger in the process (expvar/Prometheus name
-// hybridmem.runlog_write_errors).
-var runlogDropped = func() func() *Counter {
-	var once sync.Once
-	var c *Counter
-	return func() *Counter {
-		once.Do(func() {
-			c = NewCounter("hybridmem.runlog_write_errors")
-			PublishFunc("hybridmem.runlog_degraded", func() any { return c.Value() > 0 })
-		})
-		return c
-	}
-}()
+// runlogWriteErrors counts run-log events lost to sink write errors, across
+// every Logger in the process (hybridmem_runlog_write_errors on /metrics;
+// above zero means some run log has dropped events).
+var runlogWriteErrors = NewCounter("hybridmem.runlog_write_errors")
+
+// runlogDropped returns the process-wide run-log write-error counter.
+func runlogDropped() *Counter { return runlogWriteErrors }
 
 // degrade records a sink write failure: every failure counts toward the
 // process-wide runlog_write_errors counter, and the logger's first failure

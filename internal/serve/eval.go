@@ -82,7 +82,7 @@ type Evaluator struct {
 	replayedRefs atomic.Uint64
 	profilesRun  atomic.Uint64
 
-	// Process-global expvar gauges of the boundary-store footprint across
+	// Process-global counters of the boundary-store footprint across
 	// every profile this process has recorded: packed (resident) bytes
 	// against the raw []trace.Ref bytes the packed encoding replaced.
 	boundaryRefs        *obs.Counter

@@ -91,6 +91,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"memsimd_requests_total",
 		"memsimd_replay_refs_total",
 		"hybridmem_fan_width",
+		"hybridmem_refs_processed",
+		"hybridmem_blocks_decoded",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -33,8 +33,9 @@
 //     while a background reopen with equal-jitter backoff restores
 //     durability, with every transition logged and gauged;
 //   - graceful shutdown that drains active evaluations;
-//   - /healthz and /readyz probes, expvar counters (request totals, cache
-//     hit ratio, replay milliseconds saved), and obs.Logger run events;
+//   - /healthz and /readyz probes, metrics on GET /metrics (request
+//     totals, cache hit ratio, replay milliseconds saved), and obs.Logger
+//     run events;
 //   - request-scoped observability: every evaluate request runs under its
 //     own trace (honoring a client X-Trace-Id), logs an http_request event
 //     with a per-stage wall-time breakdown, and feeds an outcome-labeled
@@ -58,7 +59,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"io"
 	"net/http"
 	"runtime"
@@ -271,10 +271,9 @@ func New(cfg Config) *Server {
 		}
 		return float64(h) / float64(h+m)
 	}
-	obs.PublishFunc("memsimd.cache_hit_ratio", func() any { return hitRatio() })
-	// The Prometheus registry keeps the first registration per name, so in a
-	// multi-Server process (tests) these gauges report the first Server.
-	// The counters they derive from are process-global anyway.
+	// The registry keeps the first registration per name, so in a
+	// multi-Server process (tests) this gauge reports the first Server.
+	// The counters it derives from are process-global anyway.
 	obs.RegisterGaugeFunc("memsimd.cache_hit_ratio",
 		"Result-cache hit ratio (hits / (hits + misses)) since process start.", hitRatio)
 	return s
@@ -316,8 +315,9 @@ func (s *Server) Drain(ctx context.Context) error {
 //	GET  /v1/workloads catalog workload names
 //	GET  /v1/designs   design families, table rows, technologies
 //	POST /v1/evaluate  evaluate one design point (EvalRequest/EvalResult)
-//	GET  /metrics      Prometheus text-format exposition (zero-dep)
-//	GET  /debug/vars   expvar counters, including the cache hit ratio
+//	GET  /metrics      Prometheus text-format exposition (zero-dep) of every
+//	                   counter, gauge and histogram, including the cache
+//	                   hit ratio
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -344,7 +344,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/designs", s.handleDesigns)
 	mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
 	mux.Handle("GET /metrics", obs.MetricsHandler())
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	return mux
 }
 

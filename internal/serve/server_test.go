@@ -443,7 +443,7 @@ func TestListEndpoints(t *testing.T) {
 	for path, want := range map[string]string{
 		"/v1/workloads": "Graph500",
 		"/v1/designs":   "EH4",
-		"/debug/vars":   "memsimd.cache_hit_ratio",
+		"/metrics":      "memsimd_cache_hit_ratio",
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -458,6 +458,15 @@ func TestListEndpoints(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("%s response does not mention %q", path, want)
 		}
+	}
+	// /metrics is the only metric surface; /debug/vars is not served.
+	resp, err := http.Get(ts.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/vars = %d, want 404", resp.StatusCode)
 	}
 }
 

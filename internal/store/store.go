@@ -81,7 +81,8 @@ type Store struct {
 }
 
 // Stats is a point-in-time summary of an open store, exported by memsimd's
-// store_open run-log event and /debug/vars.
+// store_open run-log event and its memsimd_store_stats gauges on /metrics
+// (one sample per JSON field name).
 type Stats struct {
 	// Streams and Docs count committed keys per keyspace.
 	Streams int `json:"streams"`
