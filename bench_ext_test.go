@@ -108,9 +108,9 @@ func BenchmarkExtRowBuffer(b *testing.B) {
 	})
 }
 
-// BenchmarkExtReuseProfiler measures the Fenwick-based reuse-distance
-// profiler (a single-granularity Sketcher) over a workload's full stream
-// and reports the 90% working set.
+// BenchmarkExtReuseProfiler measures the reuse-distance profiler (a
+// single-granularity Sketcher) over a workload's full stream and reports
+// the 90% working set.
 func BenchmarkExtReuseProfiler(b *testing.B) {
 	w, err := catalog.New("CG", workload.Options{Scale: 2048})
 	if err != nil {

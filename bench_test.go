@@ -24,6 +24,7 @@ import (
 	"hybridmem/internal/exp"
 	"hybridmem/internal/model"
 	"hybridmem/internal/report"
+	"hybridmem/internal/reuse"
 	"hybridmem/internal/tech"
 	"hybridmem/internal/trace"
 	"hybridmem/internal/workload"
@@ -448,6 +449,45 @@ func BenchmarkAnalyticPredict(b *testing.B) {
 		}
 	}
 	b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N*len(backends)), "ns/designpt")
+}
+
+// benchSketch keeps BenchmarkSketcher's result live.
+var benchSketch *reuse.Sketch
+
+// BenchmarkSketcher is the sketch rung of the layer ladder: a
+// default-granularity reuse.Sketcher over CG's boundary stream at capacity
+// scale 64 (workload scale 1024, the bench configuration), decoded into
+// memory up front so only the sketch pass is timed. ns/ref is per boundary
+// reference across all seven granularities.
+func BenchmarkSketcher(b *testing.B) {
+	w, err := catalog.New("CG", workload.Options{Scale: 1024})
+	if err != nil {
+		b.Fatal(err)
+	}
+	wp, err := exp.ProfileWorkloadOpts(context.Background(), w, exp.ProfileOptions{
+		Scale: 64, Dilution: exp.DefaultDilution, NoSketch: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var blocks [][]trace.Ref
+	wp.Boundary.Batches(nil, func(refs []trace.Ref) error {
+		blocks = append(blocks, append([]trace.Ref(nil), refs...))
+		return nil
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := reuse.NewSketcher()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, refs := range blocks {
+			s.AccessBatch(refs)
+		}
+		benchSketch = s.Sketch()
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N*wp.Boundary.Len()), "ns/ref")
 }
 
 // BenchmarkAblationPageGranularity shows the cost/benefit of page-organized

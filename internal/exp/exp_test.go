@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"sync"
@@ -9,6 +11,7 @@ import (
 
 	"hybridmem/internal/design"
 	"hybridmem/internal/ndm"
+	"hybridmem/internal/obs"
 	"hybridmem/internal/tech"
 	"hybridmem/internal/workload"
 	"hybridmem/internal/workload/catalog"
@@ -80,6 +83,43 @@ func TestProfileWorkloadBasics(t *testing.T) {
 		}
 		if wp.Footprint == 0 || len(wp.Regions) == 0 {
 			t.Fatalf("%s: missing metadata", wp.Name)
+		}
+	}
+}
+
+// TestProfileEventSketchTime checks that the workload_profile span reports
+// the sketch pass's share of its wall time, and zero when capture is off.
+func TestProfileEventSketchTime(t *testing.T) {
+	w, err := catalog.New("CG", workload.Options{Scale: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, noSketch := range []bool{false, true} {
+		var buf bytes.Buffer
+		if _, err := ProfileWorkloadOpts(context.Background(), w, ProfileOptions{
+			Scale: 64, Log: obs.NewLogger(&buf), NoSketch: noSketch,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var end map[string]any
+		for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+			var e map[string]any
+			if err := json.Unmarshal(line, &e); err != nil {
+				t.Fatal(err)
+			}
+			if e["event"] == "workload_profile_end" {
+				end = e
+			}
+		}
+		ms, ok := end["sketch_ms"].(float64)
+		wall, _ := end["wall_ms"].(float64)
+		switch {
+		case !ok:
+			t.Fatalf("NoSketch=%v: workload_profile_end has no sketch_ms: %v", noSketch, end)
+		case noSketch && ms > 1:
+			t.Errorf("NoSketch run reports sketch_ms = %g", ms)
+		case !noSketch && (ms <= 0 || ms > wall):
+			t.Errorf("sketch_ms = %g, want within (0, wall_ms = %g]", ms, wall)
 		}
 	}
 }

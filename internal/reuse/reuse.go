@@ -9,70 +9,23 @@
 // scaling footprints and capacities together preserves the distance
 // distribution relative to capacity.
 //
-// The implementation is the classic O(log n)-per-access algorithm: a
-// Fenwick tree over access timestamps holds one bit per currently-resident
-// line at its most recent access time; the distance of a reuse is the
-// number of set bits after the line's previous timestamp. Sketcher runs it
-// at one or more line granularities in a single pass; a single-granularity
-// Sketcher is the plain reuse profiler.
+// The implementation is the classic O(log n)-per-access algorithm over
+// access timestamps, kept small and dense: pages get dense ids on first
+// touch, a bit-packed array holds one bit per page at its most recent
+// access time, and a Fenwick tree over the 64-bit words' popcounts gives
+// the number of set bits after a page's previous timestamp — its reuse
+// distance. Short distances are counted by popcount alone. When the clock
+// reaches capacity the live timestamps are renumbered 0..P-1 in recency
+// order, so the structure is sized by the P distinct pages, not by the
+// number of accesses. Sketcher runs it at one or more line granularities
+// in a single pass; a single-granularity Sketcher is the plain reuse
+// profiler.
 package reuse
 
 import (
 	"math"
 	"math/bits"
 )
-
-// fenwick is a binary indexed tree over access timestamps.
-type fenwick struct {
-	tree []int64
-}
-
-// fenwickMinSpan is the smallest tree span allocated on first growth.
-const fenwickMinSpan = 1024
-
-// grow ensures position n is addressable, doubling capacity so the span
-// stays a power of two. That invariant matters for correctness, not just
-// speed: update chains (j += j&(-j)) climb to the root, and with a
-// power-of-two span the root is always in range, so no chain is ever
-// truncated. On growth only the new roots' ranges cross old content, and
-// each covers the entire populated prefix, so it inherits the old root.
-func (f *fenwick) grow(n int) {
-	if len(f.tree) >= n+1 {
-		return
-	}
-	span := fenwickMinSpan
-	for span < n {
-		span <<= 1
-	}
-	t := make([]int64, span+1)
-	copy(t, f.tree)
-	if old := len(f.tree) - 1; old > 0 {
-		for s := old << 1; s <= span; s <<= 1 {
-			t[s] = t[s>>1]
-		}
-	}
-	f.tree = t
-}
-
-// add adds delta at position i (1-based internally).
-func (f *fenwick) add(i int, delta int64) {
-	f.grow(i + 1)
-	for j := i + 1; j < len(f.tree); j += j & (-j) {
-		f.tree[j] += delta
-	}
-}
-
-// sum returns the prefix sum over positions [0, i].
-func (f *fenwick) sum(i int) int64 {
-	if i+1 >= len(f.tree) {
-		i = len(f.tree) - 2
-	}
-	var s int64
-	for j := i + 1; j > 0; j -= j & (-j) {
-		s += f.tree[j]
-	}
-	return s
-}
 
 // bucket maps a finite reuse distance to its histogram bucket index:
 // bucket 0 covers distances 0 and 1, bucket k covers [2^k, 2^(k+1)).

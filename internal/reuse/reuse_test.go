@@ -99,7 +99,7 @@ func TestSpanningRefTouchesBothLines(t *testing.T) {
 }
 
 // naiveDistance computes reuse distances with an explicit LRU stack — the
-// oracle for the Fenwick implementation.
+// oracle for the timestamp-tree implementation.
 type naiveDistance struct {
 	stack []uint64 // MRU first
 	hist  map[uint64]uint64
@@ -122,7 +122,7 @@ func (n *naiveDistance) touch(line uint64) {
 	n.stack = append([]uint64{line}, n.stack...)
 }
 
-// TestAgainstNaiveStack is a property test: the Fenwick profiler's exact
+// TestAgainstNaiveStack is a property test: the sketcher's exact
 // per-distance counts match an explicit LRU stack on random streams.
 func TestAgainstNaiveStack(t *testing.T) {
 	f := func(seed uint64, nOps uint16) bool {
@@ -168,43 +168,49 @@ func leadingZeros(x uint64) int {
 	return n
 }
 
-// TestGrowthBoundaryDistances crosses the Fenwick tree's growth boundaries
-// with exactly-known distances: cycling over n lines yields distance n-1 on
-// every reuse. A grow that loses internal-node contributions (the failure
-// mode of zero-extending a truncated update chain) undercounts these.
-func TestGrowthBoundaryDistances(t *testing.T) {
-	const n = 2000 // > fenwickMinSpan timestamps in the first pass alone
+// finestCompactions returns how many renumbering passes the finest
+// granularity of s has run.
+func finestCompactions(s *Sketcher) int { return s.grans[0].compactions }
+
+// TestCompactionBoundaryDistances crosses timestamp compactions with
+// exactly-known distances: cycling over n lines yields distance n-1 on every
+// reuse. A compaction that loses or reorders a live timestamp miscounts
+// these.
+func TestCompactionBoundaryDistances(t *testing.T) {
+	const n, reps = 2000, 5
 	p := newLineSketcher(t)
-	for rep := 0; rep < 2; rep++ {
+	for rep := 0; rep < reps; rep++ {
 		for l := uint64(0); l < n; l++ {
 			touchLines(p, l)
 		}
+	}
+	if c := finestCompactions(p); c < 3 {
+		t.Fatalf("stream crossed %d compactions, want at least 3", c)
 	}
 	h := hist(p)
 	if h.Cold != n {
 		t.Fatalf("cold = %d, want %d", h.Cold, n)
 	}
-	k := 0
-	for (uint64(1) << (k + 1)) <= n-1 {
-		k++
-	}
-	if h.Buckets[k] != n {
-		t.Fatalf("bucket[%d] = %d, want %d (hist %v)", k, h.Buckets[k], n, h.Buckets[:16])
+	if k := bucket(n - 1); h.Buckets[k] != (reps-1)*n {
+		t.Fatalf("bucket[%d] = %d, want %d (hist %v)", k, h.Buckets[k], (reps-1)*n, h.Buckets[:16])
 	}
 }
 
-// TestGrowthBoundaryAgainstNaiveStack is the oracle property test across
-// growth boundaries: long random streams (far beyond fenwickMinSpan
-// timestamps) must still match the explicit LRU stack exactly.
-func TestGrowthBoundaryAgainstNaiveStack(t *testing.T) {
+// TestCompactionBoundaryAgainstNaiveStack is the oracle property test
+// across compactions: a long random stream must match the explicit LRU
+// stack exactly.
+func TestCompactionBoundaryAgainstNaiveStack(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1234, 5678))
 	p := newLineSketcher(t)
 	var oracle naiveDistance
 	perBucket := map[int]uint64{}
-	for i := 0; i < 5000; i++ {
+	for i := 0; i < 20000; i++ {
 		line := rng.Uint64N(1500)
 		touchLines(p, line)
 		oracle.touch(line)
+	}
+	if c := finestCompactions(p); c < 3 {
+		t.Fatalf("stream crossed %d compactions, want at least 3", c)
 	}
 	for d, c := range oracle.hist {
 		perBucket[bucket(d)] += c
@@ -217,6 +223,36 @@ func TestGrowthBoundaryAgainstNaiveStack(t *testing.T) {
 		if h.Buckets[k] != want {
 			t.Fatalf("bucket[%d] = %d, want %d", k, h.Buckets[k], want)
 		}
+	}
+}
+
+// TestDistancePathsAgree checks the popcount scan against the tree walk for
+// every touched page at many points of a random stream, whatever the gap
+// between a page's timestamp and the clock.
+func TestDistancePathsAgree(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 22))
+	p := newLineSketcher(t)
+	g := &p.grans[0]
+	for i := 0; i < 30000; i++ {
+		line := rng.Uint64N(3000)
+		if rng.Uint64N(4) == 0 {
+			line = rng.Uint64N(16) // a hot set keeps some gaps short
+		}
+		touchLines(p, line)
+		if i%997 != 0 {
+			continue
+		}
+		for id, st := range g.pages {
+			if st.lastT < 0 {
+				continue
+			}
+			if a, b := g.distanceScan(int(st.lastT)), g.distanceTree(int(st.lastT)); a != b {
+				t.Fatalf("after %d refs, page %d: scan %d, tree %d", i+1, id, a, b)
+			}
+		}
+	}
+	if c := finestCompactions(p); c < 3 {
+		t.Fatalf("stream crossed %d compactions, want at least 3", c)
 	}
 }
 
@@ -245,7 +281,7 @@ func TestAccessBatchMatchesAccess(t *testing.T) {
 // TestAccessBatchZeroAlloc pins the sketch hot loop — every design
 // granularity, loads and stores, batch and per-ref entry points — at zero
 // allocations once the footprint is established (page and stored-line map
-// keys present, Fenwick trees pre-grown).
+// keys present, timestamp capacity sized by a few warm-up passes).
 func TestAccessBatchZeroAlloc(t *testing.T) {
 	s, err := NewSketcher()
 	if err != nil {
@@ -255,29 +291,14 @@ func TestAccessBatchZeroAlloc(t *testing.T) {
 	for i := range refs {
 		refs[i] = trace.Ref{Addr: uint64(i) * 64, Size: 8, Kind: trace.Kind(i % 3 / 2)}
 	}
-	s.AccessBatch(refs) // establish the footprint
-	for gi := range s.grans {
-		s.grans[gi].bit.grow(1 << 20) // past every timestamp the loop will mint
+	for i := 0; i < 4; i++ {
+		s.AccessBatch(refs) // establish the footprint
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		s.AccessBatch(refs)
 		s.Access(refs[len(refs)-1])
 	}); n != 0 {
 		t.Fatalf("Sketcher allocated %v times per run on a warm footprint", n)
-	}
-}
-
-// BenchmarkFenwickGrow is the regression benchmark for geometric growth:
-// one pass of widely-spaced adds forces the tree through every doubling up
-// to ~2M entries.
-func BenchmarkFenwickGrow(b *testing.B) {
-	const n = 1 << 21
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var f fenwick
-		for pos := 0; pos < n; pos += n / 256 {
-			f.add(pos, 1)
-		}
 	}
 }
 

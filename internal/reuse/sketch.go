@@ -3,6 +3,7 @@ package reuse
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"hybridmem/internal/trace"
 )
@@ -115,32 +116,68 @@ func (s *Sketch) Footprint(gran uint64) uint64 {
 }
 
 // Sketcher is a trace.Sink and BatchSink that captures a Sketch in one pass
-// over a reference stream. It runs the classic Fenwick-tree reuse-distance
-// algorithm at every granularity simultaneously and additionally tracks,
-// per page, the maximum gap since the page's last store (the dirty-episode
-// histogram) and the exact byte-union of stores (DistinctStoreBytes).
+// over a reference stream. It runs the reuse-distance algorithm of the
+// package comment at every granularity simultaneously and additionally
+// tracks, per page, the maximum gap since the page's last store (the
+// dirty-episode histogram) and the exact byte-union of stores
+// (DistinctStoreBytes).
+//
+// A reference inside one page of the finest granularity (every boundary
+// reference) costs one map lookup: each finest page caches its page ids at
+// the coarser granularities on first touch.
 type Sketcher struct {
-	grans                 []granSketcher
+	grans []granSketcher // ascending by granularity; grans[0] is the finest
+	// up[f*(len(grans)-1)+gi-1] is the id, at grans[gi], of the page
+	// containing finest page f.
+	up []int32
+
 	loads, stores         uint64
 	loadBytes, storeBytes uint64
 	storeSectors          uint64
 	lineMask              map[uint64]uint64 // 64 B line -> stored-byte bitmask
 }
 
-// pageState is one page's residency bookkeeping inside a granSketcher.
+// pageState is one page's bookkeeping inside a granSketcher.
 type pageState struct {
-	lastT  int    // timestamp of the latest access
-	curMax uint64 // max reuse distance since the page's last store
+	lastT  int32  // timestamp of the latest access; -1 before the first touch
+	curMax uint32 // max reuse distance since the page's last store
 	stored bool   // page has been stored at least once
 }
 
-// granSketcher profiles one granularity.
+// minStamps is the smallest timestamp capacity of a granSketcher.
+const minStamps = 1024
+
+// shortWords is the widest gap, in 64-timestamp words between a page's
+// timestamp and the clock, whose distance is counted by popcount instead
+// of a tree walk.
+const shortWords = 8
+
+// granSketcher profiles one granularity. Pages get dense ids on first
+// touch. Each touched page holds one timestamp, and bit ts of stamps is set
+// iff timestamp ts is some page's latest, so a page's reuse distance is the
+// number of set bits above its timestamp. tree is a Fenwick tree over the
+// popcounts of stamps[:sealed]; the word holding the newest timestamp is
+// added only once the clock moves past it, so stamping rarely walks the
+// tree. When the clock reaches the capacity, compact renumbers the live
+// timestamps 0..P-1 and the capacity follows the page count, not the
+// access count.
 type granSketcher struct {
 	shift uint
-	bit   fenwick
-	pages map[uint64]pageState
-	t     int
+	ids   map[uint64]int32 // page number -> dense page id
+	pages []pageState      // by dense page id
+	mru   int32            // page holding the newest timestamp; -1 if none
 
+	stamps []uint64 // one bit per timestamp
+	tree   []int32  // Fenwick tree over word popcounts, 1-based
+	owner  []int32  // owner[ts] is the page stamped ts
+	sealed int      // words below sealed are summed in tree
+	clock  int      // next timestamp
+	live   int      // set bits in stamps: pages touched so far
+	// compactions counts renumbering passes (the first, allocating call
+	// excluded), so tests can check that a stream crossed them.
+	compactions int
+
+	total     uint64
 	hist      [48]uint64
 	cold      uint64
 	dirtyHist [48]uint64
@@ -149,19 +186,26 @@ type granSketcher struct {
 }
 
 // NewSketcher returns a sketcher over the given page granularities (powers
-// of two); with none given it captures DesignGranularities.
+// of two, in any order, each at most once); with none given it captures
+// DesignGranularities. Its sketches list the granularities ascending.
 func NewSketcher(grans ...uint64) (*Sketcher, error) {
 	if len(grans) == 0 {
 		grans = DesignGranularities
 	}
+	grans = slices.Clone(grans)
+	slices.Sort(grans)
 	s := &Sketcher{lineMask: make(map[uint64]uint64)}
-	for _, g := range grans {
+	for i, g := range grans {
 		if g == 0 || g&(g-1) != 0 {
 			return nil, fmt.Errorf("reuse: granularity %d not a power of two", g)
 		}
+		if i > 0 && g == grans[i-1] {
+			return nil, fmt.Errorf("reuse: granularity %d given twice", g)
+		}
 		s.grans = append(s.grans, granSketcher{
 			shift: uint(bits.TrailingZeros64(g)),
-			pages: make(map[uint64]pageState),
+			ids:   make(map[uint64]int32),
+			mru:   -1,
 		})
 	}
 	return s, nil
@@ -174,6 +218,8 @@ func (s *Sketcher) Access(r trace.Ref) { s.AccessBatch([]trace.Ref{r}) }
 // pages charge each covered page (boundary streams never span, but the
 // sketcher does not rely on it).
 func (s *Sketcher) AccessBatch(refs []trace.Ref) {
+	fine := &s.grans[0]
+	coarse := s.grans[1:]
 	for i := range refs {
 		r := &refs[i]
 		size := uint64(r.Size)
@@ -189,15 +235,64 @@ func (s *Sketcher) AccessBatch(refs []trace.Ref) {
 			s.loads++
 			s.loadBytes += size
 		}
-		for gi := range s.grans {
-			g := &s.grans[gi]
-			first := r.Addr >> g.shift
-			last := (r.Addr + size - 1) >> g.shift
-			for page := first; page <= last; page++ {
-				g.touch(page, store)
+		first := r.Addr >> fine.shift
+		if last := (r.Addr + size - 1) >> fine.shift; last != first {
+			s.touchSpan(r.Addr, size, store)
+			continue
+		}
+		f := s.fineID(first)
+		fine.touch(f, store)
+		for gi, id := range s.up[int(f)*len(coarse):][:len(coarse)] {
+			coarse[gi].touch(id, store)
+		}
+	}
+}
+
+// touchSpan charges a reference covering more than one finest page to
+// every covered page at every granularity.
+func (s *Sketcher) touchSpan(addr, size uint64, store bool) {
+	for gi := range s.grans {
+		g := &s.grans[gi]
+		last := (addr + size - 1) >> g.shift
+		for page := addr >> g.shift; page <= last; page++ {
+			if gi == 0 {
+				g.touch(s.fineID(page), store)
+			} else {
+				g.touch(g.id(page), store)
 			}
 		}
 	}
+}
+
+// fineID returns the id of finest page number page, assigning one on
+// first sight.
+func (s *Sketcher) fineID(page uint64) int32 {
+	if id, ok := s.grans[0].ids[page]; ok {
+		return id
+	}
+	return s.newFine(page)
+}
+
+// newFine gives finest page number page its id and caches the ids of the
+// pages containing it at every coarser granularity.
+func (s *Sketcher) newFine(page uint64) int32 {
+	fine := &s.grans[0]
+	for gi := 1; gi < len(s.grans); gi++ {
+		g := &s.grans[gi]
+		s.up = append(s.up, g.id(page>>(g.shift-fine.shift)))
+	}
+	return fine.id(page)
+}
+
+// id returns page's dense id, assigning the next one on first sight.
+func (g *granSketcher) id(page uint64) int32 {
+	id, ok := g.ids[page]
+	if !ok {
+		id = int32(len(g.pages))
+		g.ids[page] = id
+		g.pages = append(g.pages, pageState{lastT: -1})
+	}
+	return id
 }
 
 // recordStoredBytes ORs the store's byte interval into the per-64B-line
@@ -221,36 +316,144 @@ func (s *Sketcher) recordStoredBytes(addr, size uint64) {
 	}
 }
 
-// touch records one page access at this granularity.
-func (g *granSketcher) touch(page uint64, store bool) {
-	st, ok := g.pages[page]
-	if ok {
-		d := g.bit.sum(g.t) - g.bit.sum(st.lastT)
-		if d < 0 {
-			d = 0
-		}
-		g.hist[bucket(uint64(d))]++
-		g.bit.add(st.lastT, -1)
-		if uint64(d) > st.curMax {
-			st.curMax = uint64(d)
-		}
-	} else {
+// touch records one access to page p at this granularity.
+func (g *granSketcher) touch(p int32, store bool) {
+	g.total++
+	st := &g.pages[p]
+	switch {
+	case p == g.mru:
+		g.hist[0]++ // distance 0; the recency order is unchanged
+	case st.lastT < 0:
 		g.cold++
+		g.live++
+		g.stamp(p)
+	default:
+		d := g.distance(int(st.lastT))
+		g.hist[bucket(uint64(d))]++
+		if uint32(d) > st.curMax {
+			st.curMax = uint32(d)
+		}
+		g.unstamp(int(st.lastT))
+		g.stamp(p)
 	}
-	g.bit.add(g.t, 1)
-	st.lastT = g.t
-	g.t++
 	if store {
 		g.dirtyTot++
 		if st.stored {
-			g.dirtyHist[bucket(st.curMax)]++
+			g.dirtyHist[bucket(uint64(st.curMax))]++
 		} else {
 			g.dirtyCold++
 			st.stored = true
 		}
 		st.curMax = 0
 	}
-	g.pages[page] = st
+}
+
+// distance returns the number of set timestamps above t: by popcount when
+// t is within shortWords words of the clock, else through the tree.
+func (g *granSketcher) distance(t int) int {
+	if g.sealed-t>>6 <= shortWords {
+		return g.distanceScan(t)
+	}
+	return g.distanceTree(t)
+}
+
+// distanceScan counts the set timestamps above t word by word.
+func (g *granSketcher) distanceScan(t int) int {
+	w := t >> 6
+	d := bits.OnesCount64(g.stamps[w] &^ (uint64(2)<<(t&63) - 1))
+	for _, x := range g.stamps[w+1 : g.sealed+1] {
+		d += bits.OnesCount64(x)
+	}
+	return d
+}
+
+// distanceTree is the live page count less the set timestamps at or below
+// t: the tree's sum over the words below t's plus a popcount within it.
+func (g *granSketcher) distanceTree(t int) int {
+	w := t >> 6
+	d := g.live - bits.OnesCount64(g.stamps[w]&(uint64(2)<<(t&63)-1))
+	for j := w; j > 0; j &= j - 1 {
+		d -= int(g.tree[j])
+	}
+	return d
+}
+
+// unstamp clears timestamp t.
+func (g *granSketcher) unstamp(t int) {
+	w := t >> 6
+	g.stamps[w] &^= 1 << (t & 63)
+	if w < g.sealed {
+		g.treeAdd(w, -1)
+	}
+}
+
+// stamp gives page p the next timestamp, compacting first if the clock is
+// at capacity.
+func (g *granSketcher) stamp(p int32) {
+	if g.clock == len(g.owner) {
+		g.compact()
+	}
+	t := g.clock
+	for w := t >> 6; g.sealed < w; g.sealed++ {
+		g.treeAdd(g.sealed, int32(bits.OnesCount64(g.stamps[g.sealed])))
+	}
+	g.stamps[t>>6] |= 1 << (t & 63)
+	g.owner[t] = p
+	g.pages[p].lastT = int32(t)
+	g.clock++
+	g.mru = p
+}
+
+// treeAdd adds delta to word w's count.
+func (g *granSketcher) treeAdd(w int, delta int32) {
+	for j := w + 1; j < len(g.tree); j += j & -j {
+		g.tree[j] += delta
+	}
+}
+
+// compact renumbers the set timestamps 0..k-1 in recency order, growing
+// the capacity to at least twice k so the next compaction is at least k
+// stamps away, and rebuilds the tree in one linear pass.
+func (g *granSketcher) compact() {
+	if len(g.owner) > 0 {
+		g.compactions++
+	}
+	k := 0
+	for w, x := range g.stamps {
+		for ; x != 0; x &= x - 1 {
+			p := g.owner[w<<6|bits.TrailingZeros64(x)]
+			g.owner[k] = p // k never passes the timestamp being read
+			g.pages[p].lastT = int32(k)
+			k++
+		}
+	}
+	if want := max(2*k, minStamps); len(g.owner) < want {
+		want = (want + 63) &^ 63
+		g.owner = append(make([]int32, 0, want), g.owner[:k]...)[:want]
+		g.stamps = make([]uint64, want>>6)
+		g.tree = make([]int32, want>>6+1)
+	}
+	clear(g.stamps)
+	for w := 0; w < k>>6; w++ {
+		g.stamps[w] = ^uint64(0)
+	}
+	if k&63 != 0 {
+		g.stamps[k>>6] = 1<<(k&63) - 1
+	}
+	g.sealed = 0
+	if k > 0 {
+		g.sealed = (k - 1) >> 6
+	}
+	clear(g.tree)
+	for w := 0; w < g.sealed; w++ {
+		g.tree[w+1] = int32(bits.OnesCount64(g.stamps[w]))
+	}
+	for j := 1; j < len(g.tree); j++ {
+		if up := j + j&-j; up < len(g.tree) {
+			g.tree[up] += g.tree[j]
+		}
+	}
+	g.clock = k
 }
 
 // Sketch snapshots the sketcher's state.
@@ -274,8 +477,8 @@ func (s *Sketcher) Sketch() *Sketch {
 			Access: Histogram{
 				Buckets: append([]uint64(nil), g.hist[:]...),
 				Cold:    g.cold,
-				Lines:   uint64(len(g.pages)),
-				Total:   uint64(g.t),
+				Lines:   uint64(g.live),
+				Total:   g.total,
 			},
 			Dirty: Histogram{
 				Buckets: append([]uint64(nil), g.dirtyHist[:]...),

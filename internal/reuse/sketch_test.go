@@ -106,6 +106,76 @@ func TestSketchAgainstLRUOracle(t *testing.T) {
 	}
 }
 
+// TestSketchAgainstLRUOracleUnaligned is the oracle test on the streams
+// the fast path does not see in boundary traffic: unaligned and size-0
+// references, references spanning pages at every granularity, an unsorted
+// granularity list, and a stream long enough (over a footprint wide enough)
+// to cross many timestamp compactions and take both distance paths.
+func TestSketchAgainstLRUOracleUnaligned(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 19))
+	const footprint = 2500 * 64
+	refs := make([]trace.Ref, 40000)
+	for i := range refs {
+		addr := rng.Uint64N(footprint)
+		switch rng.Uint64N(12) {
+		case 0, 1, 2, 3:
+			addr = rng.Uint64N(1024) // a hot kilobyte keeps short distances common
+		case 4:
+			if i > 0 {
+				addr = refs[i-1].Addr // re-touches the previous reference's first page
+			}
+		case 5:
+			if i > 0 {
+				addr = refs[i-1].Addr + uint64(refs[i-1].Size) // ... or its last
+			}
+		}
+		size := uint32(rng.Uint64N(200)) // 0 (one byte) through spans of 4 lines
+		if rng.Uint64N(50) == 0 {
+			size = 2100 // spans pages even at 1 KiB
+		}
+		refs[i] = trace.Ref{Addr: addr, Size: size, Kind: trace.Kind(rng.Uint64N(3) / 2)}
+	}
+	sk, err := NewSketcher(1024, 64, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk.AccessBatch(refs)
+	if c := sk.grans[0].compactions; c < 10 {
+		t.Fatalf("stream crossed %d compactions at 64 B, want at least 10", c)
+	}
+	s := sk.Sketch()
+	if g := s.Grans; len(g) != 3 || g[0].Gran != 64 || g[1].Gran != 128 || g[2].Gran != 1024 {
+		t.Fatalf("granularities not ascending: %+v", g)
+	}
+	if long := s.Grans[0].Access.Buckets[bucket(1024)]; long == 0 {
+		t.Fatal("no reuse distance of 1024 or more: the tree path went unexercised")
+	}
+	for _, gs := range s.Grans {
+		gran := gs.Gran
+		for _, capPages := range []int{16, 128, 1024} {
+			oracle := newLRUCache(capPages)
+			for _, r := range refs {
+				size := uint64(r.Size)
+				if size == 0 {
+					size = 1
+				}
+				for p := r.Addr / gran; p <= (r.Addr+size-1)/gran; p++ {
+					oracle.access(p, r.Kind == trace.Store)
+				}
+			}
+			oracle.flush()
+			if got := gs.Misses(uint64(capPages)); math.Abs(got-float64(oracle.misses)) > 1e-6 {
+				t.Errorf("gran %d cap %d: predicted %.2f misses, oracle %d",
+					gran, capPages, got, oracle.misses)
+			}
+			if got := gs.DirtyEpisodes(uint64(capPages)); math.Abs(got-float64(oracle.wbacks)) > 1e-6 {
+				t.Errorf("gran %d cap %d: predicted %.2f write-backs, oracle %d",
+					gran, capPages, got, oracle.wbacks)
+			}
+		}
+	}
+}
+
 // TestSketchScalars pins the exact traffic scalars and the byte-union
 // DistinctStoreBytes against straightforward bookkeeping.
 func TestSketchScalars(t *testing.T) {
@@ -151,6 +221,16 @@ func TestSketcherValidation(t *testing.T) {
 	}
 	if _, err := NewSketcher(0); err == nil {
 		t.Error("zero granularity should fail")
+	}
+	if _, err := NewSketcher(64, 64); err == nil {
+		t.Error("a duplicate granularity should fail")
+	}
+	desc, err := NewSketcher(4096, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := desc.Sketch().Grans; len(g) != 2 || g[0].Gran != 64 || g[1].Gran != 4096 {
+		t.Errorf("NewSketcher(4096, 64) captured %+v, want 64 then 4096", g)
 	}
 	sk, err := NewSketcher()
 	if err != nil {
