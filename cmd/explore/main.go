@@ -28,19 +28,19 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"hybridmem/internal/analytic"
+	"hybridmem/internal/cli"
 	"hybridmem/internal/design"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/model"
@@ -93,12 +93,8 @@ func (c *candidate) backend(scale, footprint uint64) design.Backend {
 }
 
 func main() {
+	cmd := cli.New("explore", cli.Scale|cli.WorkloadScale|cli.Iters|cli.Workloads|cli.Catalog|cli.Workers)
 	var (
-		scale     = flag.Uint64("scale", design.DefaultScale, "capacity co-scaling divisor")
-		wscale    = flag.Uint64("wscale", 0, "workload footprint divisor (0 = -scale)")
-		iters     = flag.Int("iters", 0, "workload iteration override (0 = defaults)")
-		workloads = flag.String("workloads", "", "comma-separated workload subset")
-		catalogF  = flag.String("catalog", "", "technology catalog file (hybridmem-catalog/1 JSON; empty = builtin Table 1; see FORMATS.md)")
 		exts      = flag.Bool("extensions", false, "widen the cache/memory technology axes to every catalog entry of the class")
 		llcF      = flag.String("llc", "", "comma-separated cache-technology subset (default: DRAM + catalog LLC axis)")
 		nvmF      = flag.String("nvm", "", "comma-separated terminal-technology subset (default: DRAM + catalog NVM axis)")
@@ -107,52 +103,45 @@ func main() {
 		assocsF   = flag.String("assocs", "16", "cache associativities to enumerate (promotion-only axis)")
 		nocache   = flag.Bool("nocache", true, "include cache-less candidates (raw DRAM/NVM terminals)")
 		endurance = flag.Float64("endurance", 0, "per-cell write endurance override for lifetime (0 = per-technology default)")
-		workers   = flag.Int("workers", 0, "replay worker bound for promotion (0 = GOMAXPROCS)")
 		jsonOut   = flag.Bool("json", false, "emit the report as JSON instead of a table")
 	)
-	flag.Parse()
+	cmd.Parse()
 
-	caps, err := parseUints(*capsF)
-	exitOn(err)
-	pages, err := parseUints(*pagesF)
-	exitOn(err)
+	caps, err := cli.ParseList("caps", *capsF, parseUint)
+	cmd.Exit(err)
+	pages, err := cli.ParseList("pages", *pagesF, parseUint)
+	cmd.Exit(err)
 	for _, p := range pages {
-		if !isSketchGran(p) {
-			exitOn(fmt.Errorf("page size %d is not a sketch granularity %v", p, reuse.DesignGranularities))
+		if !slices.Contains(reuse.DesignGranularities, p) {
+			cmd.Exit(fmt.Errorf("page size %d is not a sketch granularity %v", p, reuse.DesignGranularities))
 		}
 	}
-	assocs, err := parseUints(*assocsF)
-	exitOn(err)
+	assocs, err := cli.ParseList("assocs", *assocsF, parseUint)
+	cmd.Exit(err)
 
-	cat, err := tech.LoadCatalogOrBuiltin(*catalogF)
-	exitOn(err)
-	cfg := exp.Config{Scale: *scale, WorkloadScale: *wscale, Iters: *iters, Workers: *workers, Catalog: cat}
-	if *workloads != "" {
-		cfg.Workloads = strings.Split(*workloads, ",")
+	// Axes: paper defaults from the catalog; -extensions widens each class.
+	nvms, llcs := cmd.Cat.NVMs(), cmd.Cat.LLCs()
+	if *exts {
+		nvms, llcs = cmd.Cat.Class(tech.ClassNVM), cmd.Cat.Class(tech.ClassLLC)
 	}
+	dram := cmd.Reg.DRAM()
+	cacheTechs, err := filterTechs("llc", append([]tech.Tech{dram}, llcs...), *llcF)
+	cmd.Exit(err)
+	memTechs, err := filterTechs("nvm", append([]tech.Tech{dram}, nvms...), *nvmF)
+	cmd.Exit(err)
+
+	cands, skipped := enumerate(cacheTechs, memTechs, caps, pages, assocs, cmd.Scale, *nocache)
+	if len(cands) == 0 {
+		cmd.Exit(errors.New("empty design space after constraints"))
+	}
+
 	fmt.Fprintln(os.Stderr, "explore: profiling workloads...")
-	s, err := exp.NewSuite(cfg)
-	exitOn(err)
+	s, err := exp.NewSuite(cmd.ExpConfig())
+	cmd.Exit(err)
 	preds := make([]*analytic.Predictor, len(s.Profiles))
 	for i, wp := range s.Profiles {
 		preds[i], err = wp.PredictorWith(*endurance)
-		exitOn(err)
-	}
-
-	// Axes: paper defaults from the catalog; -extensions widens each class.
-	nvms, llcs := cat.NVMs(), cat.LLCs()
-	if *exts {
-		nvms, llcs = cat.Class(tech.ClassNVM), cat.Class(tech.ClassLLC)
-	}
-	reg := s.Registry()
-	cacheTechs, err := filterTechs(append([]tech.Tech{reg.DRAM()}, llcs...), *llcF)
-	exitOn(err)
-	memTechs, err := filterTechs(append([]tech.Tech{reg.DRAM()}, nvms...), *nvmF)
-	exitOn(err)
-
-	cands, skipped := enumerate(cacheTechs, memTechs, caps, pages, assocs, *scale, *nocache)
-	if len(cands) == 0 {
-		exitOn(errors.New("empty design space after constraints"))
+		cmd.Exit(err)
 	}
 
 	// Screen: every candidate × workload through the analytic predictor.
@@ -160,9 +149,9 @@ func main() {
 	for _, c := range cands {
 		c.lifetime = math.Inf(1)
 		for i, wp := range s.Profiles {
-			p, err := preds[i].Predict(c.backend(*scale, wp.Footprint))
+			p, err := preds[i].Predict(c.backend(cmd.Scale, wp.Footprint))
 			if err != nil {
-				exitOn(fmt.Errorf("screening %s/%s: %w", c.name, wp.Name, err))
+				cmd.Exit(fmt.Errorf("screening %s/%s: %w", c.name, wp.Name, err))
 			}
 			c.pred = append(c.pred, p.Eval)
 			if p.LifetimeYears < c.lifetime {
@@ -184,12 +173,12 @@ func main() {
 	var jobs []exp.Job
 	for _, c := range frontier {
 		for _, wp := range s.Profiles {
-			jobs = append(jobs, exp.Job{WP: wp, B: c.backend(*scale, wp.Footprint)})
+			jobs = append(jobs, exp.Job{WP: wp, B: c.backend(cmd.Scale, wp.Footprint)})
 		}
 	}
 	replayStart := time.Now()
-	evals, err := exp.RunJobs(context.Background(), jobs, *workers)
-	exitOn(err)
+	evals, err := exp.RunJobs(cmd.Ctx, jobs, cmd.Workers)
+	cmd.Exit(err)
 	replayWall := time.Since(replayStart)
 	fmt.Fprintf(os.Stderr, "explore: promoted %d frontier points × %d workloads replayed in %v (%.1f ms/point)\n",
 		len(frontier), len(s.Profiles), replayWall.Round(time.Millisecond),
@@ -207,10 +196,10 @@ func main() {
 	sort.Slice(frontier, func(i, j int) bool { return frontier[i].measAvg.NormEDP < frontier[j].measAvg.NormEDP })
 
 	if *jsonOut {
-		exitOn(writeJSON(os.Stdout, cands, frontier, skipped, screenWall, replayWall, points, len(jobs), meanErrAMAT))
+		cmd.Exit(writeJSON(os.Stdout, cands, frontier, skipped, screenWall, replayWall, points, len(jobs), meanErrAMAT))
 		return
 	}
-	writeTable(os.Stdout, frontier)
+	cmd.Exit(writeTable(os.Stdout, frontier))
 	for _, c := range frontier {
 		fmt.Printf("frontier %s relerr_amat=%.4f relerr_edp=%.4f lifetime_years=%s\n",
 			c.name, c.errAMAT, c.errEDP, lifetimeString(c.lifetime))
@@ -282,7 +271,7 @@ func paretoFrontier(cands []*candidate) []*candidate {
 	return out
 }
 
-func writeTable(w *os.File, frontier []*candidate) {
+func writeTable(w *os.File, frontier []*candidate) error {
 	t := &report.Table{
 		Title: "Pareto frontier (analytic screen → exact replay)",
 		Headers: []string{"design", "cache_mb", "page", "pred_edp", "meas_edp",
@@ -296,9 +285,8 @@ func writeTable(w *os.File, frontier []*candidate) {
 			fmt.Sprintf("%.4f", c.errAMAT), fmt.Sprintf("%.4f", c.errEDP),
 			lifetimeString(c.lifetime))
 	}
-	if _, err := t.WriteTo(w); err != nil {
-		exitOn(err)
-	}
+	_, err := t.WriteTo(w)
+	return err
 }
 
 // jsonPoint is one frontier point in the -json report. LifetimeYears is
@@ -378,51 +366,29 @@ func relErr(pred, exact float64) float64 {
 	return math.Abs(pred-exact) / math.Abs(exact)
 }
 
-func isSketchGran(p uint64) bool {
-	for _, g := range reuse.DesignGranularities {
-		if g == p {
-			return true
-		}
+// parseUint parses one positive list element.
+func parseUint(s string) (uint64, error) {
+	v, err := strconv.ParseUint(s, 10, 64)
+	if err == nil && v == 0 {
+		err = errors.New("must be positive")
 	}
-	return false
-}
-
-func parseUints(csv string) ([]uint64, error) {
-	var out []uint64
-	for _, f := range strings.Split(csv, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseUint(f, 10, 64)
-		if err != nil || v == 0 {
-			return nil, fmt.Errorf("bad list element %q", f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	return v, err
 }
 
 // filterTechs restricts an axis to a comma-separated name subset (empty
 // keeps the whole axis), erroring on names the axis does not contain.
-func filterTechs(axis []tech.Tech, csv string) ([]tech.Tech, error) {
+func filterTechs(name string, axis []tech.Tech, csv string) ([]tech.Tech, error) {
 	if csv == "" {
 		return axis, nil
 	}
-	byName := map[string]tech.Tech{}
-	for _, t := range axis {
-		byName[t.Name] = t
-	}
-	var out []tech.Tech
-	for _, f := range strings.Split(csv, ",") {
-		f = strings.TrimSpace(f)
-		t, ok := byName[f]
-		if !ok {
-			return nil, fmt.Errorf("technology %q not on this axis %v", f, techNames(axis))
+	return cli.ParseList(name, csv, func(techName string) (tech.Tech, error) {
+		for _, t := range axis {
+			if t.Name == techName {
+				return t, nil
+			}
 		}
-		out = append(out, t)
-	}
-	return out, nil
+		return tech.Tech{}, fmt.Errorf("technology not on this axis %v", techNames(axis))
+	})
 }
 
 func techNames(ts []tech.Tech) []string {
@@ -431,11 +397,4 @@ func techNames(ts []tech.Tech) []string {
 		out[i] = t.Name
 	}
 	return out
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "explore:", err)
-		os.Exit(1)
-	}
 }

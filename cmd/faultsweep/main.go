@@ -20,83 +20,58 @@
 package main
 
 import (
-	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
-	"strings"
-	"time"
 
+	"hybridmem/internal/cli"
 	"hybridmem/internal/design"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/fault"
-	"hybridmem/internal/model"
 	"hybridmem/internal/ndm"
 	"hybridmem/internal/obs"
 	"hybridmem/internal/report"
-	"hybridmem/internal/tech"
-	"hybridmem/internal/workload"
-	"hybridmem/internal/workload/catalog"
 )
 
 func main() {
+	c := cli.New("faultsweep", cli.NVM|cli.Catalog|cli.Scale|cli.WorkloadScale|cli.Iters|cli.Workers|cli.RunLog)
+	c.AddWorkload("Graph500")
 	var (
-		wl        = flag.String("workload", "Graph500", "workload to sweep")
-		nvmName   = flag.String("nvm", "PCM", "NVM technology (PCM, STTRAM, FeRAM, or any catalog nvm entry)")
-		catalogF  = flag.String("catalog", "", "technology catalog file (hybridmem-catalog/1 JSON; empty = builtin Table 1; see FORMATS.md)")
-		scale     = flag.Uint64("scale", design.DefaultScale, "capacity co-scaling divisor")
-		wScale    = flag.Uint64("workload-scale", 0, "workload footprint divisor (0 = scale)")
-		iters     = flag.Int("iters", 0, "workload iteration override (0 = default)")
 		bers      = flag.String("bers", "0,1e-12,1e-10,1e-8", "comma-separated bit-error rates to sweep")
 		endurance = flag.Uint64("endurance", 0, "mean per-line write endurance before stuck-at faults (0 = off)")
 		seed      = flag.Uint64("seed", 1, "fault-injection seed (same seed = identical statistics)")
 		withNDM   = flag.Bool("ndm", true, "include the NDM write-aware placement (retired pages remap to DRAM)")
 		csv       = flag.Bool("csv", false, "emit CSV instead of an aligned table")
-		workers   = flag.Int("workers", 0, "replay worker bound; design points within the bound share each block decode (0 = GOMAXPROCS)")
-		runlog    = flag.String("runlog", "", `write structured JSONL run events here ("-" = stderr)`)
 	)
-	flag.Parse()
-
-	rates, err := parseRates(*bers)
-	exitOn(err)
-	cat, err := tech.LoadCatalogOrBuiltin(*catalogF)
-	exitOn(err)
-	reg, err := design.NewRegistry(cat)
-	exitOn(err)
-	nvm, err := cat.Tech(*nvmName)
-	exitOn(err)
-
-	logw, closeLog, err := obs.OpenSink(*runlog, os.Stderr)
-	exitOn(err)
-	defer closeLog()
-	logger := obs.NewLogger(logw)
-	ctx, _, stages := obs.NewRunContext(context.Background())
-	runStart := time.Now()
-	logger.EventCtx(ctx, "run_start", obs.Fields{
-		"cmd": "faultsweep", "workload": *wl, "nvm": *nvmName,
-		"seed": *seed, "endurance": *endurance, "bers": *bers,
+	c.Parse()
+	rates, err := cli.ParseList("bers", *bers, func(b string) (float64, error) {
+		v, err := strconv.ParseFloat(b, 64)
+		if err == nil && (v < 0 || v >= 1) {
+			err = fmt.Errorf("bit-error rate %g out of [0, 1)", v)
+		}
+		return v, err
 	})
+	if err == nil && len(rates) == 0 {
+		err = errors.New("no bit-error rates given")
+	}
+	c.Exit(err)
+	c.Exit(c.Start())
 
-	w, err := catalog.New(*wl, workload.Options{Scale: orDefault(*wScale, *scale), Iters: *iters})
-	exitOn(err)
-	fmt.Fprintf(os.Stderr, "faultsweep: profiling %s...\n", *wl)
-	stopProfile := stages.Time("profile")
-	wp, err := exp.ProfileWorkloadOpts(ctx, w, exp.ProfileOptions{Scale: *scale, Catalog: cat, Log: logger})
-	stopProfile()
-	exitOn(err)
+	_, wp, err := c.ProfileWorkload(0)
+	c.Exit(err)
 
 	backends := []design.Backend{}
-	for _, cfg := range reg.NConfigs() {
-		backends = append(backends, reg.NMMWith(cfg, nvm, *scale, wp.Footprint))
+	for _, cfg := range c.Reg.NConfigs() {
+		backends = append(backends, c.Reg.NMMWith(cfg, c.NVM, c.Scale, wp.Footprint))
 	}
 	if *withNDM {
 		cands := ndm.Candidates(wp.Regions, 0, 3)
 		profiled, _ := ndm.Profile(cands, wp.Boundary)
-		p := ndm.WriteAwarePlacement(profiled, design.NDMDRAMCapacity / *scale)
-		b, err := reg.NDM(nvm.Name, p.NVMRanges(), p.NVMBytes(), wp.Footprint, "write-aware")
-		exitOn(err)
+		p := ndm.WriteAwarePlacement(profiled, design.NDMDRAMCapacity/c.Scale)
+		b, err := c.Reg.NDM(c.NVM.Name, p.NVMRanges(), p.NVMBytes(), wp.Footprint, "write-aware")
+		c.Exit(err)
 		backends = append(backends, b)
 	}
 
@@ -116,87 +91,29 @@ func main() {
 			jobBERs = append(jobBERs, ber)
 		}
 	}
-	if *workers <= 0 {
-		*workers = runtime.GOMAXPROCS(0)
-	}
-	evs, err := exp.RunJobs(ctx, jobs, *workers)
-	exitOn(err)
-	end := obs.Fields{
-		"cmd": "faultsweep", "workload": *wl, "grid": len(jobs),
-		"wall_ms": float64(time.Since(runStart)) / float64(time.Millisecond),
-	}
-	for k, v := range stages.Fields() {
-		end[k] = v
-	}
-	logger.EventCtx(ctx, "run_end", end)
-	type row struct {
-		ber float64
-		ev  model.Evaluation
-	}
-	rows := make([]row, len(evs))
-	for i, ev := range evs {
-		rows[i] = row{ber: jobBERs[i], ev: ev}
-	}
-
+	evs, err := exp.RunJobs(c.Ctx, jobs, c.Workers)
+	c.Exit(err)
+	c.Finish(obs.Fields{"workload": c.Workload, "grid": len(jobs)})
 	if *csv {
 		fmt.Println("design,workload,ber,endurance,seed,norm_time,norm_energy,norm_edp," +
 			"accesses,corrected,uncorrected,stuck_lines,retired_pages,remapped,uncorr_rate")
-		for _, r := range rows {
-			s := r.ev.Fault
+		for i, ev := range evs {
+			s := ev.Fault
 			fmt.Printf("%s,%s,%g,%d,%d,%.6f,%.6f,%.6f,%d,%d,%d,%d,%d,%d,%.6e\n",
-				r.ev.Design, r.ev.Workload, r.ber, *endurance, *seed,
-				r.ev.NormTime, r.ev.NormEnergy, r.ev.NormEDP,
+				ev.Design, ev.Workload, jobBERs[i], *endurance, *seed,
+				ev.NormTime, ev.NormEnergy, ev.NormEDP,
 				s.Accesses, s.Corrected, s.Uncorrected, s.StuckLines,
 				s.RetiredPages, s.Remapped, s.UncorrectedRate())
 		}
 		return
 	}
-	evals := make([]model.Evaluation, len(rows))
-	for i, r := range rows {
-		evals[i] = r.ev
-		evals[i].Design = fmt.Sprintf("%s@ber=%g", r.ev.Design, r.ber)
+	for i := range evs {
+		evs[i].Design = fmt.Sprintf("%s@ber=%g", evs[i].Design, jobBERs[i])
 	}
 	t := report.FaultTable(
 		fmt.Sprintf("device-fault sweep: %s on %s (seed %d, endurance %d)",
-			*wl, nvm.Name, *seed, *endurance),
-		evals)
-	t.WriteTo(os.Stdout)
-}
-
-// parseRates parses the comma-separated -bers list.
-func parseRates(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad bit-error rate %q: %w", part, err)
-		}
-		if v < 0 || v >= 1 {
-			return nil, fmt.Errorf("bit-error rate %g out of [0, 1)", v)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no bit-error rates given")
-	}
-	return out, nil
-}
-
-// orDefault resolves a zero workload scale to the design scale.
-func orDefault(v, def uint64) uint64 {
-	if v == 0 {
-		return def
-	}
-	return v
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "faultsweep:", err)
-		os.Exit(1)
-	}
+			c.Workload, c.NVM.Name, *seed, *endurance),
+		evs)
+	_, err = t.WriteTo(os.Stdout)
+	c.Exit(err)
 }

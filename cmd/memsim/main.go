@@ -15,12 +15,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
+	"hybridmem/internal/cli"
+	"hybridmem/internal/core"
 	"hybridmem/internal/design"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/model"
@@ -32,111 +34,50 @@ import (
 )
 
 func main() {
+	c := cli.New("memsim", cli.Config|cli.LLC|cli.NVM|cli.Scale|cli.Iters|cli.Dilution|cli.Epoch|cli.RunLog|cli.Profile)
+	c.AddWorkload("CG")
+	c.AddDesign("reference")
 	var (
-		wlName    = flag.String("workload", "CG", "workload name (see -list)")
-		dsgn      = flag.String("design", "reference", "design: reference, 4lc, nmm, 4lcnvm")
-		cfgName   = flag.String("config", "", "configuration name (EH1-EH8 for 4lc/4lcnvm, N1-N9 for nmm)")
-		llcName   = flag.String("llc", "eDRAM", "LLC technology (eDRAM, HMC)")
-		nvmName   = flag.String("nvm", "PCM", "NVM technology (PCM, STTRAM, FeRAM)")
-		scale     = flag.Uint64("scale", design.DefaultScale, "capacity co-scaling divisor")
-		iters     = flag.Int("iters", 0, "workload iterations (0 = default)")
-		dilution  = flag.Int("dilution", 0, "L1-hit dilution factor (0 = default)")
 		list      = flag.Bool("list", false, "list workloads and configurations")
 		breakdown = flag.Bool("breakdown", false, "print the per-level energy/time attribution")
 		rowbuf    = flag.Bool("rowbuffer", false, "use the open-page row-buffer timing model for main memory")
-
-		epoch      = flag.Uint64("epoch", 0, "sample an epoch time-series every N references through the full hierarchy (0 = off)")
-		timeseries = flag.String("timeseries", "", `write the per-epoch CSV here ("-" = stdout; implies -epoch)`)
-		runlog     = flag.String("runlog", "", `write structured JSONL run events here ("-" = stderr)`)
 	)
-	var prof obs.Profile
-	prof.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-
-	stopProf, err := prof.Start()
-	exitOn(err)
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "memsim:", err)
-		}
-	}()
-
-	logw, closeLog, err := obs.OpenSink(*runlog, os.Stderr)
-	exitOn(err)
-	defer closeLog()
-	logger := obs.NewLogger(logw)
-	ctx, _, stages := obs.NewRunContext(context.Background())
-	runStart := time.Now()
-	logger.EventCtx(ctx, "run_start", obs.Fields{
-		"cmd": "memsim", "workload": *wlName, "design": *dsgn, "config": *cfgName,
-		"llc": *llcName, "nvm": *nvmName, "scale": *scale, "iters": *iters,
-		"dilution": *dilution, "rowbuffer": *rowbuf, "epoch": *epoch,
-	})
-
+	c.Parse()
 	if *list {
 		fmt.Println("workloads:", catalog.Names)
 		fmt.Print("4LC/4LCNVM configs:")
-		for _, c := range design.EHConfigs {
-			fmt.Printf(" %s", c.Name)
+		for _, cfg := range design.EHConfigs {
+			fmt.Printf(" %s", cfg.Name)
 		}
 		fmt.Print("\nNMM configs:")
-		for _, c := range design.NConfigs {
-			fmt.Printf(" %s", c.Name)
+		for _, cfg := range design.NConfigs {
+			fmt.Printf(" %s", cfg.Name)
 		}
 		fmt.Println("\ntechnologies:", tech.Names())
 		return
 	}
+	c.Exit(c.Start())
 
-	llc, err := tech.ByName(*llcName)
-	exitOn(err)
-	nvm, err := tech.ByName(*nvmName)
-	exitOn(err)
-
-	w, err := catalog.New(*wlName, workload.Options{Scale: *scale, Iters: *iters})
-	exitOn(err)
-
-	fmt.Fprintf(os.Stderr, "profiling %s (footprint %.1f MB)...\n", w.Name(), float64(w.Footprint())/(1<<20))
-	if *dilution == 0 {
-		*dilution = exp.DefaultDilution
+	if c.Dilution == 0 {
+		c.Dilution = exp.DefaultDilution
 	}
-	stopProfile := stages.Time("profile")
-	wp, err := exp.ProfileWorkloadOpts(ctx, w, exp.ProfileOptions{
-		Scale: *scale, Dilution: *dilution, Log: logger,
-	})
-	stopProfile()
-	exitOn(err)
+	w, wp, err := c.ProfileWorkload(c.Dilution)
+	c.Exit(err)
 
-	var backend design.Backend
-	switch *dsgn {
-	case "reference":
-		backend = design.Reference(wp.Footprint)
-	case "4lc":
-		cfg, err := design.EHByName(defaulted(*cfgName, "EH1"))
-		exitOn(err)
-		backend = design.FourLC(cfg, llc, *scale, wp.Footprint)
-	case "nmm":
-		cfg, err := design.NByName(defaulted(*cfgName, "N6"))
-		exitOn(err)
-		backend = design.NMM(cfg, nvm, *scale, wp.Footprint)
-	case "4lcnvm":
-		cfg, err := design.EHByName(defaulted(*cfgName, "EH1"))
-		exitOn(err)
-		backend = design.FourLCNVM(cfg, llc, nvm, *scale, wp.Footprint)
-	default:
-		exitOn(fmt.Errorf("unknown design %q (reference, 4lc, nmm, 4lcnvm)", *dsgn))
-	}
+	backend, err := c.Backend(wp.Footprint)
+	c.Exit(err)
 	if *rowbuf {
 		backend = backend.WithRowBuffer()
 	}
 
-	ev, err := wp.EvaluateCtx(ctx, backend)
-	exitOn(err)
+	ev, err := wp.EvaluateCtx(c.Ctx, backend)
+	c.Exit(err)
 
 	// Re-run the backend once more to show per-level statistics (the
 	// evaluation consumed its own instance).
-	stopStats := stages.Time("stats_replay")
+	stopStats := obs.TimeStage(c.Ctx, "stats_replay")
 	built, err := backend.Build()
-	exitOn(err)
+	c.Exit(err)
 	built.Replay(wp.Boundary)
 	stopStats()
 
@@ -144,14 +85,13 @@ func main() {
 		Title:   fmt.Sprintf("%s on %s", wp.Name, backend.Name),
 		Headers: []string{"level", "tech", "capacity", "loads", "stores", "hit rate", "writebacks"},
 	}
-	for _, l := range wp.Prefix {
-		addLevel(t, l.Name, l.Tech.Name, l.Capacity, l.Stats.Loads, l.Stats.Stores, l.Stats.HitRate(), l.Stats.WriteBacks)
-	}
-	for _, l := range built.Snapshot() {
-		addLevel(t, l.Name, l.Tech.Name, l.Capacity, l.Stats.Loads, l.Stats.Stores, l.Stats.HitRate(), l.Stats.WriteBacks)
+	for _, l := range append(append([]core.LevelStats(nil), wp.Prefix...), built.Snapshot()...) {
+		t.AddRow(l.Name, l.Tech.Name, fmt.Sprintf("%.1f KB", float64(l.Capacity)/1024),
+			fmt.Sprint(l.Stats.Loads), fmt.Sprint(l.Stats.Stores),
+			fmt.Sprintf("%.2f%%", l.Stats.HitRate()*100), fmt.Sprint(l.Stats.WriteBacks))
 	}
 	_, err = t.WriteTo(os.Stdout)
-	exitOn(err)
+	c.Exit(err)
 
 	fmt.Println()
 	printEval("reference", wp.ReferenceEvaluation())
@@ -178,33 +118,21 @@ func main() {
 		}
 		fmt.Println()
 		_, err = bt.WriteTo(os.Stdout)
-		exitOn(err)
+		c.Exit(err)
 	}
 
-	if *timeseries != "" && *epoch == 0 {
-		*epoch = obs.DefaultEpochRefs
+	if c.Epoch > 0 {
+		c.Exit(timeSeries(c, w, backend))
 	}
-	if *epoch > 0 {
-		exitOn(timeSeries(w, backend, logger, *scale, *epoch, *timeseries))
-	}
-
-	end := obs.Fields{
-		"cmd": "memsim", "workload": *wlName, "design": backend.Name,
-		"wall_ms":        float64(time.Since(runStart)) / float64(time.Millisecond),
-		"refs_processed": obs.RefsProcessed(),
-	}
-	for k, v := range stages.Fields() {
-		end[k] = v
-	}
-	logger.EventCtx(ctx, "run_end", end)
+	c.Finish(obs.Fields{"workload": c.Workload, "design": backend.Name})
 }
 
 // timeSeries re-runs the workload online through the full hierarchy (SRAM
 // prefix + the design's back end) under an epoch sampler, then renders the
 // per-epoch CSV to the -timeseries destination and an ASCII heat-strip to
 // stdout.
-func timeSeries(w workload.Workload, backend design.Backend, logger *obs.Logger, scale, epoch uint64, tsPath string) error {
-	prefix, err := design.BuildPrefix(scale)
+func timeSeries(c *cli.Cmd, w workload.Workload, backend design.Backend) error {
+	prefix, err := design.BuildPrefix(c.Scale)
 	if err != nil {
 		return err
 	}
@@ -212,9 +140,9 @@ func timeSeries(w workload.Workload, backend design.Backend, logger *obs.Logger,
 	if err != nil {
 		return err
 	}
-	sampler := obs.NewEpochSampler(h, epoch)
-	done := logger.Span("timeseries_sim", obs.Fields{
-		"workload": w.Name(), "design": backend.Name, "epoch": epoch,
+	sampler := obs.NewEpochSampler(h, c.Epoch)
+	done := c.Log.Span("timeseries_sim", obs.Fields{
+		"workload": w.Name(), "design": backend.Name, "epoch": c.Epoch,
 	})
 	start := time.Now()
 	w.Run(sampler)
@@ -222,45 +150,14 @@ func timeSeries(w workload.Workload, backend design.Backend, logger *obs.Logger,
 	done(obs.ThroughputFields(h.Refs(), time.Since(start)))
 
 	series := sampler.Series()
-	tsw, closeTS, err := obs.OpenSink(tsPath, os.Stdout)
-	if err != nil {
+	if err := c.EmitTimeSeries(func(tsw io.Writer) error { return report.WriteEpochCSV(tsw, series) }); err != nil {
 		return err
-	}
-	if tsw != nil {
-		fmt.Println()
-		if err := report.WriteEpochCSV(tsw, series); err != nil {
-			closeTS()
-			return err
-		}
-		if err := closeTS(); err != nil {
-			return err
-		}
 	}
 	fmt.Println()
 	return report.EpochHeatStrip(os.Stdout, series)
 }
 
-func addLevel(t *report.Table, name, techName string, capacity, loads, stores uint64, hitRate float64, wbs uint64) {
-	t.AddRow(name, techName, fmt.Sprintf("%.1f KB", float64(capacity)/1024),
-		fmt.Sprintf("%d", loads), fmt.Sprintf("%d", stores),
-		fmt.Sprintf("%.2f%%", hitRate*100), fmt.Sprintf("%d", wbs))
-}
-
 func printEval(label string, ev model.Evaluation) {
 	fmt.Printf("%-24s AMAT %6.3f ns, runtime %8.3f s, dynamic %8.4f J, static %8.4f J, EDP %10.4f Js\n",
 		label, ev.AMATNanos, ev.RuntimeSec, ev.DynamicJ, ev.StaticJ, ev.EDP)
-}
-
-func defaulted(v, def string) string {
-	if v == "" {
-		return def
-	}
-	return v
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "memsim:", err)
-		os.Exit(1)
-	}
 }

@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"hybridmem/internal/admit"
+	"hybridmem/internal/cli"
 	"hybridmem/internal/fault"
 	"hybridmem/internal/obs"
 	"hybridmem/internal/serve"
@@ -59,6 +60,7 @@ import (
 )
 
 func main() {
+	c := cli.New("memsimd", cli.Catalog|cli.RunLog|cli.Profile)
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		cacheN     = flag.Int("cache", serve.DefaultCacheEntries, "result-cache entries (LRU)")
@@ -69,8 +71,6 @@ func main() {
 		warmScale  = flag.Uint64("warm-scale", 0, "design scale for the warmup profile (0 = default)")
 		warmWScale = flag.Uint64("warm-workload-scale", 0, "workload footprint divisor for the warmup profile (0 = co-scale with -warm-scale)")
 		storeDir   = flag.String("store", "", "directory for the durable result/profile store (empty = in-memory only)")
-		catalogF   = flag.String("catalog", "", "technology catalog file to serve (hybridmem-catalog/1 JSON; empty = builtin Table 1; see FORMATS.md)")
-		runlog     = flag.String("runlog", "", `write structured JSONL run events here ("-" = stderr)`)
 		drainFor   = flag.Duration("drain", 30*time.Second, "max time to wait for in-flight evaluations on shutdown")
 
 		rateLimit = flag.Float64("rate-limit", 0, "per-client admission rate in requests/s (0 = unlimited); clients are keyed by X-Memsimd-Client or remote host and throttled requests get 429 rate_limited with Retry-After")
@@ -79,25 +79,10 @@ func main() {
 		chaosPanic = flag.Float64("chaos-panic", 0, "TESTING: fraction of request keys whose evaluation always panics")
 		chaosSeed  = flag.Uint64("chaos-seed", 1, "TESTING: seed for the chaos plan's deterministic decisions")
 	)
-	var prof obs.Profile
-	prof.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-
-	stopProf, err := prof.Start()
-	exitOn(err)
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "memsimd:", err)
-		}
-	}()
-
-	logw, closeLog, err := obs.OpenSink(*runlog, os.Stderr)
-	exitOn(err)
-	defer closeLog()
-	logger := obs.NewLogger(logw)
-
-	cat, err := tech.LoadCatalogOrBuiltin(*catalogF)
-	exitOn(err)
+	c.Parse()
+	c.Exit(c.Start())
+	defer c.Finish(nil)
+	logger, cat := c.Log, c.Cat
 	logger.Event("catalog", obs.Fields{
 		"name": cat.Name(), "version": cat.Version(), "hash": cat.Hash(), "techs": cat.Len(),
 	})
@@ -118,7 +103,7 @@ func main() {
 	if *storeDir != "" {
 		openStart := time.Now()
 		st, err := store.Open(*storeDir, store.Options{})
-		exitOn(err)
+		c.Exit(err)
 		reopen := func() (*store.Store, error) { return store.Open(*storeDir, store.Options{}) }
 		guard = serve.NewStoreGuard(st, reopen, fault.RetryPolicy{}, logger)
 		defer guard.Close()
@@ -195,7 +180,7 @@ func main() {
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
-		exitOn(err)
+		c.Exit(err)
 	case sig := <-sigCh:
 		fmt.Fprintf(os.Stderr, "memsimd: %v, draining (up to %s)...\n", sig, *drainFor)
 		srv.BeginShutdown()
@@ -220,12 +205,4 @@ func warmup(ev *serve.Evaluator, cat *tech.Catalog, req *serve.EvalRequest) erro
 	}
 	_, err := ev.Evaluate(context.Background(), req)
 	return err
-}
-
-// exitOn aborts the process on startup errors.
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "memsimd:", err)
-		os.Exit(1)
-	}
 }

@@ -18,29 +18,29 @@ import (
 	"os"
 	"strings"
 
+	"hybridmem/internal/cli"
 	"hybridmem/internal/multicore"
 	"hybridmem/internal/report"
 	"hybridmem/internal/workload"
-	"hybridmem/internal/workload/catalog"
 )
 
 func main() {
+	c := cli.New("multicore", cli.Scale)
+	c.AddWorkload("CG")
 	var (
-		wlName  = flag.String("workload", "CG", "workload to replicate with -copies")
-		copies  = flag.Int("copies", 4, "number of identical cores")
-		mix     = flag.String("workloads", "", "comma-separated heterogeneous mix (overrides -copies)")
-		scale   = flag.Uint64("scale", 32, "capacity co-scaling divisor")
-		wlScale = flag.Uint64("wlscale", 0, "workload footprint divisor (default: 8x scale, keeping runs minutes-scale)")
-		batch   = flag.Int("batch", 64, "references per interleaver turn")
+		copies = flag.Int("copies", 4, "number of identical cores")
+		mix    = flag.String("workloads", "", "comma-separated heterogeneous mix, one core each (overrides -copies)")
+		batch  = flag.Int("batch", 64, "references per interleaver turn")
 	)
-	flag.Parse()
+	flag.Uint64Var(&c.WorkloadScale, "workload-scale", 0, "workload footprint divisor, a power of two (0 = 8x -scale, keeping runs minutes-scale)")
+	c.Parse()
 
-	if *wlScale == 0 {
-		*wlScale = *scale * 8
+	if c.WorkloadScale == 0 {
+		c.WorkloadScale = c.Scale * 8
 	}
 	mk := func(name string) workload.Workload {
-		w, err := catalog.New(name, workload.Options{Scale: *wlScale})
-		exitOn(err)
+		w, err := c.NewWorkload(name)
+		c.Exit(err)
 		return w
 	}
 
@@ -51,47 +51,40 @@ func main() {
 		}
 	} else {
 		for i := 0; i < *copies; i++ {
-			ws = append(ws, mk(*wlName))
+			ws = append(ws, mk(c.Workload))
 		}
 	}
 
-	cfg := multicore.Config{Scale: *scale, BatchRefs: *batch}
+	cfg := multicore.Config{Scale: c.Scale, BatchRefs: *batch}
 	fmt.Fprintf(os.Stderr, "simulating %d cores...\n", len(ws))
 	res, err := multicore.Run(cfg, ws, nil)
-	exitOn(err)
+	c.Exit(err)
 
 	t := &report.Table{
 		Title:   fmt.Sprintf("%d cores sharing one L3", len(res.Cores)),
 		Headers: []string{"core", "refs", "L1 hit", "L2 hit", "forwarded to L3"},
 	}
-	for _, c := range res.Cores {
-		t.AddRow(c.Name, fmt.Sprint(c.Refs),
-			fmt.Sprintf("%.2f%%", c.L1.HitRate()*100),
-			fmt.Sprintf("%.2f%%", c.L2.HitRate()*100),
-			fmt.Sprint(c.Forwarded))
+	for _, core := range res.Cores {
+		t.AddRow(core.Name, fmt.Sprint(core.Refs),
+			fmt.Sprintf("%.2f%%", core.L1.HitRate()*100),
+			fmt.Sprintf("%.2f%%", core.L2.HitRate()*100),
+			fmt.Sprint(core.Forwarded))
 	}
 	_, err = t.WriteTo(os.Stdout)
-	exitOn(err)
+	c.Exit(err)
 
 	fmt.Printf("\nshared L3: %d accesses, %.2f%% hits; memory: %d loads, %d stores\n",
 		res.L3.Accesses(), res.L3HitRate()*100, res.Memory.Loads, res.Memory.Stores)
 
 	// Solo baseline and effective per-core share for the replicated case.
 	if *mix == "" && *copies > 1 {
-		solo, err := multicore.Run(cfg, []workload.Workload{mk(*wlName)}, nil)
-		exitOn(err)
+		solo, err := multicore.Run(cfg, []workload.Workload{mk(c.Workload)}, nil)
+		c.Exit(err)
 		fmt.Printf("solo %s L3 hit rate: %.2f%% (contention cost: %.2f points)\n",
-			*wlName, solo.L3HitRate()*100, (solo.L3HitRate()-res.L3HitRate())*100)
-		share, err := multicore.EffectiveShare(cfg, func() workload.Workload { return mk(*wlName) }, res.L3HitRate())
-		exitOn(err)
+			c.Workload, solo.L3HitRate()*100, (solo.L3HitRate()-res.L3HitRate())*100)
+		share, err := multicore.EffectiveShare(cfg, func() workload.Workload { return mk(c.Workload) }, res.L3HitRate())
+		c.Exit(err)
 		fmt.Printf("effective per-core L3 share: %.0f KB of %.0f KB total (1/%d)\n",
-			float64(share)/1024, float64(20<<20 / *scale)/1024, (20<<20 / *scale)/share)
-	}
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "multicore:", err)
-		os.Exit(1)
+			float64(share)/1024, float64(20<<20/c.Scale)/1024, (20<<20/c.Scale)/share)
 	}
 }

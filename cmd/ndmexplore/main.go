@@ -24,41 +24,28 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"hybridmem/internal/design"
+	"hybridmem/internal/cli"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/ndm"
 	"hybridmem/internal/report"
-	"hybridmem/internal/tech"
 )
 
 func main() {
-	var (
-		nvmName   = flag.String("nvm", "PCM", "NVM technology (PCM, STTRAM, FeRAM)")
-		scale     = flag.Uint64("scale", design.DefaultScale, "capacity co-scaling divisor")
-		workloads = flag.String("workloads", "", "comma-separated workload subset")
-		dynamic   = flag.Bool("dynamic", false, "also run the epoch-based dynamic partitioning (the paper's future work)")
-	)
-	flag.Parse()
+	c := cli.New("ndmexplore", cli.NVM|cli.Scale|cli.Workloads)
+	dynamic := flag.Bool("dynamic", false, "also run the epoch-based dynamic partitioning (the paper's future work)")
+	c.Parse()
 
-	nvm, err := tech.ByName(*nvmName)
-	exitOn(err)
-
-	cfg := exp.Config{Scale: *scale}
-	if *workloads != "" {
-		cfg.Workloads = strings.Split(*workloads, ",")
-	}
 	fmt.Fprintln(os.Stderr, "profiling workloads...")
-	s, err := exp.NewSuite(cfg)
-	exitOn(err)
+	s, err := exp.NewSuite(c.ExpConfig())
+	c.Exit(err)
 
-	results, row, err := s.NDM(nvm)
-	exitOn(err)
+	results, row, err := s.NDM(c.NVM)
+	c.Exit(err)
 
 	for _, res := range results {
 		t := &report.Table{
-			Title:   fmt.Sprintf("%s: NDM placements on %s", res.Workload, nvm.Name),
+			Title:   fmt.Sprintf("%s: NDM placements on %s", res.Workload, c.NVM.Name),
 			Headers: []string{"placement", "NVM bytes", "NVM loads", "NVM stores", "norm time", "norm energy", "norm EDP", ""},
 		}
 		for i, p := range res.Placements {
@@ -77,18 +64,18 @@ func main() {
 				mark)
 		}
 		_, err = t.WriteTo(os.Stdout)
-		exitOn(err)
+		c.Exit(err)
 		fmt.Println()
 	}
 	fmt.Printf("figure row (%s): avg norm time %.4f, avg norm energy %.4f\n",
 		row.Label, row.Avg.NormTime, row.Avg.NormEnergy)
 
 	if *dynamic {
-		dyn, err := s.DynamicNDM(nvm, ndm.DynamicConfig{})
-		exitOn(err)
+		dyn, err := s.DynamicNDM(c.NVM, ndm.DynamicConfig{})
+		c.Exit(err)
 		fmt.Println()
 		t := &report.Table{
-			Title:   fmt.Sprintf("dynamic partitioning on %s (epoch-based, hotness-ranked)", nvm.Name),
+			Title:   fmt.Sprintf("dynamic partitioning on %s (epoch-based, hotness-ranked)", c.NVM.Name),
 			Headers: []string{"workload", "norm time", "norm energy", "NVM share", "epochs", "migrated"},
 		}
 		for i, ev := range dyn.PerWorkload {
@@ -101,15 +88,8 @@ func main() {
 				fmt.Sprintf("%.1f MB", float64(res.MigratedBytes)/(1<<20)))
 		}
 		_, err = t.WriteTo(os.Stdout)
-		exitOn(err)
+		c.Exit(err)
 		fmt.Printf("dynamic avg: time %.4f, energy %.4f (static oracle: %.4f, %.4f)\n",
 			dyn.Avg.NormTime, dyn.Avg.NormEnergy, row.Avg.NormTime, row.Avg.NormEnergy)
-	}
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ndmexplore:", err)
-		os.Exit(1)
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"sort"
 	"strings"
 
+	"hybridmem/internal/cli"
 	"hybridmem/internal/report"
 )
 
@@ -49,23 +50,23 @@ func main() {
 	flag.Parse()
 
 	recs, skipped, err := load(flag.Args())
-	exitOn(err)
+	cli.Exit("obsreport", err)
 	if skipped > 0 {
 		fmt.Fprintf(os.Stderr, "obsreport: skipped %d malformed line(s)\n", skipped)
 	}
 	if len(recs) == 0 {
-		exitOn(fmt.Errorf("no run-log records found"))
+		cli.Exit("obsreport", fmt.Errorf("no run-log records found"))
 	}
 
 	if *trace != "" {
-		exitOn(printTrace(os.Stdout, recs, *trace))
+		cli.Exit("obsreport", printTrace(os.Stdout, recs, *trace))
 		return
 	}
-	exitOn(printEventLatency(os.Stdout, recs))
-	exitOn(printStageLatency(os.Stdout, recs))
-	exitOn(printThroughput(os.Stdout, recs))
-	exitOn(printOutcomes(os.Stdout, recs))
-	exitOn(printStoreLifecycle(os.Stdout, recs))
+	cli.Exit("obsreport", printEventLatency(os.Stdout, recs))
+	cli.Exit("obsreport", printStageLatency(os.Stdout, recs))
+	cli.Exit("obsreport", printThroughput(os.Stdout, recs))
+	cli.Exit("obsreport", printOutcomes(os.Stdout, recs))
+	cli.Exit("obsreport", printStoreLifecycle(os.Stdout, recs))
 }
 
 // record is one parsed JSONL run-log line. Field values keep their JSON
@@ -562,11 +563,4 @@ func nodeSummary(r record) string {
 		fmt.Fprintf(&b, " refs/s=%.0f", v)
 	}
 	return b.String()
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "obsreport:", err)
-		os.Exit(1)
-	}
 }

@@ -11,20 +11,24 @@
 //	paperrepro -scale 16            # finer co-scaling (slower, more exact)
 //	paperrepro -workloads BT,CG     # workload subset
 //	paperrepro -csv                 # CSV instead of aligned tables
+//	paperrepro -figure 9 -mults 1,3,9,27   # custom heat-map multiplier axis
 //
 // Figures that share simulation runs (1&2, 3&4, 5&6, 7&8, 9&10) are
 // computed from the same sweep; requesting either regenerates the pair's
-// data and prints the requested metric.
+// data and prints the requested metric. Figures 9 and 10 are heat maps of
+// normalized NMM runtime and energy over main-memory read/write latency
+// and energy multipliers (-mults sets both axes); without -csv they are
+// also rendered as ASCII shading.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
+	"strconv"
 	"time"
 
+	"hybridmem/internal/cli"
 	"hybridmem/internal/design"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/model"
@@ -36,117 +40,52 @@ import (
 )
 
 func main() {
+	c := cli.New("paperrepro", cli.Scale|cli.Workloads|cli.LLC|cli.NVM|cli.Catalog|
+		cli.Dilution|cli.Workers|cli.Epoch|cli.RunLog|cli.Profile)
 	var (
-		all       = flag.Bool("all", false, "regenerate every table and figure")
-		table     = flag.Int("table", 0, "regenerate one table (1-4)")
-		figure    = flag.Int("figure", 0, "regenerate one figure (1-10)")
-		scale     = flag.Uint64("scale", design.DefaultScale, "capacity co-scaling divisor (power of two, 1-64)")
-		workloads = flag.String("workloads", "", "comma-separated workload subset (default: all)")
-		llcName   = flag.String("llc", "eDRAM", "LLC technology for figures 3-6 (eDRAM or HMC)")
-		nvmName   = flag.String("nvm", "PCM", "NVM technology for figures 1-2 and 5-6 (PCM, STTRAM, FeRAM, or any catalog nvm entry)")
-		catalogF  = flag.String("catalog", "", "technology catalog file (hybridmem-catalog/1 JSON; empty = builtin Table 1; see FORMATS.md)")
-		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		dilution  = flag.Int("dilution", 0, "L1-hit dilution factor (0 = default)")
-		workers   = flag.Int("workers", 0, "replay worker bound; same-workload design points within the bound share each block decode (0 = GOMAXPROCS)")
-
-		epoch      = flag.Uint64("epoch", 0, "sample an epoch time-series every N references while profiling workloads (0 = off)")
-		timeseries = flag.String("timeseries", "", `write the profiling epoch time-series as long-form CSV here ("-" = stdout; implies -epoch)`)
-		runlog     = flag.String("runlog", "", `write structured JSONL run events here ("-" = stderr)`)
+		all    = flag.Bool("all", false, "regenerate every table and figure")
+		table  = flag.Int("table", 0, "regenerate one table (1-4)")
+		figure = flag.Int("figure", 0, "regenerate one figure (1-10)")
+		csv    = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		mults  = flag.String("mults", "", "comma-separated multipliers for both heat-map axes of figures 9-10 (default 1,2,5,10,20)")
 	)
-	var prof obs.Profile
-	prof.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-
+	c.Parse()
 	if !*all && *table == 0 && *figure == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
+	axis, err := cli.ParseList("mults", *mults, func(m string) (float64, error) { return strconv.ParseFloat(m, 64) })
+	c.Exit(err)
+	c.Exit(c.Start())
 
-	stopProf, err := prof.Start()
-	exitOn(err)
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "paperrepro:", err)
-		}
-	}()
-
-	logw, closeLog, err := obs.OpenSink(*runlog, os.Stderr)
-	exitOn(err)
-	defer closeLog()
-	logger := obs.NewLogger(logw)
-	ctx, _, stages := obs.NewRunContext(context.Background())
-
-	cat, err := tech.LoadCatalogOrBuiltin(*catalogF)
-	exitOn(err)
-	llc, err := cat.Tech(*llcName)
-	exitOn(err)
-	nvm, err := cat.Tech(*nvmName)
-	exitOn(err)
-
-	if *timeseries != "" && *epoch == 0 {
-		*epoch = obs.DefaultEpochRefs
-	}
-	cfg := exp.Config{Scale: *scale, Dilution: *dilution, Workers: *workers, Epoch: *epoch, Catalog: cat, Log: logger, Ctx: ctx}
-	if *workloads != "" {
-		cfg.Workloads = strings.Split(*workloads, ",")
-	}
-
-	r := &runner{cfg: cfg, cat: cat, llc: llc, nvm: nvm, csv: *csv, log: logger, timeseries: *timeseries}
-
-	runStart := time.Now()
-	logger.EventCtx(ctx, "run_start", obs.Fields{
-		"cmd": "paperrepro", "all": *all, "table": *table, "figure": *figure,
-		"scale": *scale, "workloads": *workloads, "llc": *llcName, "nvm": *nvmName,
-		"dilution": *dilution, "epoch": *epoch,
-	})
-
+	r := &runner{c: c, cfg: c.ExpConfig(), csv: *csv, mults: axis}
 	switch {
 	case *all:
 		for t := 1; t <= 4; t++ {
-			exitOn(r.runTable(t))
+			c.Exit(r.run("table", t, r.table))
 		}
 		for f := 1; f <= 10; f++ {
-			exitOn(r.runFigure(f))
+			c.Exit(r.run("figure", f, r.figure))
 		}
 	case *table != 0:
-		exitOn(r.runTable(*table))
+		c.Exit(r.run("table", *table, r.table))
 	default:
-		exitOn(r.runFigure(*figure))
+		c.Exit(r.run("figure", *figure, r.figure))
 	}
-
-	end := obs.Fields{
-		"cmd":            "paperrepro",
-		"wall_ms":        float64(time.Since(runStart)) / float64(time.Millisecond),
-		"refs_processed": obs.RefsProcessed(),
-	}
-	for k, v := range stages.Fields() {
-		end[k] = v
-	}
-	logger.EventCtx(ctx, "run_end", end)
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperrepro:", err)
-		os.Exit(1)
-	}
+	c.Finish(nil)
 }
 
 // runner caches the profiled suite across multiple tables/figures.
 type runner struct {
-	cfg        exp.Config
-	cat        *tech.Catalog
-	llc        tech.Tech
-	nvm        tech.Tech
-	csv        bool
-	log        *obs.Logger
-	timeseries string
-	suite      *exp.Suite
+	c     *cli.Cmd
+	cfg   exp.Config
+	csv   bool
+	mults []float64
+	suite *exp.Suite
 
-	// cached sweep results, keyed by design family.
-	nmm    []exp.Row
-	flc    []exp.Row
-	flcnvm []exp.Row
+	// cached sweep rows and title labels, by figure pair (see sweep).
+	rows   [4][]exp.Row
+	labels [4]string
 }
 
 // Suite lazily profiles the workloads; on first profiling it also emits the
@@ -161,47 +100,17 @@ func (r *runner) Suite() (*exp.Suite, error) {
 		}
 		fmt.Fprintf(os.Stderr, "profiled %d workloads in %s\n", len(s.Profiles), time.Since(start).Round(time.Millisecond))
 		r.suite = s
-		if err := r.emitTimeSeries(s); err != nil {
+		if err := r.c.EmitTimeSeries(cli.SuiteSeries(s)); err != nil {
 			return nil, err
 		}
 	}
 	return r.suite, nil
 }
 
-// emitTimeSeries writes every profiled workload's epoch series as one
-// long-form CSV to the -timeseries destination.
-func (r *runner) emitTimeSeries(s *exp.Suite) error {
-	if r.timeseries == "" {
-		return nil
-	}
-	w, closeTS, err := obs.OpenSink(r.timeseries, os.Stdout)
-	if err != nil {
-		return err
-	}
-	for i, wp := range s.Profiles {
-		if wp.Series == nil {
-			continue
-		}
-		if err := report.WriteEpochLongCSV(w, wp.Name, wp.Series, i == 0); err != nil {
-			closeTS()
-			return err
-		}
-	}
-	return closeTS()
-}
-
-// runTable regenerates one table inside a logging span.
-func (r *runner) runTable(n int) error {
-	done := r.log.Span("table", obs.Fields{"n": n})
-	err := r.table(n)
-	done(obs.Fields{"ok": err == nil})
-	return err
-}
-
-// runFigure regenerates one figure inside a logging span.
-func (r *runner) runFigure(n int) error {
-	done := r.log.Span("figure", obs.Fields{"n": n})
-	err := r.figure(n)
+// run regenerates one table or figure inside a logging span.
+func (r *runner) run(kind string, n int, gen func(int) error) error {
+	done := r.c.Log.Span(kind, obs.Fields{"n": n})
+	err := gen(n)
 	done(obs.Fields{"ok": err == nil})
 	return err
 }
@@ -226,7 +135,7 @@ func (r *runner) table(n int) error {
 		}
 		// Catalog entry order is Table 1's row order; the SRAM cache levels
 		// and post-2014 extensions are not part of the paper's table.
-		for _, e := range r.cat.Entries() {
+		for _, e := range r.cfg.Catalog.Entries() {
 			if e.Class == tech.ClassSRAM || e.Extension {
 				continue
 			}
@@ -264,16 +173,11 @@ func (r *runner) table(n int) error {
 		if err != nil {
 			return err
 		}
-		byName := map[string]workload.Workload{}
-		for _, name := range r.suiteNames() {
-			w, err := catalog.New(name, workload.Options{Scale: r.cfg.WorkloadScale})
+		for _, wp := range s.Profiles {
+			w, err := catalog.New(wp.Name, workload.Options{Scale: r.cfg.WorkloadScale})
 			if err != nil {
 				return err
 			}
-			byName[name] = w
-		}
-		for _, wp := range s.Profiles {
-			w := byName[wp.Name]
 			t.AddRow(w.Suite(), wp.Name,
 				fmt.Sprintf("%.1f MB", float64(wp.Footprint)/(1<<20)),
 				fmt.Sprintf("%.1f", wp.RefTime.Seconds()),
@@ -298,89 +202,66 @@ func (r *runner) suiteNames() []string {
 func normTime(e model.Evaluation) float64   { return e.NormTime }
 func normEnergy(e model.Evaluation) float64 { return e.NormEnergy }
 
-// figure regenerates Figures 1-10.
+// figure regenerates Figures 1-10. Figures 2k-1 and 2k plot run time and
+// energy from one cached sweep.
 func (r *runner) figure(n int) error {
+	if n < 1 || n > 10 {
+		return fmt.Errorf("unknown figure %d (1-10)", n)
+	}
 	s, err := r.Suite()
 	if err != nil {
 		return err
 	}
-	names := r.suiteNames()
-	switch n {
-	case 1, 2:
-		if r.nmm == nil {
-			if r.nmm, err = s.NMM(r.nvm); err != nil {
-				return err
-			}
+	if n >= 9 {
+		heatmap := s.LatencyHeatmap
+		if n == 10 {
+			heatmap = s.EnergyHeatmap
 		}
-		if n == 1 {
-			return r.emit(report.FigureTable(
-				fmt.Sprintf("Figure 1: normalized run time, NMM (%s)", r.nvm.Name), r.nmm, names, normTime))
-		}
-		return r.emit(report.FigureTable(
-			fmt.Sprintf("Figure 2: normalized energy, NMM (%s)", r.nvm.Name), r.nmm, names, normEnergy))
-	case 3, 4:
-		if r.flc == nil {
-			if r.flc, err = s.FourLC(r.llc); err != nil {
-				return err
-			}
-		}
-		if n == 3 {
-			return r.emit(report.FigureTable(
-				fmt.Sprintf("Figure 3: normalized run time, 4LC (%s)", r.llc.Name), r.flc, names, normTime))
-		}
-		return r.emit(report.FigureTable(
-			fmt.Sprintf("Figure 4: normalized energy, 4LC (%s)", r.llc.Name), r.flc, names, normEnergy))
-	case 5, 6:
-		if r.flcnvm == nil {
-			if r.flcnvm, err = s.FourLCNVM(r.llc, r.nvm); err != nil {
-				return err
-			}
-		}
-		if n == 5 {
-			return r.emit(report.FigureTable(
-				fmt.Sprintf("Figure 5: normalized run time, 4LCNVM (%s+%s)", r.llc.Name, r.nvm.Name), r.flcnvm, names, normTime))
-		}
-		return r.emit(report.FigureTable(
-			fmt.Sprintf("Figure 6: normalized energy, 4LCNVM (%s+%s)", r.llc.Name, r.nvm.Name), r.flcnvm, names, normEnergy))
-	case 7, 8:
-		var rows []exp.Row
-		for _, nvm := range r.cat.NVMs() {
-			_, row, err := s.NDM(nvm)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, row)
-		}
-		metric, title := normTime, "Figure 7: normalized run time, NDM (oracle placement)"
-		if n == 8 {
-			metric, title = normEnergy, "Figure 8: normalized energy, NDM (oracle placement)"
-		}
-		return r.emit(report.FigureTable(title, rows, names, metric))
-	case 9:
-		hm, err := s.LatencyHeatmap(nil, nil)
+		hm, err := heatmap(r.mults, r.mults)
 		if err != nil {
 			return err
 		}
-		if err := r.emit(report.HeatmapTable(hm)); err != nil {
+		if err := r.emit(report.HeatmapTable(hm)); err != nil || r.csv {
 			return err
 		}
-		if !r.csv {
-			return report.HeatmapShade(hm, os.Stdout)
-		}
-		return nil
-	case 10:
-		hm, err := s.EnergyHeatmap(nil, nil)
-		if err != nil {
-			return err
-		}
-		if err := r.emit(report.HeatmapTable(hm)); err != nil {
-			return err
-		}
-		if !r.csv {
-			return report.HeatmapShade(hm, os.Stdout)
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown figure %d (1-10)", n)
+		return report.HeatmapShade(hm, os.Stdout)
 	}
+	pair := (n - 1) / 2
+	if r.rows[pair] == nil {
+		if r.rows[pair], r.labels[pair], err = r.sweep(s, pair); err != nil {
+			return err
+		}
+	}
+	metric, what := normTime, "run time"
+	if n%2 == 0 {
+		metric, what = normEnergy, "energy"
+	}
+	title := fmt.Sprintf("Figure %d: normalized %s, %s", n, what, r.labels[pair])
+	return r.emit(report.FigureTable(title, r.rows[pair], r.suiteNames(), metric))
+}
+
+// sweep runs the design sweep behind one figure pair (0 = NMM, 1 = 4LC,
+// 2 = 4LCNVM, 3 = NDM) and returns its rows and title label.
+func (r *runner) sweep(s *exp.Suite, pair int) ([]exp.Row, string, error) {
+	llc, nvm := r.c.LLC, r.c.NVM
+	switch pair {
+	case 0:
+		rows, err := s.NMM(nvm)
+		return rows, fmt.Sprintf("NMM (%s)", nvm.Name), err
+	case 1:
+		rows, err := s.FourLC(llc)
+		return rows, fmt.Sprintf("4LC (%s)", llc.Name), err
+	case 2:
+		rows, err := s.FourLCNVM(llc, nvm)
+		return rows, fmt.Sprintf("4LCNVM (%s+%s)", llc.Name, nvm.Name), err
+	}
+	var rows []exp.Row
+	for _, nvm := range r.cfg.Catalog.NVMs() {
+		_, row, err := s.NDM(nvm)
+		if err != nil {
+			return nil, "", err
+		}
+		rows = append(rows, row)
+	}
+	return rows, "NDM (oracle placement)", nil
 }

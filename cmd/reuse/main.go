@@ -19,51 +19,46 @@ import (
 	"fmt"
 	"os"
 
-	"hybridmem/internal/design"
+	"hybridmem/internal/cli"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/report"
 	"hybridmem/internal/reuse"
 	"hybridmem/internal/serve"
-	"hybridmem/internal/workload"
-	"hybridmem/internal/workload/catalog"
 )
 
 func main() {
+	c := cli.New("reuse", cli.Scale)
+	c.AddWorkload("")
 	var (
-		wlName   = flag.String("workload", "", "workload to profile")
 		storeDir = flag.String("store", "", "store directory holding the workload's profile record (see tracecat -capture)")
 		boundary = flag.Bool("boundary", false, "profile the post-L3 boundary stream instead of the full stream")
 		lineSize = flag.Uint64("line", 64, "line granularity in bytes (power of two)")
-		scale    = flag.Uint64("scale", design.DefaultScale, "workload co-scaling divisor")
 	)
-	flag.Parse()
-	if *wlName == "" {
+	c.Parse()
+	if c.Workload == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 
 	s, err := reuse.NewSketcher(*lineSize)
-	exitOn(err)
-	label := *wlName
+	c.Exit(err)
+	label := c.Workload
 	var wp *exp.WorkloadProfile
 	switch {
 	case *storeDir != "":
 		label += " (stored post-L3)"
-		p, st, err := serve.OpenStoredProfile(*storeDir, *wlName, *scale)
-		exitOn(err)
+		p, st, err := serve.OpenStoredProfile(*storeDir, c.Workload, c.Scale)
+		c.Exit(err)
 		defer st.Close()
 		wp = p
-	default:
-		w, err := catalog.New(*wlName, workload.Options{Scale: *scale})
-		exitOn(err)
-		if !*boundary {
-			w.Run(s)
-			break
-		}
+	case *boundary:
 		label += " (post-L3)"
-		fmt.Fprintf(os.Stderr, "profiling %s...\n", *wlName)
-		wp, err = exp.ProfileWorkload(w, *scale, exp.NoDilution)
-		exitOn(err)
+		_, wp, err = c.ProfileWorkload(exp.NoDilution)
+		c.Exit(err)
+	default:
+		w, err := c.NewWorkload(c.Workload)
+		c.Exit(err)
+		w.Run(s)
 	}
 
 	// A boundary profile's sketch answers the granularities it captured
@@ -103,7 +98,7 @@ func main() {
 		)
 	}
 	_, err = t.WriteTo(os.Stdout)
-	exitOn(err)
+	c.Exit(err)
 
 	fmt.Println()
 	curve := &report.Table{
@@ -119,16 +114,9 @@ func main() {
 			fmt.Sprintf("%.2f%%", 100*h.HitRate(lines)))
 	}
 	_, err = curve.WriteTo(os.Stdout)
-	exitOn(err)
+	c.Exit(err)
 
 	if ws := h.WorkingSet(0.9); ws > 0 {
 		fmt.Printf("\n90%% working set: %d lines (%.1f MB)\n", ws, float64(ws**lineSize)/(1<<20))
-	}
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "reuse:", err)
-		os.Exit(1)
 	}
 }

@@ -13,44 +13,31 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 
+	"hybridmem/internal/cli"
 	"hybridmem/internal/core"
 	"hybridmem/internal/cost"
 	"hybridmem/internal/design"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/model"
 	"hybridmem/internal/report"
-	"hybridmem/internal/tech"
-	"hybridmem/internal/workload"
-	"hybridmem/internal/workload/catalog"
 )
 
 func main() {
+	c := cli.New("tco", cli.Scale|cli.Catalog)
+	c.AddWorkload("Hashing")
 	var (
-		wlName = flag.String("workload", "Hashing", "workload name")
-		scale  = flag.Uint64("scale", design.DefaultScale, "capacity co-scaling divisor")
-		catF   = flag.String("catalog", "", "technology catalog file (hybridmem-catalog/1 JSON; empty = builtin Table 1; see FORMATS.md)")
-		years  = flag.Float64("years", 5, "deployment lifetime in years")
-		kwh    = flag.Float64("kwh", 0.12, "electricity price, $/kWh")
-		duty   = flag.Float64("duty", 0.7, "duty cycle (fraction of lifetime under load)")
+		years = flag.Float64("years", 5, "deployment lifetime in years")
+		kwh   = flag.Float64("kwh", 0.12, "electricity price, $/kWh")
+		duty  = flag.Float64("duty", 0.7, "duty cycle (fraction of lifetime under load)")
 	)
-	flag.Parse()
+	c.Parse()
 
-	cat, err := tech.LoadCatalogOrBuiltin(*catF)
-	exitOn(err)
-	reg, err := design.NewRegistry(cat)
-	exitOn(err)
-
-	w, err := catalog.New(*wlName, workload.Options{Scale: *scale})
-	exitOn(err)
-	fmt.Fprintf(os.Stderr, "profiling %s...\n", *wlName)
-	wp, err := exp.ProfileWorkloadOpts(context.Background(), w,
-		exp.ProfileOptions{Scale: *scale, Dilution: exp.DefaultDilution, Catalog: cat})
-	exitOn(err)
+	_, wp, err := c.ProfileWorkload(exp.DefaultDilution)
+	c.Exit(err)
 
 	params := cost.DefaultParams()
 	params.LifetimeYears = *years
@@ -58,24 +45,24 @@ func main() {
 	params.DutyCycle = *duty
 
 	mk := func(b design.Backend, err error) design.Backend {
-		exitOn(err)
+		c.Exit(err)
 		return b
 	}
 	backends := []design.Backend{
-		reg.Reference(wp.Footprint),
-		mk(reg.NMM("N6", "PCM", *scale, wp.Footprint)),
-		mk(reg.NMM("N6", "STTRAM", *scale, wp.Footprint)),
-		mk(reg.FourLC("EH1", "eDRAM", *scale, wp.Footprint)),
-		mk(reg.FourLCNVM("EH3", "eDRAM", "PCM", *scale, wp.Footprint)),
+		c.Reg.Reference(wp.Footprint),
+		mk(c.Reg.NMM("N6", "PCM", c.Scale, wp.Footprint)),
+		mk(c.Reg.NMM("N6", "STTRAM", c.Scale, wp.Footprint)),
+		mk(c.Reg.FourLC("EH1", "eDRAM", c.Scale, wp.Footprint)),
+		mk(c.Reg.FourLCNVM("EH3", "eDRAM", "PCM", c.Scale, wp.Footprint)),
 	}
 
 	var labelled []cost.Labelled
 	var evals []model.Evaluation
 	for _, b := range backends {
 		ev, err := wp.Evaluate(b)
-		exitOn(err)
+		c.Exit(err)
 		built, err := b.Build()
-		exitOn(err)
+		c.Exit(err)
 		// Module inventory: the shared SRAM prefix plus the back end.
 		all := append(append([]core.LevelStats(nil), wp.Prefix...), built.Snapshot()...)
 		labelled = append(labelled, cost.Labelled{Label: b.Name, Modules: all, Eval: ev})
@@ -83,10 +70,10 @@ func main() {
 	}
 
 	tcos, err := cost.CompareAll(params, labelled)
-	exitOn(err)
+	c.Exit(err)
 
 	t := &report.Table{
-		Title:   fmt.Sprintf("%s: TCO over %.0f years at $%.2f/kWh (duty %.0f%%)", *wlName, *years, *kwh, *duty*100),
+		Title:   fmt.Sprintf("%s: TCO over %.0f years at $%.2f/kWh (duty %.0f%%)", c.Workload, *years, *kwh, *duty*100),
 		Headers: []string{"design", "norm time", "norm energy", "capex $", "energy $", "total $", "vs reference"},
 	}
 	base := tcos[0].TotalUSD()
@@ -100,12 +87,5 @@ func main() {
 			report.Pct(tcos[i].TotalUSD()/base))
 	}
 	_, err = t.WriteTo(os.Stdout)
-	exitOn(err)
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tco:", err)
-		os.Exit(1)
-	}
+	c.Exit(err)
 }

@@ -24,7 +24,7 @@ import (
 	"fmt"
 	"os"
 
-	"hybridmem/internal/design"
+	"hybridmem/internal/cli"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/report"
 	"hybridmem/internal/serve"
@@ -33,34 +33,31 @@ import (
 )
 
 func main() {
+	c := cli.New("tracecat", cli.Config|cli.LLC|cli.NVM|cli.Scale)
+	c.AddDesign("nmm")
 	var (
 		capture  = flag.String("capture", "", "workload whose boundary stream to capture into -store")
 		storeDir = flag.String("store", "", "store directory holding the profile records")
 		stat     = flag.String("stat", "", "workload whose stored boundary stream to summarize")
-		replay   = flag.String("replay", "", "workload whose stored boundary stream to replay into a design back end")
-		dsgn     = flag.String("design", "nmm", "replay design: reference, 4lc, nmm, 4lcnvm")
-		cfgName  = flag.String("config", "N6", "replay configuration")
-		llcName  = flag.String("llc", "eDRAM", "LLC technology for 4lc/4lcnvm")
-		nvmName  = flag.String("nvm", "PCM", "NVM technology for nmm/4lcnvm")
-		scale    = flag.Uint64("scale", design.DefaultScale, "capacity co-scaling divisor")
+		replay   = flag.String("replay", "", "workload whose stored boundary stream to replay into the -design back end")
 	)
-	flag.Parse()
+	c.Parse()
 
 	switch {
 	case *storeDir == "":
-		exitOn(fmt.Errorf("-store DIR is required"))
+		c.Exit(fmt.Errorf("-store DIR is required"))
 	case *capture != "":
-		doCapture(*capture, *storeDir, *scale)
+		doCapture(c, *capture, *storeDir)
 	case *stat != "":
-		wp, st, err := serve.OpenStoredProfile(*storeDir, *stat, *scale)
-		exitOn(err)
+		wp, st, err := serve.OpenStoredProfile(*storeDir, *stat, c.Scale)
+		c.Exit(err)
 		defer st.Close()
 		doStat(wp)
 	case *replay != "":
-		wp, st, err := serve.OpenStoredProfile(*storeDir, *replay, *scale)
-		exitOn(err)
+		wp, st, err := serve.OpenStoredProfile(*storeDir, *replay, c.Scale)
+		c.Exit(err)
 		defer st.Close()
-		doReplay(wp, *dsgn, *cfgName, *llcName, *nvmName, *scale)
+		doReplay(c, wp)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -71,24 +68,24 @@ func main() {
 // write-through persists the profile record (a tuple already in the store
 // is restored, not profiled again), then reads the record back as -stat
 // and -replay will.
-func doCapture(name, dir string, scale uint64) {
-	req, err := serve.ProfileRequest(name, scale)
-	exitOn(err)
+func doCapture(c *cli.Cmd, name, dir string) {
+	req, err := serve.ProfileRequest(name, c.Scale)
+	c.Exit(err)
 	st, err := store.Open(dir, store.Options{})
-	exitOn(err)
+	c.Exit(err)
 	ev := serve.NewEvaluator(1, nil)
 	ev.SetStore(st)
 	fmt.Fprintf(os.Stderr, "capturing %s...\n", name)
 	_, err = ev.Evaluate(context.Background(), req)
-	exitOn(err)
-	exitOn(st.Close())
+	c.Exit(err)
+	c.Exit(st.Close())
 
-	wp, st, err := serve.OpenStoredProfile(dir, name, scale)
-	exitOn(err)
+	wp, st, err := serve.OpenStoredProfile(dir, name, c.Scale)
+	c.Exit(err)
 	defer st.Close()
 	n := wp.Boundary.Len()
 	fmt.Printf("stored %d boundary refs (%d total refs) of %s at scale %d in %s (%.2f packed bytes/ref)\n",
-		n, wp.TotalRefs, name, scale, dir, float64(wp.Boundary.PackedBytes())/float64(n))
+		n, wp.TotalRefs, name, c.Scale, dir, float64(wp.Boundary.PackedBytes())/float64(n))
 }
 
 func doStat(wp *exp.WorkloadProfile) {
@@ -110,25 +107,11 @@ func doStat(wp *exp.WorkloadProfile) {
 	}
 }
 
-func doReplay(wp *exp.WorkloadProfile, dsgn, cfgName, llcName, nvmName string, scale uint64) {
-	reg := design.DefaultRegistry()
-	var b design.Backend
-	var err error
-	switch dsgn {
-	case "reference":
-		b = reg.Reference(wp.Footprint)
-	case "4lc":
-		b, err = reg.FourLC(cfgName, llcName, scale, wp.Footprint)
-	case "nmm":
-		b, err = reg.NMM(cfgName, nvmName, scale, wp.Footprint)
-	case "4lcnvm":
-		b, err = reg.FourLCNVM(cfgName, llcName, nvmName, scale, wp.Footprint)
-	default:
-		err = fmt.Errorf("unknown design %q (reference, 4lc, nmm, 4lcnvm)", dsgn)
-	}
-	exitOn(err)
+func doReplay(c *cli.Cmd, wp *exp.WorkloadProfile) {
+	b, err := c.Backend(wp.Footprint)
+	c.Exit(err)
 	built, err := b.Build()
-	exitOn(err)
+	c.Exit(err)
 	built.Replay(wp.Boundary)
 
 	t := &report.Table{
@@ -141,12 +124,5 @@ func doReplay(wp *exp.WorkloadProfile, dsgn, cfgName, llcName, nvmName string, s
 			fmt.Sprintf("%.2f%%", l.Stats.HitRate()*100), fmt.Sprint(l.Stats.WriteBacks))
 	}
 	_, err = t.WriteTo(os.Stdout)
-	exitOn(err)
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracecat:", err)
-		os.Exit(1)
-	}
+	c.Exit(err)
 }

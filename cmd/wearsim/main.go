@@ -20,47 +20,40 @@ import (
 	"os"
 
 	"hybridmem/internal/cache"
+	"hybridmem/internal/cli"
 	"hybridmem/internal/core"
-	"hybridmem/internal/design"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/report"
-	"hybridmem/internal/tech"
 	"hybridmem/internal/wear"
-	"hybridmem/internal/workload"
-	"hybridmem/internal/workload/catalog"
 )
 
 func main() {
+	c := cli.New("wearsim", cli.NVM|cli.Config|cli.Scale)
+	c.AddWorkload("Velvet")
+	c.Design = "nmm"
 	var (
-		wlName  = flag.String("workload", "Velvet", "workload name")
-		nvmName = flag.String("nvm", "PCM", "NVM technology (PCM, STTRAM, FeRAM)")
-		cfgName = flag.String("config", "N6", "NMM configuration (N1-N9)")
-		scale   = flag.Uint64("scale", design.DefaultScale, "capacity co-scaling divisor")
-		psi     = flag.Uint64("psi", 100, "Start-Gap period (writes per gap movement)")
-		grain   = flag.Uint64("grain", 64, "wear-tracking granularity in bytes")
+		psi   = flag.Uint64("psi", 100, "Start-Gap period (writes per gap movement)")
+		grain = flag.Uint64("grain", 64, "wear-tracking granularity in bytes")
 	)
-	flag.Parse()
+	c.Parse()
 
-	nvm, err := tech.ByName(*nvmName)
-	exitOn(err)
-	cfg, err := design.NByName(*cfgName)
-	exitOn(err)
-
-	w, err := catalog.New(*wlName, workload.Options{Scale: *scale})
-	exitOn(err)
-	fmt.Fprintf(os.Stderr, "profiling %s...\n", w.Name())
-	wp, err := exp.ProfileWorkload(w, *scale, exp.DefaultDilution)
-	exitOn(err)
+	w, wp, err := c.ProfileWorkload(exp.DefaultDilution)
+	c.Exit(err)
+	// The -config/-nvm NMM design point; run swaps its NVM terminal for a
+	// wear-tracking one.
+	b, err := c.Backend(wp.Footprint)
+	c.Exit(err)
+	dram, nvm := b.Caches[0], b.Memory
 
 	run := func(levelPsi uint64) (wear.Stats, *wear.StartGap) {
-		mem, err := wear.NewMemory("NVM("+nvm.Name+")", nvm, wp.Footprint, *grain, levelPsi)
-		exitOn(err)
+		mem, err := wear.NewMemory(nvm.Name, nvm.Tech, wp.Footprint, *grain, levelPsi)
+		c.Exit(err)
 		dramCache := cache.New(cache.Config{
-			Name: "DRAM$", Size: cfg.Capacity / *scale, LineSize: cfg.PageSize, Assoc: 16,
+			Name: dram.Name, Size: dram.Size, LineSize: dram.Line, Assoc: dram.Assoc,
 		})
 		backend, err := core.NewBackend(
-			[]core.Level{{Cache: dramCache, Tech: tech.DRAM}}, mem)
-		exitOn(err)
+			[]core.Level{{Cache: dramCache, Tech: dram.Tech}}, mem)
+		c.Exit(err)
 		backend.Replay(wp.Boundary)
 		return mem.WearStats(), mem.Leveler()
 	}
@@ -70,10 +63,10 @@ func main() {
 
 	// Write rate: NVM line-writes over the modelled runtime.
 	rate := float64(raw.TotalWrites) / wp.RefTime.Seconds()
-	endurance := wear.EnduranceFor(nvm.Name)
+	endurance := wear.EnduranceFor(nvm.Tech.Name)
 
 	t := &report.Table{
-		Title:   fmt.Sprintf("%s on NMM/%s/%s: NVM wear (grain %dB)", w.Name(), cfg.Name, nvm.Name, *grain),
+		Title:   fmt.Sprintf("%s on %s: NVM wear (grain %dB)", w.Name(), b.Name, *grain),
 		Headers: []string{"scheme", "frames touched", "total writes", "hottest frame", "imbalance", "lifetime"},
 	}
 	addRow := func(name string, s wear.Stats) {
@@ -88,7 +81,7 @@ func main() {
 	addRow("no leveling", raw)
 	addRow(fmt.Sprintf("start-gap psi=%d", *psi), leveled)
 	_, err = t.WriteTo(os.Stdout)
-	exitOn(err)
+	c.Exit(err)
 
 	if sg != nil {
 		fmt.Printf("\nstart-gap write amplification: %.4fx (%d gap moves)\n",
@@ -96,11 +89,4 @@ func main() {
 	}
 	fmt.Printf("sustained NVM write rate (modelled): %.0f line-writes/s; endurance budget: %.1e writes/cell\n",
 		rate, endurance)
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wearsim:", err)
-		os.Exit(1)
-	}
 }
