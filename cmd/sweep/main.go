@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strings"
 
 	"hybridmem/internal/cli"
 	"hybridmem/internal/exp"
@@ -25,7 +26,7 @@ import (
 )
 
 func main() {
-	c := cli.New("sweep", cli.Scale|cli.Catalog|cli.Workloads|cli.Workers|cli.Epoch|cli.RunLog|cli.Profile)
+	c := cli.New("sweep", cli.Scale|cli.WorkloadScale|cli.Catalog|cli.Workloads|cli.Workers|cli.Epoch|cli.RunLog|cli.Profile)
 	var (
 		dsgn = flag.String("design", "all", "design family: nmm, 4lc, 4lcnvm, ndm, all")
 		exts = flag.Bool("extensions", false, "also sweep post-2014 extension technologies on each axis")
@@ -55,48 +56,61 @@ func main() {
 		nvms, llcs = c.Cat.Class(tech.ClassNVM), c.Cat.Class(tech.ClassLLC)
 	}
 
-	run := func(family string) {
-		done := c.Log.Span("family_sweep", obs.Fields{"family": family})
-		defer done(nil)
-		switch family {
+	// Every requested grid family runs through one RunJobs call, so the
+	// design points that share a cache geometry across technologies share
+	// one replay per workload; rows print family by family as before.
+	var sets []exp.RowSet
+	var techNames []string
+	var grid []string
+	for _, f := range families {
+		switch f {
 		case "nmm":
 			for _, nvm := range nvms {
-				rows, err := s.NMM(nvm)
-				c.Exit(err)
-				emit("NMM", nvm.Name, s, rows)
+				sets = append(sets, exp.RowSet{Family: exp.FamilyNMM, NVM: nvm})
+				techNames = append(techNames, nvm.Name)
 			}
 		case "4lc":
 			for _, llc := range llcs {
-				rows, err := s.FourLC(llc)
-				c.Exit(err)
-				emit("4LC", llc.Name, s, rows)
+				sets = append(sets, exp.RowSet{Family: exp.Family4LC, LLC: llc})
+				techNames = append(techNames, llc.Name)
 			}
 		case "4lcnvm":
 			for _, llc := range llcs {
 				for _, nvm := range nvms {
-					rows, err := s.FourLCNVM(llc, nvm)
-					c.Exit(err)
-					emit("4LCNVM", llc.Name+"+"+nvm.Name, s, rows)
+					sets = append(sets, exp.RowSet{Family: exp.Family4LCNVM, LLC: llc, NVM: nvm})
+					techNames = append(techNames, llc.Name+"+"+nvm.Name)
 				}
 			}
-		case "ndm":
-			for _, nvm := range nvms {
-				results, _, err := s.NDM(nvm)
-				c.Exit(err)
-				for _, res := range results {
-					for i, ev := range res.Evals {
-						label := res.Placements[i].Label
-						if i == res.Chosen {
-							label += "*"
-						}
-						emitOne("NDM", label, nvm.Name, res.Workload, ev)
+		default:
+			continue
+		}
+		grid = append(grid, f)
+	}
+	if len(sets) > 0 {
+		done := c.Log.Span("family_sweep", obs.Fields{"family": strings.Join(grid, ",")})
+		rowSets, err := s.Rows(sets)
+		c.Exit(err)
+		done(nil)
+		for i, rows := range rowSets {
+			emit(sets[i].Family, techNames[i], s, rows)
+		}
+	}
+	if slices.Contains(families, "ndm") {
+		done := c.Log.Span("family_sweep", obs.Fields{"family": "ndm"})
+		for _, nvm := range nvms {
+			results, _, err := s.NDM(nvm)
+			c.Exit(err)
+			for _, res := range results {
+				for i, ev := range res.Evals {
+					label := res.Placements[i].Label
+					if i == res.Chosen {
+						label += "*"
 					}
+					emitOne("NDM", label, nvm.Name, res.Workload, ev)
 				}
 			}
 		}
-	}
-	for _, f := range families {
-		run(f)
+		done(nil)
 	}
 	c.Finish(nil)
 }

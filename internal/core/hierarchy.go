@@ -73,18 +73,35 @@ func NewHierarchy(levels []Level, mem Memory) (*Hierarchy, error) {
 	if mem == nil {
 		return nil, fmt.Errorf("core: nil memory terminal")
 	}
-	for i := 1; i < len(levels); i++ {
-		if levels[i].Cache.LineSize() < levels[i-1].Cache.LineSize() {
-			return nil, fmt.Errorf("core: level %d line size %d smaller than level %d line size %d",
-				i, levels[i].Cache.LineSize(), i-1, levels[i-1].Cache.LineSize())
-		}
-	}
+	lines := make([]uint64, len(levels))
+	techs := make([]tech.Tech, len(levels))
 	for i, l := range levels {
-		if err := l.Tech.Validate(); err != nil {
-			return nil, fmt.Errorf("core: level %d: %w", i, err)
-		}
+		lines[i], techs[i] = l.Cache.LineSize(), l.Tech
+	}
+	if err := CheckStack(lines, techs); err != nil {
+		return nil, err
 	}
 	return &Hierarchy{levels: levels, mem: mem}, nil
+}
+
+// CheckStack reports why cache levels with the given line sizes and
+// technologies, ordered from the CPU outward, cannot form a hierarchy, or
+// nil. NewHierarchy applies it to built levels; design.Backend.Check applies
+// it to level specs, so a design point can be checked without allocating
+// its caches.
+func CheckStack(lines []uint64, techs []tech.Tech) error {
+	for i := 1; i < len(lines); i++ {
+		if lines[i] < lines[i-1] {
+			return fmt.Errorf("core: level %d line size %d smaller than level %d line size %d",
+				i, lines[i], i-1, lines[i-1])
+		}
+	}
+	for i, t := range techs {
+		if err := t.Validate(); err != nil {
+			return fmt.Errorf("core: level %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // MustHierarchy is NewHierarchy that panics on error, for static design

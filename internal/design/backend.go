@@ -2,6 +2,7 @@ package design
 
 import (
 	"fmt"
+	"strconv"
 
 	"hybridmem/internal/core"
 	"hybridmem/internal/fault"
@@ -69,6 +70,70 @@ func (b Backend) Build() (*core.Backend, error) {
 		return nil, err
 	}
 	return core.NewBackend(levels, mem)
+}
+
+// ReplayKey names the back end's replay class: two back ends with the same
+// key produce identical cache and terminal statistics from any boundary
+// stream, because replay reads only each level's built geometry — size,
+// line, associativity after the config clamp, write policy and prefetch
+// depth — and a plain SimpleMemory terminal counts every access alike.
+// Technologies, names and the terminal's capacity enter only later, in the
+// model. ok is false for back ends whose terminal does more than count:
+// fault injection, the row-buffer refinement, and partitioned (NDM)
+// memories; each of those replays alone.
+func (b Backend) ReplayKey() (key string, ok bool) {
+	if b.Fault != nil || b.Memory.RowBuffer || b.Memory.Partitioned {
+		return "", false
+	}
+	buf := make([]byte, 0, 32*len(b.Caches))
+	for _, s := range b.Caches {
+		if s.Line == 0 {
+			return "", false // config would divide by zero; Build reports it
+		}
+		c := s.config()
+		buf = strconv.AppendUint(buf, c.Size, 10)
+		buf = append(buf, '/')
+		buf = strconv.AppendUint(buf, c.LineSize, 10)
+		buf = append(buf, '/')
+		buf = strconv.AppendInt(buf, int64(c.Assoc), 10)
+		buf = append(buf, '/')
+		buf = strconv.AppendBool(buf, c.WriteThrough)
+		buf = append(buf, '/')
+		buf = strconv.AppendInt(buf, int64(s.PrefetchNext), 10)
+		buf = append(buf, ';')
+	}
+	return string(buf), true
+}
+
+// Check returns the error Build would return for a back end with a replay
+// key (see ReplayKey), without building anything: a level whose geometry
+// fails validation, or levels that cannot stack (core.CheckStack). Back
+// ends without a replay key can also fail in their terminal, which only
+// Build reports.
+func (b Backend) Check() error {
+	lines := make([]uint64, len(b.Caches))
+	techs := make([]tech.Tech, len(b.Caches))
+	for i, s := range b.Caches {
+		if err := s.Validate(); err != nil {
+			return fmt.Errorf("design %s: %w", b.Name, err)
+		}
+		lines[i], techs[i] = s.Line, s.Tech
+	}
+	return core.CheckStack(lines, techs)
+}
+
+// Relabel returns the snapshot of a replay of another back end with b's
+// replay key as b's own: each cache level's statistics under b's level
+// Name, Tech and Capacity, and the terminal's under b's Memory labels. It
+// is what Build, a replay and Snapshot would give, at the cost of a copy.
+func (b Backend) Relabel(stats []core.LevelStats) []core.LevelStats {
+	out := make([]core.LevelStats, len(stats))
+	for i, s := range b.Caches {
+		out[i] = core.LevelStats{Name: s.Name, Tech: s.Tech, Capacity: s.Size, Stats: stats[i].Stats}
+	}
+	m := b.Memory
+	out[len(b.Caches)] = core.LevelStats{Name: m.Name, Tech: m.Tech, Capacity: m.Capacity, Stats: stats[len(b.Caches)].Stats}
+	return out
 }
 
 // BuildHierarchy instantiates the backend's cache levels and terminal as a

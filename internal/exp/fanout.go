@@ -57,15 +57,38 @@ var fanoutTargetHook func(b design.Backend, t replayTarget) replayTarget
 // seam for mid-stream cancellation; nil in production.
 var fanoutDecodeHook func(block int)
 
-// fanWorker is one design point's replay state inside a fan-out.
+// fanWorker is one replay class's state inside a fan-out: the leader design
+// point it builds and replays, and the followers that share its replay key
+// and take its statistics under their own labels.
 type fanWorker struct {
-	idx    int // index into the backends/results slices
+	idx    int // the leader's index into the backends/results slices
 	target replayTarget
 	in     chan *fanBlock
 	err    error
-	// label is the panic-recovery operation name, precomputed at setup so
-	// the per-block replay path stays allocation-free.
-	label string
+	// name is the leader's design name, and label the panic-recovery
+	// operation name, precomputed at setup so the per-block replay path
+	// stays allocation-free.
+	name, label string
+	// key is the leader's replay key; keyed is false for a design point
+	// that replays alone (see design.Backend.ReplayKey).
+	key   string
+	keyed bool
+	// followers are the indices of the design points answered by this
+	// worker's replay, and snap the replay's back-end snapshot.
+	followers []int
+	snap      []core.LevelStats
+}
+
+// classOf returns the worker already replaying the class with the given
+// key, or nil. A fan-out seats at most a few dozen classes, so a scan beats
+// a map.
+func classOf(workers []*fanWorker, key string) *fanWorker {
+	for _, w := range workers {
+		if w.keyed && w.key == key {
+			return w
+		}
+	}
+	return nil
 }
 
 // consume replays one block into the worker's back end, converting a panic
@@ -78,13 +101,19 @@ func (w *fanWorker) consume(refs []trace.Ref) {
 
 // EvaluateFanout replays the boundary stream once into a whole set of design
 // points: each packed 64K-ref block is decoded exactly once into a shared
-// read-only ring slot and broadcast to one replay worker per design point,
-// replacing len(backends) full decodes with one. Results come back in
-// backends order; a failing design point (build error, replay panic, model
-// error) carries its own Err without disturbing its siblings — a failed
-// worker keeps draining the ring so the broadcast never stalls. Cancelling
-// ctx stops the decoder at the next block boundary and marks every
-// still-healthy design point with ctx.Err().
+// read-only ring slot and broadcast to one replay worker per replay class,
+// replacing len(backends) full decodes with one. Design points with the
+// same replay key (design.Backend.ReplayKey: the same cache geometry over a
+// plain terminal) form one class: the first that builds replays, and the
+// rest build nothing and take its statistics under their own labels
+// (design.Backend.Relabel), so a class costs one replay however many
+// technologies it spans. Results come back in backends order; a failing
+// design point (build error, replay panic, model error) carries its own Err
+// without disturbing its siblings — a failed worker keeps draining the ring
+// so the broadcast never stalls — and a follower fails with its own Build
+// error before its leader's replay error. Cancelling ctx stops the decoder
+// at the next block boundary and marks every still-healthy design point
+// with ctx.Err().
 //
 // Blocks are immutable while shared: the decoder is the only writer, and it
 // only reuses a slot after every worker has released it (fanBlock.pending
@@ -97,6 +126,13 @@ func (wp *WorkloadProfile) EvaluateFanout(ctx context.Context, backends []design
 	start := time.Now()
 	workers := make([]*fanWorker, 0, len(backends))
 	for i, b := range backends {
+		key, keyed := b.ReplayKey()
+		if keyed {
+			if w := classOf(workers, key); w != nil {
+				w.followers = append(w.followers, i)
+				continue
+			}
+		}
 		built, err := b.Build()
 		if err != nil {
 			results[i] = FanoutResult{Err: err}
@@ -110,7 +146,10 @@ func (wp *WorkloadProfile) EvaluateFanout(ctx context.Context, backends []design
 			idx:    i,
 			target: t,
 			in:     make(chan *fanBlock, ringBlocks),
+			name:   b.Name,
 			label:  "evaluate " + b.Name + " on " + wp.Name,
+			key:    key,
+			keyed:  keyed,
 		})
 	}
 	if len(workers) == 0 {
@@ -186,29 +225,60 @@ func (wp *WorkloadProfile) EvaluateFanout(ctx context.Context, backends []design
 		if w.err == nil {
 			w.err = ctxErr
 		}
-		results[w.idx] = wp.finishFanout(ctx, w, backends[w.idx], len(workers), decoded, start)
+		w.drain()
+		results[w.idx] = wp.finishFanout(ctx, w, backends[w.idx], false, len(workers), decoded, start)
+		for _, i := range w.followers {
+			if err := backends[i].Check(); err != nil {
+				results[i] = FanoutResult{Err: err}
+				continue
+			}
+			results[i] = wp.finishFanout(ctx, w, backends[i], true, len(workers), decoded, start)
+			if results[i].Err == nil {
+				replaysShared.Add(1)
+			}
+		}
 	}
 	finishStop()
 	return results
 }
 
-// fanWidthHist tracks how many design points each fan-out replay broadcast
-// to — the direct observable for decode sharing (decodes per reference is
-// 1/width). Exposed on /metrics as hybridmem_fan_width.
+// fanWidthHist tracks how many replay workers each fan-out broadcast every
+// decoded block to — one per replay class, so decodes per replayed
+// reference is 1/width. Exposed on /metrics as hybridmem_fan_width.
 var fanWidthHist = obs.NewHistogram("hybridmem.fan_width",
-	"Design points sharing one boundary-stream decode per fan-out replay.")
+	"Replay workers sharing one boundary-stream decode per fan-out replay.")
 
-// finishFanout drains one worker's back end into its evaluation and emits
-// the design_point run-log event, tagged with a child span of ctx's trace
-// so a served request's design points correlate back to its trace_id.
-func (wp *WorkloadProfile) finishFanout(ctx context.Context, w *fanWorker, b design.Backend, width, blocks int, start time.Time) (res FanoutResult) {
+// replaysShared counts design points answered by another design point's
+// replay: the followers of a replay class. Exposed on /metrics as
+// hybridmem_replays_shared.
+var replaysShared = obs.NewCounter("hybridmem.replays_shared")
+
+// drain flushes the worker's back end into snap, or records in err the
+// panic that ended it.
+func (w *fanWorker) drain() {
+	if w.err != nil {
+		return
+	}
+	defer fault.RecoverTo(&w.err, w.label)
+	w.target.Flush()
+	w.snap = w.target.Snapshot()
+}
+
+// finishFanout turns the snapshot of w's replay into design point b's
+// evaluation — b is w's leader, or a follower that takes the snapshot under
+// its own labels (design.Backend.Relabel) — and emits the design_point
+// run-log event, tagged with a child span of ctx's trace so a served
+// request's design points correlate back to its trace_id.
+func (wp *WorkloadProfile) finishFanout(ctx context.Context, w *fanWorker, b design.Backend, follower bool, width, blocks int, start time.Time) (res FanoutResult) {
 	if w.err != nil {
 		return FanoutResult{Err: w.err}
 	}
 	defer fault.RecoverTo(&res.Err, w.label)
-	w.target.Flush()
-	p := wp.profileWith(w.target.Snapshot())
-	ev, err := model.Evaluate(b.Name, wp.Name, wp.refProfile, wp.RefTime, p)
+	snap := w.snap
+	if follower {
+		snap = b.Relabel(snap)
+	}
+	ev, err := model.Evaluate(b.Name, wp.Name, wp.refProfile, wp.RefTime, wp.profileWith(snap))
 	if err != nil {
 		return FanoutResult{Err: err}
 	}
@@ -223,6 +293,7 @@ func (wp *WorkloadProfile) finishFanout(ctx context.Context, w *fanWorker, b des
 		obs.ChildSpanIfTraced(ctx).Annotate(f)
 		f["workload"] = wp.Name
 		f["design"] = b.Name
+		f["replayed_by"] = w.name
 		f["decode_shared"] = true
 		f["fan_width"] = width
 		f["blocks"] = blocks

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -217,9 +218,17 @@ func TestFanoutBuildErrorFailsAlone(t *testing.T) {
 	}
 }
 
+// geometry returns a back end whose one cache level is n lines of 64 B: a
+// distinct replay class for each n.
+func geometry(n int) design.Backend {
+	return design.Backend{Caches: []design.LevelSpec{{Size: 64 * uint64(n), Line: 64, Assoc: 1}}}
+}
+
 // TestPlanFanout pins the grouped schedule: grouping by profile, largest
-// boundary first, chunks of at most `workers` design points, and job order
-// preserved within a group.
+// boundary first, chunks of at most `workers` replay classes, and job order
+// preserved within a group. Jobs of distinct geometries are classes of one,
+// so chunks count design points; same-geometry jobs share a class and a
+// chunk's width counts classes.
 func TestPlanFanout(t *testing.T) {
 	small := &WorkloadProfile{Name: "small", Boundary: &trace.Packed{}}
 	large := &WorkloadProfile{Name: "large", Boundary: &trace.Packed{}}
@@ -231,35 +240,55 @@ func TestPlanFanout(t *testing.T) {
 	}
 	var jobs []Job
 	for i := 0; i < 3; i++ {
-		jobs = append(jobs, Job{WP: small})
+		jobs = append(jobs, Job{WP: small, B: geometry(1 + i)})
 	}
 	for i := 0; i < 5; i++ {
-		jobs = append(jobs, Job{WP: large})
+		jobs = append(jobs, Job{WP: large, B: geometry(1 + i)})
 	}
-	chunks := planFanout(jobs, 2)
-	wantWP := []*WorkloadProfile{large, large, large, small, small}
-	wantIdxs := [][]int{{3, 4}, {5, 6}, {7}, {0, 1}, {2}}
-	if len(chunks) != len(wantWP) {
-		t.Fatalf("got %d chunks, want %d", len(chunks), len(wantWP))
-	}
-	for i, ch := range chunks {
-		if ch.wp != wantWP[i] {
-			t.Fatalf("chunk %d is %s, want %s", i, ch.wp.Name, wantWP[i].Name)
+	check := func(chunks []fanChunk, wantWP []*WorkloadProfile, wantIdxs [][]int, wantWidth []int) {
+		t.Helper()
+		if len(chunks) != len(wantWP) {
+			t.Fatalf("got %d chunks, want %d", len(chunks), len(wantWP))
 		}
-		if len(ch.idxs) != len(wantIdxs[i]) {
-			t.Fatalf("chunk %d has %d jobs, want %d", i, len(ch.idxs), len(wantIdxs[i]))
-		}
-		for j, idx := range ch.idxs {
-			if idx != wantIdxs[i][j] {
+		for i, ch := range chunks {
+			if ch.wp != wantWP[i] {
+				t.Fatalf("chunk %d is %s, want %s", i, ch.wp.Name, wantWP[i].Name)
+			}
+			if !slices.Equal(ch.idxs, wantIdxs[i]) {
 				t.Fatalf("chunk %d idxs = %v, want %v", i, ch.idxs, wantIdxs[i])
+			}
+			if ch.width != wantWidth[i] {
+				t.Fatalf("chunk %d width = %d, want %d", i, ch.width, wantWidth[i])
 			}
 		}
 	}
+	check(planFanout(jobs, 2),
+		[]*WorkloadProfile{large, large, large, small, small},
+		[][]int{{3, 4}, {5, 6}, {7}, {0, 1}, {2}},
+		[]int{2, 2, 1, 2, 1})
 	// A worker budget above the group size seats a whole group in one chunk:
 	// the clamp is against total design points, not groups.
 	if chunks := planFanout(jobs, 8); len(chunks) != 2 {
 		t.Fatalf("wide budget gave %d chunks, want one per group", len(chunks))
 	}
+
+	// Same-geometry jobs collapse into one class: large's five jobs form
+	// classes {0,2}, {1}, {3,4} (plus an unkeyed fault design, a class of
+	// its own), and each chunk seats two classes with all their jobs.
+	shared := []Job{
+		{WP: large, B: geometry(1)},
+		{WP: large, B: geometry(2)},
+		{WP: large, B: geometry(1)},
+		{WP: large, B: geometry(3)},
+		{WP: large, B: geometry(3)},
+		{WP: large, B: geometry(3).WithFault(fault.Config{})},
+		{WP: small, B: geometry(1)},
+		{WP: small, B: geometry(1)},
+	}
+	check(planFanout(shared, 2),
+		[]*WorkloadProfile{large, large, small},
+		[][]int{{0, 1, 2}, {3, 4, 5}, {6, 7}},
+		[]int{2, 2, 1})
 }
 
 // TestFanoutSteadyStateZeroAllocs pins the per-block cost of the fan-out

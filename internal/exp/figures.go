@@ -18,81 +18,104 @@ type Row struct {
 	PerWorkload []model.Evaluation
 }
 
-// NMM evaluates Table 3's N1-N9 DRAM-cache configurations over the given
-// NVM main-memory technology: the data behind Figures 1 (normalized run
-// time) and 2 (normalized energy).
-func (s *Suite) NMM(nvm tech.Tech) ([]Row, error) {
-	var backends []design.Backend
-	var labels []string
-	for _, cfg := range design.NConfigs {
-		labels = append(labels, cfg.Name)
-		backends = append(backends, s.backendsPerWorkload(func(footprint uint64) design.Backend {
-			return s.reg.NMMWith(cfg, nvm, s.Cfg.Scale, footprint)
-		})...)
-	}
-	return s.run(labels, backends)
+// The design families a RowSet can sweep.
+const (
+	FamilyNMM    = "NMM"
+	Family4LC    = "4LC"
+	Family4LCNVM = "4LCNVM"
+)
+
+// RowSet selects one figure's rows: a design family's Table 2 or Table 3
+// configurations over one technology choice. NVM applies to NMM and 4LCNVM,
+// LLC to 4LC and 4LCNVM.
+type RowSet struct {
+	Family   string
+	LLC, NVM tech.Tech
 }
 
-// FourLC evaluates Table 2's EH1-EH8 configurations with the given LLC
-// technology over DRAM: Figures 3 and 4.
-func (s *Suite) FourLC(llc tech.Tech) ([]Row, error) {
-	var backends []design.Backend
-	var labels []string
-	for _, cfg := range design.EHConfigs {
-		labels = append(labels, cfg.Name)
-		backends = append(backends, s.backendsPerWorkload(func(footprint uint64) design.Backend {
-			return s.reg.FourLCWith(cfg, llc, s.Cfg.Scale, footprint)
-		})...)
-	}
-	return s.run(labels, backends)
-}
-
-// FourLCNVM evaluates Table 2's configurations with the given LLC
-// technology over the given NVM: Figures 5 and 6.
-func (s *Suite) FourLCNVM(llc, nvm tech.Tech) ([]Row, error) {
-	var backends []design.Backend
-	var labels []string
-	for _, cfg := range design.EHConfigs {
-		labels = append(labels, cfg.Name)
-		backends = append(backends, s.backendsPerWorkload(func(footprint uint64) design.Backend {
-			return design.FourLCNVM(cfg, llc, nvm, s.Cfg.Scale, footprint)
-		})...)
-	}
-	return s.run(labels, backends)
-}
-
-// backendsPerWorkload instantiates one backend per workload (footprints
-// differ per workload, so each workload gets its own memory capacity).
-func (s *Suite) backendsPerWorkload(mk func(footprint uint64) design.Backend) []design.Backend {
-	out := make([]design.Backend, len(s.Profiles))
-	for i, wp := range s.Profiles {
-		out[i] = mk(wp.Footprint)
-	}
-	return out
-}
-
-// run executes a label-major backend list (len(labels)*len(profiles)
-// backends, grouped by label, each group pairing workload i with backend i)
-// on the worker pool and folds the results into per-label rows.
-func (s *Suite) run(labels []string, backends []design.Backend) ([]Row, error) {
+// Rows evaluates every row set through one RunJobs call and returns each
+// set's rows, one per configuration, in sets order. One call lets design
+// points that share a cache geometry across sets — every EH configuration
+// under 4LC and 4LCNVM, every N configuration under each NVM — share one
+// replay per workload (see EvaluateFanout).
+func (s *Suite) Rows(sets []RowSet) ([][]Row, error) {
 	n := len(s.Profiles)
-	if len(backends) != len(labels)*n {
-		return nil, fmt.Errorf("exp: %d backends for %d labels x %d workloads", len(backends), len(labels), n)
-	}
-	jobs := make([]Job, len(backends))
-	for i, b := range backends {
-		jobs[i] = Job{WP: s.Profiles[i%n], B: b}
+	var jobs []Job
+	var labels [][]string
+	for _, set := range sets {
+		var names []string
+		var mk func(i int, footprint uint64) design.Backend
+		switch set.Family {
+		case FamilyNMM:
+			for _, cfg := range design.NConfigs {
+				names = append(names, cfg.Name)
+			}
+			mk = func(i int, footprint uint64) design.Backend {
+				return s.reg.NMMWith(design.NConfigs[i], set.NVM, s.Cfg.Scale, footprint)
+			}
+		case Family4LC, Family4LCNVM:
+			for _, cfg := range design.EHConfigs {
+				names = append(names, cfg.Name)
+			}
+			mk = func(i int, footprint uint64) design.Backend {
+				if set.Family == Family4LC {
+					return s.reg.FourLCWith(design.EHConfigs[i], set.LLC, s.Cfg.Scale, footprint)
+				}
+				return design.FourLCNVM(design.EHConfigs[i], set.LLC, set.NVM, s.Cfg.Scale, footprint)
+			}
+		default:
+			return nil, fmt.Errorf("exp: unknown design family %q", set.Family)
+		}
+		labels = append(labels, names)
+		for i := range names {
+			for _, wp := range s.Profiles {
+				jobs = append(jobs, Job{WP: wp, B: mk(i, wp.Footprint)})
+			}
+		}
 	}
 	results, err := RunJobs(s.ctx, jobs, s.Cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Row, len(labels))
-	for i, label := range labels {
-		evals := results[i*n : (i+1)*n]
-		rows[i] = Row{Label: label, Avg: model.Average(label, evals), PerWorkload: evals}
+	out := make([][]Row, len(sets))
+	for k, ls := range labels {
+		rows := make([]Row, len(ls))
+		for i, label := range ls {
+			evals := results[:n:n]
+			results = results[n:]
+			rows[i] = Row{Label: label, Avg: model.Average(label, evals), PerWorkload: evals}
+		}
+		out[k] = rows
 	}
-	return rows, nil
+	return out, nil
+}
+
+// rows evaluates a single row set.
+func (s *Suite) rows(set RowSet) ([]Row, error) {
+	rs, err := s.Rows([]RowSet{set})
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
+
+// NMM evaluates Table 3's N1-N9 DRAM-cache configurations over the given
+// NVM main-memory technology: the data behind Figures 1 (normalized run
+// time) and 2 (normalized energy).
+func (s *Suite) NMM(nvm tech.Tech) ([]Row, error) {
+	return s.rows(RowSet{Family: FamilyNMM, NVM: nvm})
+}
+
+// FourLC evaluates Table 2's EH1-EH8 configurations with the given LLC
+// technology over DRAM: Figures 3 and 4.
+func (s *Suite) FourLC(llc tech.Tech) ([]Row, error) {
+	return s.rows(RowSet{Family: Family4LC, LLC: llc})
+}
+
+// FourLCNVM evaluates Table 2's configurations with the given LLC
+// technology over the given NVM: Figures 5 and 6.
+func (s *Suite) FourLCNVM(llc, nvm tech.Tech) ([]Row, error) {
+	return s.rows(RowSet{Family: Family4LCNVM, LLC: llc, NVM: nvm})
 }
 
 // NDMResult is one workload's oracle exploration: every placement's

@@ -16,15 +16,18 @@ type Job struct {
 }
 
 // fanChunk is one schedulable unit of the grouped plan: up to `workers`
-// design points of a single workload, evaluated by one EvaluateFanout call
+// replay classes of a single workload, evaluated by one EvaluateFanout call
 // that decodes the workload's boundary stream exactly once.
 type fanChunk struct {
 	wp   *WorkloadProfile
 	idxs []int // indices into the jobs slice, in job order
+	// width is the number of replay classes among idxs: the replay workers
+	// the chunk seats.
+	width int
 }
 
 // boundaryRefs is the scheduling weight of a workload: the length of the
-// stream every one of its design points must replay.
+// stream every one of its replay classes must replay.
 func boundaryRefs(wp *WorkloadProfile) int {
 	if wp == nil || wp.Boundary == nil {
 		return 0
@@ -33,36 +36,50 @@ func boundaryRefs(wp *WorkloadProfile) int {
 }
 
 // planFanout turns a flat job list into the fan-out schedule. Jobs are
-// grouped by workload profile (preserving job order within a group), groups
-// are ordered largest boundary first — the heaviest stream starts decoding
-// immediately instead of serializing the tail behind FIFO arrival order,
-// with ties keeping first-appearance order — and each group is split into
-// chunks of at most `workers` design points, so a chunk's replay workers can
-// always be seated at once on the worker budget.
+// grouped by workload profile, and within a group by replay class (jobs
+// whose back ends share a design.Backend.ReplayKey; a job without one is a
+// class of its own), classes in first-appearance order. Groups are ordered
+// largest boundary first — the heaviest stream starts decoding immediately
+// instead of serializing the tail behind FIFO arrival order, with ties
+// keeping first-appearance order — and each group is split into chunks of
+// at most `workers` classes, so a chunk's replay workers can always be
+// seated at once on the worker budget however many design points its
+// classes hold.
 func planFanout(jobs []Job, workers int) []fanChunk {
 	type group struct {
-		wp   *WorkloadProfile
-		idxs []int
+		wp      *WorkloadProfile
+		classes [][]int        // job indices per replay class
+		byKey   map[string]int // index into classes by replay key
 	}
 	byWP := make(map[*WorkloadProfile]*group, 8)
 	ordered := make([]*group, 0, 8)
 	for i, j := range jobs {
 		g := byWP[j.WP]
 		if g == nil {
-			g = &group{wp: j.WP}
+			g = &group{wp: j.WP, byKey: map[string]int{}}
 			byWP[j.WP] = g
 			ordered = append(ordered, g)
 		}
-		g.idxs = append(g.idxs, i)
+		key, keyed := j.B.ReplayKey()
+		if c, seen := g.byKey[key]; keyed && seen {
+			g.classes[c] = append(g.classes[c], i)
+			continue
+		}
+		if keyed {
+			g.byKey[key] = len(g.classes)
+		}
+		g.classes = append(g.classes, []int{i})
 	}
 	slices.SortStableFunc(ordered, func(a, b *group) int {
 		return boundaryRefs(b.wp) - boundaryRefs(a.wp)
 	})
 	var chunks []fanChunk
 	for _, g := range ordered {
-		for off := 0; off < len(g.idxs); off += workers {
-			end := min(off+workers, len(g.idxs))
-			chunks = append(chunks, fanChunk{wp: g.wp, idxs: g.idxs[off:end]})
+		for off := 0; off < len(g.classes); off += workers {
+			cs := g.classes[off:min(off+workers, len(g.classes))]
+			idxs := slices.Concat(cs...)
+			slices.Sort(idxs)
+			chunks = append(chunks, fanChunk{wp: g.wp, idxs: idxs, width: len(cs)})
 		}
 	}
 	return chunks
@@ -71,13 +88,14 @@ func planFanout(jobs []Job, workers int) []fanChunk {
 // RunJobs evaluates jobs on a bounded worker pool and returns the
 // evaluations in job order. Jobs sharing a WorkloadProfile are grouped into
 // fan-out chunks (see EvaluateFanout), so each packed boundary block is
-// decoded once per chunk instead of once per design point; chunks dispatch
-// largest boundary first. The worker bound clamps against the total number
-// of design points — not the number of groups — so grouping never
-// under-provisions the pool. Each replay worker builds its own back-end
-// instance and the shared decoded blocks are read-only, so no simulator
-// state is shared. The first error stops dispatch and cancels in-flight
-// chunks.
+// decoded once per chunk instead of once per design point, and jobs of one
+// workload that share a replay class are replayed once; chunks dispatch
+// largest boundary first. The worker bound counts replay workers — one per
+// replay class in flight — and clamps against the total number of design
+// points, not the number of groups, so grouping never under-provisions the
+// pool. Each replay worker builds its own back-end instance and the shared
+// decoded blocks are read-only, so no simulator state is shared. The first
+// error stops dispatch and cancels in-flight chunks.
 //
 // Cancelling ctx stops dispatching new chunks and aborts in-flight boundary
 // replays at the next block boundary; RunJobs then returns ctx.Err(). CLI
@@ -117,7 +135,7 @@ func RunJobs(ctx context.Context, jobs []Job, workers int) ([]model.Evaluation, 
 
 	var wg sync.WaitGroup
 	for _, ch := range planFanout(jobs, workers) {
-		need := len(ch.idxs)
+		need := ch.width
 		mu.Lock()
 		for free < need && !stop {
 			cond.Wait()
@@ -144,7 +162,7 @@ func RunJobs(ctx context.Context, jobs []Job, workers int) ([]model.Evaluation, 
 					results[i] = rs[j].Eval
 				}
 			}
-			free += len(ch.idxs)
+			free += ch.width
 			mu.Unlock()
 			cond.Broadcast()
 		}(ch)

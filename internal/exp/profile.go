@@ -413,6 +413,7 @@ func (wp *WorkloadProfile) EvaluateSerialCtx(ctx context.Context, b design.Backe
 		obs.ChildSpanIfTraced(ctx).Annotate(f)
 		f["workload"] = wp.Name
 		f["design"] = b.Name
+		f["replayed_by"] = b.Name
 		f["decode_shared"] = false
 		f["norm_time"] = ev.NormTime
 		f["norm_energy"] = ev.NormEnergy

@@ -91,6 +91,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"memsimd_requests_total",
 		"memsimd_replay_refs_total",
 		"hybridmem_fan_width",
+		"hybridmem_replays_shared",
 		"hybridmem_refs_processed",
 		"hybridmem_blocks_decoded",
 	} {
