@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench repro sweep clean race bench-json bench-compare doccheck catalogcheck chaos
+.PHONY: all build vet test bench repro sweep clean race doccheck catalogcheck chaos
 
 all: build vet test doccheck catalogcheck
 
@@ -22,22 +22,6 @@ bench:
 
 bench-log:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
-
-# Machine-readable benchmark summary (BENCH_<short-sha>.json, or
-# BENCH_worktree.json outside a git checkout).
-bench-json:
-	$(GO) test -bench=. -benchmem ./... | \
-		$(GO) run ./cmd/benchjson -o BENCH_$$(git rev-parse --short HEAD 2>/dev/null || echo worktree).json
-
-# Regression gate against the committed baseline: re-run the gated fan-out
-# replay and cache hot-loop benchmarks and fail on a >15% ns/op regression.
-# Same check CI runs; refresh BENCH_baseline.json when a slowdown is intended.
-bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkFanoutReplay' . > /tmp/hybridmem_gate_bench.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkCacheAccess' ./internal/cache/ >> /tmp/hybridmem_gate_bench.txt
-	$(GO) run ./cmd/benchjson -o /tmp/hybridmem_BENCH_gate.json < /tmp/hybridmem_gate_bench.txt
-	$(GO) run ./cmd/benchjson -compare -threshold 15 -match 'FanoutReplay|CacheAccess' \
-		BENCH_baseline.json /tmp/hybridmem_BENCH_gate.json
 
 # Race-detector pass over the full test suite (~2 minutes).
 race:

@@ -24,7 +24,7 @@
 //
 //	explore                           # default grid, table report
 //	explore -extensions -json         # widened axes, machine-readable report
-//	explore -caps 64,256 -pages 4096 -nvm PCM -workloads CG,Graph500
+//	explore -caps 64,256 -pages 4096 -nvms PCM -workloads CG,Graph500
 package main
 
 import (
@@ -96,8 +96,8 @@ func main() {
 	cmd := cli.New("explore", cli.Scale|cli.WorkloadScale|cli.Iters|cli.Workloads|cli.Catalog|cli.Workers)
 	var (
 		exts      = flag.Bool("extensions", false, "widen the cache/memory technology axes to every catalog entry of the class")
-		llcF      = flag.String("llc", "", "comma-separated cache-technology subset (default: DRAM + catalog LLC axis)")
-		nvmF      = flag.String("nvm", "", "comma-separated terminal-technology subset (default: DRAM + catalog NVM axis)")
+		llcF      = flag.String("llcs", "", "comma-separated cache-technology subset (default: DRAM + catalog LLC axis)")
+		nvmF      = flag.String("nvms", "", "comma-separated terminal-technology subset (default: DRAM + catalog NVM axis)")
 		capsF     = flag.String("caps", "4,8,16,64,256,512", "cache capacities to enumerate, MB, unscaled paper space")
 		pagesF    = flag.String("pages", "64,512,2048,4096", "cache page sizes to enumerate, bytes (must be sketch granularities)")
 		assocsF   = flag.String("assocs", "16", "cache associativities to enumerate (promotion-only axis)")
@@ -125,9 +125,9 @@ func main() {
 		nvms, llcs = cmd.Cat.Class(tech.ClassNVM), cmd.Cat.Class(tech.ClassLLC)
 	}
 	dram := cmd.Reg.DRAM()
-	cacheTechs, err := filterTechs("llc", append([]tech.Tech{dram}, llcs...), *llcF)
+	cacheTechs, err := filterTechs("llcs", append([]tech.Tech{dram}, llcs...), *llcF)
 	cmd.Exit(err)
-	memTechs, err := filterTechs("nvm", append([]tech.Tech{dram}, nvms...), *nvmF)
+	memTechs, err := filterTechs("nvms", append([]tech.Tech{dram}, nvms...), *nvmF)
 	cmd.Exit(err)
 
 	cands, skipped := enumerate(cacheTechs, memTechs, caps, pages, assocs, cmd.Scale, *nocache)

@@ -10,8 +10,8 @@
 //     chaos schedule drives the limiter with a fake clock and replays the
 //     exact same admit/deny sequence on every run.
 //   - Zero allocation on the hot path: admitting a known client performs
-//     no heap allocation (pinned by a testing.AllocsPerRun test and the
-//     BenchmarkTokenBucketAllow entry in the bench-json artifact).
+//     no heap allocation (pinned by a testing.AllocsPerRun test and
+//     reported by BenchmarkTokenBucketAllow).
 //   - Bounded memory: the limiter tracks at most MaxClients buckets and
 //     lazily garbage-collects idle ones, so an open endpoint cannot be
 //     grown without bound by spoofed client keys.

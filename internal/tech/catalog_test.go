@@ -3,6 +3,8 @@ package tech
 import (
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -224,4 +226,44 @@ func TestCatalogLookup(t *testing.T) {
 	if ue.Name != "flux-capacitor" || len(ue.Known) == 0 {
 		t.Errorf("UnknownError = %+v", ue)
 	}
+}
+
+// FuzzParseCatalog feeds arbitrary bytes to ParseCatalog, seeded with the
+// builtin catalog and every example catalog. It must never panic, must
+// reject only with a *CatalogError, and must accept only catalogs whose
+// entries all validate and whose bytes parse again to the same hash.
+func FuzzParseCatalog(f *testing.F) {
+	f.Add(BuiltinJSON())
+	examples, err := filepath.Glob("../../examples/catalogs/*.json")
+	if err != nil || len(examples) == 0 {
+		f.Fatalf("no example catalogs to seed from (%v)", err)
+	}
+	for _, path := range examples {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c, err := ParseCatalog(b)
+		if err != nil {
+			if _, ok := err.(*CatalogError); !ok {
+				t.Fatalf("rejection %T (%v), want *CatalogError", err, err)
+			}
+			return
+		}
+		for _, e := range c.Entries() {
+			if err := e.Tech.Validate(); err != nil {
+				t.Errorf("accepted entry %q fails Validate: %v", e.Tech.Name, err)
+			}
+		}
+		again, err := ParseCatalog(b)
+		if err != nil {
+			t.Fatalf("accepted catalog rejected on a second parse: %v", err)
+		}
+		if again.Hash() != c.Hash() {
+			t.Errorf("same bytes parsed to hashes %s and %s", c.Hash(), again.Hash())
+		}
+	})
 }
