@@ -290,13 +290,12 @@ func BenchmarkAblationBoundaryReplay(b *testing.B) {
 }
 
 // BenchmarkBoundaryReplayScalar replays a profiled workload's boundary
-// store one reference at a time through the trace.Sink interface — the
-// pre-batching delivery contract, kept as the baseline the batch-first
-// engine is measured against. Both replay benchmarks read the same packed
-// boundary store (the only boundary representation the harness keeps), so
-// the refs/s difference isolates delivery mode: per-reference interface
-// dispatch here versus the monomorphic batch walk in
-// BenchmarkBoundaryReplayBatch.
+// store one reference at a time: one-reference batches through the
+// trace.Sink interface, the baseline the batch walk is measured against.
+// Both replay benchmarks read the same packed boundary store (the only
+// boundary representation the harness keeps), so the refs/s difference
+// isolates delivery mode: an interface dispatch per reference here versus
+// one per decoded block in BenchmarkBoundaryReplayBatch.
 func BenchmarkBoundaryReplayScalar(b *testing.B) {
 	s := suite(b)
 	wp := s.Profiles[0]
@@ -309,8 +308,8 @@ func BenchmarkBoundaryReplayScalar(b *testing.B) {
 		}
 		var sink trace.Sink = built
 		wp.Boundary.Batches(nil, func(refs []trace.Ref) error {
-			for _, r := range refs {
-				sink.Access(r)
+			for j := range refs {
+				sink.AccessBatch(refs[j : j+1])
 			}
 			return nil
 		})
@@ -614,10 +613,12 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 		b.Fatal(err)
 	}
 	state := uint64(7)
+	var one [1]trace.Ref
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		state = state*6364136223846793005 + 1442695040888963407
-		h.Access(trace.Ref{Addr: (state >> 16) % (64 << 20), Size: 8, Kind: trace.Kind(i & 1)})
+		one[0] = trace.Ref{Addr: (state >> 16) % (64 << 20), Size: 8, Kind: trace.Kind(i & 1)}
+		h.AccessBatch(one[:])
 	}
 }
 

@@ -3,6 +3,7 @@ package hybridmem_test
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"hybridmem"
 )
@@ -58,4 +59,46 @@ func ExampleNewWorkload() {
 	fmt.Printf("loads = 1.5x stores: %v\n", c.Loads*2 == c.Stores*3)
 	// Output:
 	// loads = 1.5x stores: true
+}
+
+// dotProduct is a tiny custom Workload: x·y over two n-element float64
+// vectors, the result stored to a scalar.
+type dotProduct struct{ n uint64 }
+
+// Simulated base addresses of dotProduct's vectors and result.
+const xBase, yBase, outBase = 1 << 20, 2 << 20, 3 << 20
+
+func (dotProduct) Name() string           { return "DotProduct" }
+func (dotProduct) Suite() string          { return "Example" }
+func (dotProduct) RefTime() time.Duration { return time.Second }
+func (w dotProduct) Footprint() uint64    { return 2*w.n*8 + 8 }
+func (w dotProduct) Regions() []hybridmem.Region {
+	return []hybridmem.Region{
+		{Name: "x", Base: xBase, Size: w.n * 8},
+		{Name: "y", Base: yBase, Size: w.n * 8},
+		{Name: "out", Base: outBase, Size: 8},
+	}
+}
+
+// Run emits references one at a time through NewMem, which hands them to
+// sink in batches; Flush delivers the last partial batch.
+func (w dotProduct) Run(sink hybridmem.Sink) {
+	mem := hybridmem.NewMem(sink)
+	defer mem.Flush()
+	for i := uint64(0); i < w.n; i++ {
+		mem.Load8(xBase + 8*i)
+		mem.Load8(yBase + 8*i)
+	}
+	mem.Store8(outBase)
+}
+
+// ExampleNewMem runs a custom workload that emits its references one at a
+// time into a Counter.
+func ExampleNewMem() {
+	var w hybridmem.Workload = dotProduct{n: 5000}
+	var c hybridmem.Counter
+	w.Run(&c)
+	fmt.Printf("%s: %d loads (%d B), %d stores (%d B)\n", w.Name(), c.Loads, c.LoadBytes, c.Stores, c.StoreBytes)
+	// Output:
+	// DotProduct: 10000 loads (80000 B), 1 stores (8 B)
 }

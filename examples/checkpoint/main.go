@@ -59,8 +59,9 @@ func (a *checkpointApp) Run(sink hybridmem.Sink) {
 	gridBase := a.gridR.Base
 	ckptBase := a.ckptR.Base
 
-	load := func(addr uint64) { sink.Access(hybridmem.Ref{Addr: addr, Size: 8, Kind: hybridmem.Load}) }
-	store := func(addr uint64) { sink.Access(hybridmem.Ref{Addr: addr, Size: 8, Kind: hybridmem.Store}) }
+	mem := hybridmem.NewMem(sink)
+	defer mem.Flush()
+	load, store := mem.Load8, mem.Store8
 
 	for s := 0; s < a.sweeps; s++ {
 		// Jacobi-style sweep (in place, checkerboard order).

@@ -133,25 +133,25 @@ func NewWorkload(name string, opts WorkloadOptions) (Workload, error) {
 	return catalog.New(name, opts)
 }
 
-// Ref is one memory reference; Sink consumes a reference stream. Implement
-// Sink (or use Hierarchy) to analyze custom workloads, or implement
-// Workload to feed custom kernels into the harness.
+// Ref is one memory reference. Sink consumes a reference stream in batches
+// through its one method, AccessBatch; implement it (or use Hierarchy) to
+// analyze custom workloads, or implement Workload to feed custom kernels
+// into the harness. Packed is the delta-encoded boundary-store
+// representation WorkloadProfile records into. See the internal/trace
+// package comment for the pipeline description.
 type (
-	Ref  = trace.Ref
-	Sink = trace.Sink
+	Ref    = trace.Ref
+	Sink   = trace.Sink
+	Packed = trace.Packed
 )
 
-// Batch-first streaming: BatchSink consumes references many at a time,
-// Stream walks a replayable source in batches, RefSlice adapts a raw []Ref
-// to Stream, and Packed is the delta-encoded boundary-store representation
-// WorkloadProfile records into. See the internal/trace package comment for
-// the pipeline description.
-type (
-	BatchSink = trace.BatchSink
-	Stream    = trace.Stream
-	RefSlice  = trace.RefSlice
-	Packed    = trace.Packed
-)
+// Mem emits a custom workload's references one at a time — 8-, 4- and
+// 1-byte and n-byte loads and stores — batching them into a Sink. Call its
+// Flush once when the stream ends.
+type Mem = workload.Mem
+
+// NewMem returns a Mem delivering batches into sink.
+func NewMem(sink Sink) Mem { return workload.NewMem(sink) }
 
 // Reference kinds.
 const (

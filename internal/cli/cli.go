@@ -187,12 +187,12 @@ func (c *Cmd) Validate() error {
 		return err
 	}
 	if c.llc != "" {
-		if c.LLC, err = c.tech(c.llc, tech.ClassLLC); err != nil {
+		if c.LLC, err = c.Reg.TechOfClass(c.llc, tech.ClassLLC); err != nil {
 			return err
 		}
 	}
 	if c.nvm != "" {
-		if c.NVM, err = c.tech(c.nvm, tech.ClassNVM); err != nil {
+		if c.NVM, err = c.Reg.TechOfClass(c.nvm, tech.ClassNVM); err != nil {
 			return err
 		}
 	}
@@ -244,20 +244,6 @@ func checkWorkload(name string) error {
 		return fmt.Errorf("unknown workload %q (known: %s)", name, strings.Join(catalog.ExtendedNames, ", "))
 	}
 	return nil
-}
-
-// tech resolves name in the registry's catalog and requires the given
-// class, failing with *design.ClassError as the registry's design
-// constructors do.
-func (c *Cmd) tech(name, class string) (tech.Tech, error) {
-	t, err := c.Reg.Tech(name)
-	if err != nil {
-		return tech.Tech{}, err
-	}
-	if e, _ := c.Cat.Entry(t.Name); e.Class != class {
-		return tech.Tech{}, &design.ClassError{Tech: t.Name, Class: e.Class, Want: class}
-	}
-	return t, nil
 }
 
 // Backend builds the -design/-config/-llc/-nvm design point through the

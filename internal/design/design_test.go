@@ -104,8 +104,8 @@ func buildAndTouch(t *testing.T, b Backend) *core.Backend {
 	if err != nil {
 		t.Fatalf("%s: %v", b.Name, err)
 	}
-	built.Access(trace.Ref{Addr: 0, Size: 64, Kind: trace.Load})
-	built.Access(trace.Ref{Addr: 4096, Size: 64, Kind: trace.Store})
+	built.AccessBatch([]trace.Ref{{Addr: 0, Size: 64, Kind: trace.Load}})
+	built.AccessBatch([]trace.Ref{{Addr: 4096, Size: 64, Kind: trace.Store}})
 	built.Flush()
 	return built
 }
@@ -196,8 +196,8 @@ func TestNDMBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built.Access(trace.Ref{Addr: 100, Size: 64, Kind: trace.Load})     // NVM side
-	built.Access(trace.Ref{Addr: 2 << 20, Size: 64, Kind: trace.Load}) // DRAM side
+	built.AccessBatch([]trace.Ref{{Addr: 100, Size: 64, Kind: trace.Load}})     // NVM side
+	built.AccessBatch([]trace.Ref{{Addr: 2 << 20, Size: 64, Kind: trace.Load}}) // DRAM side
 	snap := built.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("NDM has %d modules", len(snap))

@@ -63,13 +63,13 @@ func NewRegistry(cat *tech.Catalog) (*Registry, error) {
 		nConfigs:  NConfigs,
 	}
 	for i, name := range prefixTechNames {
-		t, err := r.techOfClass(name, tech.ClassSRAM)
+		t, err := r.TechOfClass(name, tech.ClassSRAM)
 		if err != nil {
 			return nil, fmt.Errorf("design: catalog %s: prefix: %w", cat.Name(), err)
 		}
 		r.sram[i] = t
 	}
-	dram, err := r.techOfClass("DRAM", tech.ClassDRAM)
+	dram, err := r.TechOfClass("DRAM", tech.ClassDRAM)
 	if err != nil {
 		return nil, fmt.Errorf("design: catalog %s: %w", cat.Name(), err)
 	}
@@ -125,8 +125,9 @@ func (r *Registry) computeHash() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// techOfClass resolves a technology by name and checks its catalog class.
-func (r *Registry) techOfClass(name, class string) (tech.Tech, error) {
+// TechOfClass resolves a technology by case-insensitive name or alias and
+// checks its catalog class, failing with *ClassError on a mismatch.
+func (r *Registry) TechOfClass(name, class string) (tech.Tech, error) {
 	t, err := r.cat.Tech(name)
 	if err != nil {
 		return tech.Tech{}, err
@@ -211,7 +212,7 @@ func (r *Registry) FourLC(cfgName, llcName string, scale, footprint uint64) (Bac
 	if err != nil {
 		return Backend{}, err
 	}
-	llc, err := r.techOfClass(llcName, tech.ClassLLC)
+	llc, err := r.TechOfClass(llcName, tech.ClassLLC)
 	if err != nil {
 		return Backend{}, err
 	}
@@ -233,7 +234,7 @@ func (r *Registry) NMM(cfgName, nvmName string, scale, footprint uint64) (Backen
 	if err != nil {
 		return Backend{}, err
 	}
-	nvm, err := r.techOfClass(nvmName, tech.ClassNVM)
+	nvm, err := r.TechOfClass(nvmName, tech.ClassNVM)
 	if err != nil {
 		return Backend{}, err
 	}
@@ -253,11 +254,11 @@ func (r *Registry) FourLCNVM(cfgName, llcName, nvmName string, scale, footprint 
 	if err != nil {
 		return Backend{}, err
 	}
-	llc, err := r.techOfClass(llcName, tech.ClassLLC)
+	llc, err := r.TechOfClass(llcName, tech.ClassLLC)
 	if err != nil {
 		return Backend{}, err
 	}
-	nvm, err := r.techOfClass(nvmName, tech.ClassNVM)
+	nvm, err := r.TechOfClass(nvmName, tech.ClassNVM)
 	if err != nil {
 		return Backend{}, err
 	}
@@ -267,7 +268,7 @@ func (r *Registry) FourLCNVM(cfgName, llcName, nvmName string, scale, footprint 
 // NDM builds an NVM+DRAM partitioned design point by name, with the DRAM
 // partition characterized by the catalog's DRAM entry.
 func (r *Registry) NDM(nvmName string, nvmRanges []core.AddrRange, nvmBytes, footprint uint64, label string) (Backend, error) {
-	nvm, err := r.techOfClass(nvmName, tech.ClassNVM)
+	nvm, err := r.TechOfClass(nvmName, tech.ClassNVM)
 	if err != nil {
 		return Backend{}, err
 	}

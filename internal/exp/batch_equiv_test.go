@@ -12,8 +12,8 @@ import (
 // TestEvaluateBatchMatchesScalarReplay is the end-to-end half of the batch
 // equivalence property: evaluating a design point through the batched
 // replay engine (EvaluateCtx) must produce a model.Evaluation identical to
-// replaying the same packed boundary stream one reference at a time through
-// the scalar Sink interface.
+// replaying the same packed boundary stream one reference at a time, as
+// one-reference batches through the Sink interface.
 func TestEvaluateBatchMatchesScalarReplay(t *testing.T) {
 	s := suite(t)
 	for _, wp := range s.Profiles {
@@ -32,8 +32,8 @@ func TestEvaluateBatchMatchesScalarReplay(t *testing.T) {
 			}
 			var sink trace.Sink = built
 			wp.Boundary.Batches(nil, func(refs []trace.Ref) error {
-				for _, r := range refs {
-					sink.Access(r)
+				for i := range refs {
+					sink.AccessBatch(refs[i : i+1])
 				}
 				return nil
 			})

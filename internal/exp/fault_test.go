@@ -34,9 +34,9 @@ func (w *faultyWorkload) Regions() []workload.Region { return w.arena.Regions() 
 
 func (w *faultyWorkload) Run(sink trace.Sink) {
 	for i := uint64(0); i < 64; i++ {
-		sink.Access(trace.Ref{Addr: w.nodes.Addr(i * 8), Size: 8})
+		sink.AccessBatch([]trace.Ref{{Addr: w.nodes.Addr(i * 8), Size: 8}})
 	}
-	sink.Access(trace.Ref{Addr: w.nodes.Addr(4096), Size: 8}) // one past the end
+	sink.AccessBatch([]trace.Ref{{Addr: w.nodes.Addr(4096), Size: 8}}) // one past the end
 }
 
 func TestProfileRecoversKernelPanic(t *testing.T) {

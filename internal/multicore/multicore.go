@@ -94,19 +94,21 @@ type sharedPort struct {
 	shared *core.Hierarchy
 	offset uint64
 	count  uint64
+	one    [1]trace.Ref // the request being forwarded, as a one-element batch
 }
 
-// Load forwards a load into the shared hierarchy at the core's offset.
-func (p *sharedPort) Load(addr, size uint64) {
+// forward sends one request into the shared hierarchy at the core's offset.
+func (p *sharedPort) forward(addr, size uint64, kind trace.Kind) {
 	p.count++
-	p.shared.Access(trace.Ref{Addr: addr + p.offset, Size: uint32(size), Kind: trace.Load})
+	p.one[0] = trace.Ref{Addr: addr + p.offset, Size: uint32(size), Kind: kind}
+	p.shared.AccessBatch(p.one[:])
 }
 
-// Store forwards a store into the shared hierarchy at the core's offset.
-func (p *sharedPort) Store(addr, size uint64) {
-	p.count++
-	p.shared.Access(trace.Ref{Addr: addr + p.offset, Size: uint32(size), Kind: trace.Store})
-}
+// Load forwards a load into the shared hierarchy.
+func (p *sharedPort) Load(addr, size uint64) { p.forward(addr, size, trace.Load) }
+
+// Store forwards a store into the shared hierarchy.
+func (p *sharedPort) Store(addr, size uint64) { p.forward(addr, size, trace.Store) }
 
 // Modules reports no private modules; the shared hierarchy owns all stats.
 func (p *sharedPort) Modules() []core.LevelStats { return nil }
@@ -121,14 +123,18 @@ func Run(cfg Config, workloads []workload.Workload, mem core.Memory) (Result, er
 	if len(workloads) == 0 {
 		return Result{}, fmt.Errorf("multicore: no workloads")
 	}
+	l1cfg := cache.Config{Name: "L1", Size: cfg.L1Size, LineSize: 64, Assoc: 8}
+	l2cfg := cache.Config{Name: "L2", Size: cfg.L2Size, LineSize: 64, Assoc: 8}
+	l3cfg := cache.Config{Name: "sharedL3", Size: cfg.L3Size, LineSize: 64, Assoc: 20}
+	for _, c := range []cache.Config{l1cfg, l2cfg, l3cfg} {
+		if err := c.Validate(); err != nil {
+			return Result{}, fmt.Errorf("multicore: %w", err)
+		}
+	}
 	if mem == nil {
 		mem = core.NewSimpleMemory("DRAM", tech.DRAM, 4<<30/cfg.Scale)
 	}
 
-	l3cfg := cache.Config{Name: "sharedL3", Size: cfg.L3Size, LineSize: 64, Assoc: 20}
-	if err := l3cfg.Validate(); err != nil {
-		return Result{}, fmt.Errorf("multicore: %w", err)
-	}
 	l3 := cache.New(l3cfg)
 	shared, err := core.NewHierarchy([]core.Level{{Cache: l3, Tech: tech.SRAML3}}, mem)
 	if err != nil {
@@ -146,44 +152,52 @@ func Run(cfg Config, workloads []workload.Workload, mem core.Memory) (Result, er
 	cores := make([]*coreState, len(workloads))
 	for i, w := range workloads {
 		port := &sharedPort{shared: shared, offset: uint64(i) << 44}
-		l1 := cache.New(cache.Config{Name: "L1", Size: cfg.L1Size, LineSize: 64, Assoc: 8})
-		l2 := cache.New(cache.Config{Name: "L2", Size: cfg.L2Size, LineSize: 64, Assoc: 8})
 		private, err := core.NewHierarchy([]core.Level{
-			{Cache: l1, Tech: tech.SRAML1},
-			{Cache: l2, Tech: tech.SRAML2},
+			{Cache: cache.New(l1cfg), Tech: tech.SRAML1},
+			{Cache: cache.New(l2cfg), Tech: tech.SRAML2},
 		}, port)
 		if err != nil {
 			return Result{}, err
 		}
-		cs := &coreState{
+		cores[i] = &coreState{
 			name:    fmt.Sprintf("core%d:%s", i, w.Name()),
 			ch:      make(chan trace.Ref, cfg.ChannelDepth),
 			private: private,
 			port:    port,
 		}
-		cores[i] = cs
-		go func(w workload.Workload, ch chan trace.Ref) {
-			w.Run(trace.SinkFunc(func(r trace.Ref) { ch <- r }))
+	}
+	// Every core is built before any workload starts, so an error above
+	// leaves no goroutine blocked on its channel.
+	for i, w := range workloads {
+		go func(w workload.Workload, ch chan<- trace.Ref) {
+			w.Run(trace.SinkFunc(func(refs []trace.Ref) {
+				for _, r := range refs {
+					ch <- r
+				}
+			}))
 			close(ch)
-		}(w, cs.ch)
+		}(w, cores[i].ch)
 	}
 
 	// Round-robin interleave: a full batch from each live core in turn.
+	batch := make([]trace.Ref, 0, cfg.BatchRefs)
 	live := len(cores)
 	for live > 0 {
 		for _, cs := range cores {
 			if cs.done {
 				continue
 			}
-			for n := 0; n < cfg.BatchRefs; n++ {
+			for len(batch) < cfg.BatchRefs {
 				r, ok := <-cs.ch
 				if !ok {
 					cs.done = true
 					live--
 					break
 				}
-				cs.private.Access(r)
+				batch = append(batch, r)
 			}
+			cs.private.AccessBatch(batch)
+			batch = batch[:0]
 		}
 	}
 	// Drain residual dirty state core by core, then the shared level.

@@ -1,8 +1,10 @@
 package multicore
 
 import (
+	"reflect"
 	"testing"
 
+	"hybridmem/internal/cache"
 	"hybridmem/internal/workload"
 	"hybridmem/internal/workload/catalog"
 )
@@ -21,8 +23,10 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{}, nil, nil); err == nil {
 		t.Error("no workloads should fail")
 	}
-	if _, err := Run(Config{L3Size: 1000}, []workload.Workload{tinyWL(t, "CG")}, nil); err == nil {
-		t.Error("invalid L3 geometry should fail")
+	for _, cfg := range []Config{{L1Size: 1000}, {L2Size: 1000}, {L3Size: 1000}} {
+		if _, err := Run(cfg, []workload.Workload{tinyWL(t, "CG"), tinyWL(t, "SP")}, nil); err == nil {
+			t.Errorf("invalid geometry %+v should fail", cfg)
+		}
 	}
 }
 
@@ -50,22 +54,50 @@ func TestSingleCoreMatchesWorkload(t *testing.T) {
 	}
 }
 
+// TestDeterministicInterleave pins a CG+Hashing chip's exact statistics:
+// the interleave must not depend on goroutine scheduling, and the values
+// must not move when the delivery mechanics change.
 func TestDeterministicInterleave(t *testing.T) {
-	run := func() Result {
+	want := Result{
+		Cores: []CoreResult{
+			{
+				Name: "core0:CG",
+				Refs: 320137,
+				L1: cache.Stats{Loads: 298479, Stores: 21658, LoadHits: 191538, StoreHits: 15824,
+					LoadBits: 16238688, StoreBits: 1386112, FillBits: 57740800,
+					WriteBacks: 7084, Evictions: 112767, FlushedDirt: 4},
+				L2: cache.Stats{Loads: 112775, Stores: 7088, LoadHits: 28956, StoreHits: 7088,
+					LoadBits: 57740800, StoreBits: 3629056, FillBits: 42915328,
+					WriteBacks: 2685, Evictions: 83755, FlushedDirt: 32},
+				Forwarded: 86536,
+			},
+			{
+				Name: "core1:Hashing",
+				Refs: 146583,
+				L1: cache.Stats{Loads: 27799, Stores: 118784, LoadHits: 6775, StoreHits: 104448,
+					LoadBits: 2837376, StoreBits: 7864320, FillBits: 18104320,
+					WriteBacks: 18421, Evictions: 35352},
+				L2: cache.Stats{Loads: 35360, Stores: 18421, LoadHits: 3426, StoreHits: 18419,
+					LoadBits: 18104320, StoreBits: 9431552, FillBits: 16351232,
+					WriteBacks: 18335, Evictions: 31872},
+				Forwarded: 50271,
+			},
+		},
+		L3: cache.Stats{Loads: 115755, Stores: 21052, LoadHits: 80233, StoreHits: 21052,
+			LoadBits: 59266560, StoreBits: 10778624, FillBits: 18187264,
+			WriteBacks: 17579, Evictions: 30402, FlushedDirt: 805},
+		Memory: cache.Stats{Loads: 35522, Stores: 18384, LoadHits: 35522, StoreHits: 18384,
+			LoadBits: 18187264, StoreBits: 9412608},
+		TotalRefs: 466720,
+	}
+	for run := 0; run < 2; run++ {
 		ws := []workload.Workload{tinyWL(t, "CG"), tinyWL(t, "Hashing")}
-		res, err := Run(Config{Scale: 64, BatchRefs: 32}, ws, nil)
+		got, err := Run(Config{Scale: 64, BatchRefs: 32}, ws, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	a, b := run(), run()
-	if a.L3 != b.L3 || a.Memory != b.Memory {
-		t.Fatalf("interleave not deterministic:\n%+v\n%+v", a.L3, b.L3)
-	}
-	for i := range a.Cores {
-		if a.Cores[i].L1 != b.Cores[i].L1 || a.Cores[i].Forwarded != b.Cores[i].Forwarded {
-			t.Fatalf("core %d diverged", i)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d:\ngot  %+v\nwant %+v", run, got, want)
 		}
 	}
 }

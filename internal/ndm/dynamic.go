@@ -94,9 +94,8 @@ type DynamicResult struct {
 
 // SimulateDynamic runs the epoch-based policy over a post-L3 boundary
 // stream. The stream is the same one the static oracle profiles, so the
-// two approaches are directly comparable; a raw []trace.Ref simulates via
-// trace.RefSlice.
-func SimulateDynamic(st trace.Stream, cfg DynamicConfig) (DynamicResult, error) {
+// two approaches are directly comparable.
+func SimulateDynamic(st *trace.Packed, cfg DynamicConfig) (DynamicResult, error) {
 	streamLen := st.Len()
 	cfg = cfg.withDefaults(streamLen)
 	if cfg.ChunkBytes&(cfg.ChunkBytes-1) != 0 {

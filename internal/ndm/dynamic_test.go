@@ -8,7 +8,7 @@ import (
 )
 
 // mkStream builds a stream with a hot region and a cold scan.
-func mkStream(n int, hotBase, hotSpan, coldBase, coldSpan uint64, seed uint64) trace.RefSlice {
+func mkStream(n int, hotBase, hotSpan, coldBase, coldSpan uint64, seed uint64) []trace.Ref {
 	rng := rand.New(rand.NewPCG(seed, 1))
 	refs := make([]trace.Ref, n)
 	for i := range refs {
@@ -28,7 +28,7 @@ func mkStream(n int, hotBase, hotSpan, coldBase, coldSpan uint64, seed uint64) t
 }
 
 func TestDynamicValidation(t *testing.T) {
-	_, err := SimulateDynamic(trace.RefSlice(nil), DynamicConfig{ChunkBytes: 3000})
+	_, err := SimulateDynamic(pack(nil), DynamicConfig{ChunkBytes: 3000})
 	if err == nil {
 		t.Fatal("non-power-of-two chunk should fail")
 	}
@@ -38,7 +38,7 @@ func TestDynamicLearnsHotSet(t *testing.T) {
 	const chunk = 64 << 10
 	// Hot region: 4 chunks; cold region: 64 chunks. Budget: 8 chunks.
 	refs := mkStream(200000, 0, 4*chunk, 1<<30, 64*chunk, 7)
-	res, err := SimulateDynamic(refs, DynamicConfig{
+	res, err := SimulateDynamic(pack(refs), DynamicConfig{
 		EpochRefs:  10000,
 		ChunkBytes: chunk,
 		DRAMBudget: 8 * chunk,
@@ -65,7 +65,7 @@ func TestDynamicLearnsHotSet(t *testing.T) {
 func TestDynamicRespectsBudget(t *testing.T) {
 	const chunk = 64 << 10
 	refs := mkStream(50000, 0, 32*chunk, 1<<30, 32*chunk, 3)
-	res, err := SimulateDynamic(refs, DynamicConfig{
+	res, err := SimulateDynamic(pack(refs), DynamicConfig{
 		EpochRefs:  5000,
 		ChunkBytes: chunk,
 		DRAMBudget: 4 * chunk,
@@ -80,7 +80,7 @@ func TestDynamicRespectsBudget(t *testing.T) {
 
 func TestDynamicZeroBudgetAllNVM(t *testing.T) {
 	refs := mkStream(20000, 0, 1<<20, 1<<30, 1<<20, 9)
-	res, err := SimulateDynamic(refs, DynamicConfig{DRAMBudget: 0})
+	res, err := SimulateDynamic(pack(refs), DynamicConfig{DRAMBudget: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestDynamicZeroBudgetAllNVM(t *testing.T) {
 func TestDynamicTrafficConservation(t *testing.T) {
 	const chunk = 64 << 10
 	refs := mkStream(60000, 0, 8*chunk, 1<<30, 8*chunk, 5)
-	res, err := SimulateDynamic(refs, DynamicConfig{
+	res, err := SimulateDynamic(pack(refs), DynamicConfig{
 		EpochRefs: 6000, ChunkBytes: chunk, DRAMBudget: 4 * chunk, MigrationLineBytes: 256,
 	})
 	if err != nil {
@@ -125,7 +125,7 @@ func TestDynamicAdaptsToPhaseChange(t *testing.T) {
 	phase1 := mkStream(100000, 0, 4*chunk, 1<<30, 64*chunk, 11)
 	phase2 := mkStream(100000, 1<<20, 4*chunk, 1<<30, 64*chunk, 12) // hot set moved
 	refs := append(phase1, phase2...)
-	res, err := SimulateDynamic(refs, DynamicConfig{
+	res, err := SimulateDynamic(pack(refs), DynamicConfig{
 		EpochRefs: 10000, ChunkBytes: chunk, DRAMBudget: 8 * chunk,
 	})
 	if err != nil {
@@ -133,7 +133,7 @@ func TestDynamicAdaptsToPhaseChange(t *testing.T) {
 	}
 	// Compare against a run of phase 2 alone starting cold: the combined
 	// run must not be catastrophically worse (adaptation happened).
-	solo, err := SimulateDynamic(phase2, DynamicConfig{
+	solo, err := SimulateDynamic(pack(phase2), DynamicConfig{
 		EpochRefs: 10000, ChunkBytes: chunk, DRAMBudget: 8 * chunk,
 	})
 	if err != nil {

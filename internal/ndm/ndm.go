@@ -42,8 +42,8 @@ func (r RangeStats) Accesses() uint64 { return r.Loads + r.Stores }
 // Profile counts a post-L3 boundary stream into the given candidate ranges.
 // References outside every range are accumulated into the returned "other"
 // bucket (they stay on DRAM in every placement). The stream is walked batch
-// by batch; a raw []trace.Ref profiles via trace.RefSlice.
-func Profile(ranges []RangeStats, st trace.Stream) (out []RangeStats, other RangeStats) {
+// by batch.
+func Profile(ranges []RangeStats, st *trace.Packed) (out []RangeStats, other RangeStats) {
 	out = append([]RangeStats(nil), ranges...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Range.Start < out[j].Range.Start })
 	other = RangeStats{Name: "other"}

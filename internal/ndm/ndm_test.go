@@ -10,6 +10,14 @@ import (
 	"hybridmem/internal/workload"
 )
 
+// pack encodes refs as the packed boundary stream Profile and
+// SimulateDynamic walk.
+func pack(refs []trace.Ref) *trace.Packed {
+	var p trace.Packed
+	p.AccessBatch(refs)
+	return &p
+}
+
 func regions(sizes ...uint64) []workload.Region {
 	var a workload.Arena
 	out := make([]workload.Region, len(sizes))
@@ -82,7 +90,7 @@ func TestProfileCounting(t *testing.T) {
 		{Addr: regs[1].Base, Size: 64, Kind: trace.Load},
 		{Addr: regs[1].End() + 4096, Size: 64, Kind: trace.Load}, // outside
 	}
-	profiled, other := Profile(cands, trace.RefSlice(refs))
+	profiled, other := Profile(cands, pack(refs))
 	if profiled[0].Loads != 1 || profiled[0].Stores != 1 {
 		t.Fatalf("range 0 = %+v", profiled[0])
 	}
@@ -119,7 +127,7 @@ func TestProfileConservation(t *testing.T) {
 			}
 			refs = append(refs, trace.Ref{Addr: uint64(addrs[i]) % span, Size: 8, Kind: k})
 		}
-		profiled, other := Profile(cands, trace.RefSlice(refs))
+		profiled, other := Profile(cands, pack(refs))
 		var loads, stores uint64
 		for _, p := range profiled {
 			loads += p.Loads

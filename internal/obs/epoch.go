@@ -61,8 +61,8 @@ type Series struct {
 }
 
 // EpochSampler wraps a Snapshotter sink and cuts an epoch every N
-// references. The hot path (Access) only forwards and counts; the snapshot
-// diff runs once per epoch boundary.
+// references. The hot path (AccessBatch) only forwards and counts; the
+// snapshot diff runs once per epoch boundary.
 type EpochSampler struct {
 	target Snapshotter
 	every  uint64
@@ -109,31 +109,20 @@ func cacheLevelCount(target Snapshotter, total int) int {
 	return 0
 }
 
-// Access forwards r to the target and cuts an epoch at each interval
-// boundary.
-func (s *EpochSampler) Access(r trace.Ref) {
-	s.target.Access(r)
-	s.refs++
-	s.since++
-	if s.since >= s.every {
-		s.cut()
-	}
-}
-
-// AccessBatch forwards refs to the target batch-first, splitting the batch
-// exactly at interval boundaries so the resulting Series is identical to
-// per-reference delivery. The splits forward subslices of refs — the
-// default sampling path stays allocation-free.
+// AccessBatch forwards refs to the target, splitting the batch exactly at
+// interval boundaries so the resulting Series does not depend on how the
+// stream was cut into batches. The splits forward subslices of refs — the
+// sampling path stays allocation-free.
 func (s *EpochSampler) AccessBatch(refs []trace.Ref) {
 	for len(refs) > 0 {
 		room := s.every - s.since
 		if n := uint64(len(refs)); n < room {
-			trace.SinkBatch(s.target, refs)
+			s.target.AccessBatch(refs)
 			s.refs += n
 			s.since += n
 			return
 		}
-		trace.SinkBatch(s.target, refs[:room])
+		s.target.AccessBatch(refs[:room])
 		s.refs += room
 		s.since += room
 		s.cut()
@@ -212,7 +201,7 @@ func sampleDelta(cur, prev cache.Stats, epochRefs uint64) LevelSample {
 }
 
 // Series returns the accumulated time-series. The returned pointer stays
-// valid (and keeps growing) across further Access calls.
+// valid (and keeps growing) across further AccessBatch calls.
 func (s *EpochSampler) Series() *Series { return &s.series }
 
 // Refs returns the cumulative reference count the sampler has forwarded.

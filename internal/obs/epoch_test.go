@@ -29,7 +29,7 @@ func TestEpochSamplerCutsAtInterval(t *testing.T) {
 	h := testHierarchy(t)
 	s := NewEpochSampler(h, 100)
 	for i := 0; i < 250; i++ {
-		s.Access(trace.Ref{Addr: uint64(i) * 64, Size: 8, Kind: trace.Load})
+		s.AccessBatch([]trace.Ref{{Addr: uint64(i) * 64, Size: 8, Kind: trace.Load}})
 	}
 	s.Flush()
 	series := s.Series()
@@ -64,7 +64,7 @@ func TestEpochDeltasSumToCumulative(t *testing.T) {
 		if i%3 == 0 {
 			kind = trace.Store
 		}
-		s.Access(trace.Ref{Addr: (state >> 16) % (64 << 10), Size: 8, Kind: kind})
+		s.AccessBatch([]trace.Ref{{Addr: (state >> 16) % (64 << 10), Size: 8, Kind: kind}})
 	}
 	s.Flush()
 
@@ -96,11 +96,11 @@ func TestEpochHitRateAndMPKI(t *testing.T) {
 	// Epoch 0: 32 loads of 32 distinct lines (cold misses, 4KB working set
 	// fits the cache exactly).
 	for i := 0; i < 32; i++ {
-		s.Access(trace.Ref{Addr: uint64(i) * 64, Size: 8, Kind: trace.Load})
+		s.AccessBatch([]trace.Ref{{Addr: uint64(i) * 64, Size: 8, Kind: trace.Load}})
 	}
 	// Epoch 1: the same 32 lines again — pure hits.
 	for i := 0; i < 32; i++ {
-		s.Access(trace.Ref{Addr: uint64(i) * 64, Size: 8, Kind: trace.Load})
+		s.AccessBatch([]trace.Ref{{Addr: uint64(i) * 64, Size: 8, Kind: trace.Load}})
 	}
 	s.Flush()
 	eps := s.Series().Epochs
@@ -128,7 +128,7 @@ func TestEpochFlushCapturesWritebacks(t *testing.T) {
 	h := testHierarchy(t)
 	s := NewEpochSampler(h, 1000)
 	for i := 0; i < 16; i++ {
-		s.Access(trace.Ref{Addr: uint64(i) * 64, Size: 8, Kind: trace.Store})
+		s.AccessBatch([]trace.Ref{{Addr: uint64(i) * 64, Size: 8, Kind: trace.Store}})
 	}
 	s.Flush()
 	eps := s.Series().Epochs
@@ -155,7 +155,7 @@ func TestLiveRefCounter(t *testing.T) {
 	h := testHierarchy(t)
 	s := NewEpochSampler(h, 10)
 	for i := 0; i < 25; i++ {
-		s.Access(trace.Ref{Addr: uint64(i) * 64, Size: 8, Kind: trace.Load})
+		s.AccessBatch([]trace.Ref{{Addr: uint64(i) * 64, Size: 8, Kind: trace.Load}})
 	}
 	s.Flush()
 	if got := RefsProcessed() - before; got != 25 {
@@ -164,21 +164,24 @@ func TestLiveRefCounter(t *testing.T) {
 }
 
 // TestEpochSamplerHotPathAllocs pins the allocation-free hot-path claim:
-// steady-state Access calls (no epoch cut) must not allocate.
+// steady-state AccessBatch calls (no epoch cut) must not allocate.
 func TestEpochSamplerHotPathAllocs(t *testing.T) {
 	h := testHierarchy(t)
 	s := NewEpochSampler(h, 1<<30) // never cuts during the measurement
-	r := trace.Ref{Addr: 64, Size: 8, Kind: trace.Load}
-	allocs := testing.AllocsPerRun(1000, func() { s.Access(r) })
+	refs := make([]trace.Ref, 64)
+	for i := range refs {
+		refs[i] = trace.Ref{Addr: uint64(i) * 64, Size: 8, Kind: trace.Kind(i & 1)}
+	}
+	allocs := testing.AllocsPerRun(1000, func() { s.AccessBatch(refs) })
 	if allocs != 0 {
-		t.Fatalf("Access allocates %v objects/op, want 0", allocs)
+		t.Fatalf("AccessBatch allocates %v objects/op, want 0", allocs)
 	}
 }
 
 // TestEpochSamplerBatchEquivalence pins the batch path's exact-split
 // contract: delivering a stream through AccessBatch in arbitrary batch
 // sizes (including batches spanning several epoch boundaries) yields a
-// Series identical to per-reference delivery.
+// Series identical to one-reference batches.
 func TestEpochSamplerBatchEquivalence(t *testing.T) {
 	state := uint64(42)
 	refs := make([]trace.Ref, 5000)
@@ -192,8 +195,8 @@ func TestEpochSamplerBatchEquivalence(t *testing.T) {
 	}
 
 	perRef := NewEpochSampler(testHierarchy(t), 64)
-	for _, r := range refs {
-		perRef.Access(r)
+	for i := range refs {
+		perRef.AccessBatch(refs[i : i+1])
 	}
 	perRef.Flush()
 

@@ -24,7 +24,7 @@ func newLineSketcher(t testing.TB) *Sketcher {
 // touchLines loads one byte range inside each given 64 B line.
 func touchLines(s *Sketcher, lines ...uint64) {
 	for _, l := range lines {
-		s.Access(trace.Ref{Addr: l * 64, Size: 8, Kind: trace.Load})
+		s.AccessBatch([]trace.Ref{{Addr: l * 64, Size: 8, Kind: trace.Load}})
 	}
 }
 
@@ -91,7 +91,7 @@ func TestCyclicDistance(t *testing.T) {
 
 func TestSpanningRefTouchesBothLines(t *testing.T) {
 	p := newLineSketcher(t)
-	p.Access(trace.Ref{Addr: 60, Size: 8, Kind: trace.Load}) // lines 0 and 1
+	p.AccessBatch([]trace.Ref{{Addr: 60, Size: 8, Kind: trace.Load}}) // lines 0 and 1
 	h := hist(p)
 	if h.Total != 2 || h.Cold != 2 {
 		t.Fatalf("histogram = %+v", h)
@@ -256,8 +256,8 @@ func TestDistancePathsAgree(t *testing.T) {
 	}
 }
 
-// TestAccessBatchMatchesAccess replays the same stream through the per-Ref
-// and batch entry points and requires identical sketches.
+// TestAccessBatchMatchesAccess replays the same stream as one-reference
+// batches and as one whole batch and requires identical sketches.
 func TestAccessBatchMatchesAccess(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	refs := make([]trace.Ref, 3000)
@@ -269,8 +269,8 @@ func TestAccessBatchMatchesAccess(t *testing.T) {
 		}
 	}
 	one, batch := newLineSketcher(t), newLineSketcher(t)
-	for _, r := range refs {
-		one.Access(r)
+	for i := range refs {
+		one.AccessBatch(refs[i : i+1])
 	}
 	batch.AccessBatch(refs)
 	if so, sb := one.Sketch(), batch.Sketch(); !reflect.DeepEqual(so, sb) {
@@ -279,7 +279,7 @@ func TestAccessBatchMatchesAccess(t *testing.T) {
 }
 
 // TestAccessBatchZeroAlloc pins the sketch hot loop — every design
-// granularity, loads and stores, batch and per-ref entry points — at zero
+// granularity, loads and stores, whole and one-reference batches — at zero
 // allocations once the footprint is established (page and stored-line map
 // keys present, timestamp capacity sized by a few warm-up passes).
 func TestAccessBatchZeroAlloc(t *testing.T) {
@@ -296,7 +296,7 @@ func TestAccessBatchZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		s.AccessBatch(refs)
-		s.Access(refs[len(refs)-1])
+		s.AccessBatch(refs[len(refs)-1:])
 	}); n != 0 {
 		t.Fatalf("Sketcher allocated %v times per run on a warm footprint", n)
 	}

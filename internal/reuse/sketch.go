@@ -115,7 +115,7 @@ func (s *Sketch) Footprint(gran uint64) uint64 {
 	return 0
 }
 
-// Sketcher is a trace.Sink and BatchSink that captures a Sketch in one pass
+// Sketcher is a trace.Sink that captures a Sketch in one pass
 // over a reference stream. It runs the reuse-distance algorithm of the
 // package comment at every granularity simultaneously and additionally
 // tracks, per page, the maximum gap since the page's last store (the
@@ -211,10 +211,7 @@ func NewSketcher(grans ...uint64) (*Sketcher, error) {
 	return s, nil
 }
 
-// Access implements trace.Sink, so a workload can Run into a Sketcher.
-func (s *Sketcher) Access(r trace.Ref) { s.AccessBatch([]trace.Ref{r}) }
-
-// AccessBatch implements trace.BatchSink. References spanning multiple
+// AccessBatch implements trace.Sink. References spanning multiple
 // pages charge each covered page (boundary streams never span, but the
 // sketcher does not rely on it).
 func (s *Sketcher) AccessBatch(refs []trace.Ref) {

@@ -1,51 +1,17 @@
 package trace
 
-// BatchSink is the batch-first counterpart of Sink: it consumes references
-// many at a time, so the per-reference cost of crossing the sink boundary
-// (an interface dispatch per Ref) is paid once per batch instead. The
-// hierarchy simulator, counters, tees, recorders, and the packed boundary
-// store all implement it.
-//
-// The refs slice is only valid for the duration of the call — callers reuse
-// their batch buffers — so implementations that retain references must copy
-// them (Recorder and Packed do).
-type BatchSink interface {
-	// AccessBatch processes refs in order, exactly as len(refs)
-	// consecutive Access calls would.
-	AccessBatch(refs []Ref)
-}
-
-// SinkBatch delivers refs to s through its batch entry point when it has
-// one, falling back to per-reference Access calls otherwise. It is the
-// bridge that lets batch producers feed legacy per-reference sinks.
-func SinkBatch(s Sink, refs []Ref) {
-	if len(refs) == 0 {
-		return
-	}
-	if bs, ok := s.(BatchSink); ok {
-		bs.AccessBatch(refs)
-		return
-	}
-	for i := range refs {
-		s.Access(refs[i])
-	}
-}
-
 // DefaultBatchRefs is the buffer size of a Batcher constructed with size 0:
 // large enough to amortize the batch boundary, small enough to stay resident
 // in L1/L2 of the simulating host (4096 refs x 16 bytes = 64KB).
 const DefaultBatchRefs = 4096
 
-// Batcher adapts a per-reference producer to a batch consumer: Access calls
-// accumulate into a fixed-capacity buffer that is handed downstream as one
-// AccessBatch whenever it fills (and on Drain/Flush). It is the "small
-// batching emitter" the workload kernels push through; wrapping a sink that
-// does not implement BatchSink still works — the buffer is then drained with
-// per-reference calls, preserving exact stream order either way.
+// Batcher adapts a per-reference producer to a Sink: Add calls accumulate
+// into a fixed-capacity buffer that is handed downstream as one AccessBatch
+// whenever it fills, and on Drain. It is the "small batching emitter" the
+// workload kernels push through, preserving exact stream order.
 type Batcher struct {
-	dst   Sink
-	batch BatchSink // non-nil when dst implements BatchSink
-	buf   []Ref
+	dst Sink
+	buf []Ref
 }
 
 // NewBatcher returns a Batcher over dst with the given buffer capacity in
@@ -54,109 +20,24 @@ func NewBatcher(dst Sink, size int) *Batcher {
 	if size <= 0 {
 		size = DefaultBatchRefs
 	}
-	b := &Batcher{dst: dst, buf: make([]Ref, 0, size)}
-	if bs, ok := dst.(BatchSink); ok {
-		b.batch = bs
-	}
-	return b
+	return &Batcher{dst: dst, buf: make([]Ref, 0, size)}
 }
 
-// Access buffers r, draining downstream when the buffer fills.
-func (b *Batcher) Access(r Ref) {
+// Add buffers r, draining downstream when the buffer fills.
+func (b *Batcher) Add(r Ref) {
 	b.buf = append(b.buf, r)
 	if len(b.buf) == cap(b.buf) {
 		b.Drain()
 	}
 }
 
-// AccessBatch drains any buffered references (preserving order) and hands
-// refs downstream as-is, without copying it through the buffer.
-func (b *Batcher) AccessBatch(refs []Ref) {
-	b.Drain()
-	if b.batch != nil {
-		b.batch.AccessBatch(refs)
-		return
-	}
-	for i := range refs {
-		b.dst.Access(refs[i])
-	}
-}
-
 // Drain hands any buffered references downstream and empties the buffer.
-// Unlike Flush it does not propagate to the destination sink, so a producer
-// can checkpoint its stream without draining dirty simulator state.
+// It does not flush the destination sink, so a producer can end or
+// checkpoint its stream without draining dirty simulator state.
 func (b *Batcher) Drain() {
 	if len(b.buf) == 0 {
 		return
 	}
-	if b.batch != nil {
-		b.batch.AccessBatch(b.buf)
-	} else {
-		for i := range b.buf {
-			b.dst.Access(b.buf[i])
-		}
-	}
+	b.dst.AccessBatch(b.buf)
 	b.buf = b.buf[:0]
-}
-
-// Flush drains the buffer and flushes the destination sink if it supports
-// it, completing the Flusher contract for a batcher placed mid-chain.
-func (b *Batcher) Flush() {
-	b.Drain()
-	FlushIfPossible(b.dst)
-}
-
-// Buffered returns the number of references currently held in the buffer.
-func (b *Batcher) Buffered() int { return len(b.buf) }
-
-// Stream is a replayable reference stream that can be walked in batches:
-// the packed boundary store (Packed) and plain reference slices (RefSlice)
-// both qualify. Batch-first consumers — backend replays, the NDM profilers —
-// take a Stream so they work with either representation.
-type Stream interface {
-	// Len returns the total number of references in the stream.
-	Len() int
-	// Batches calls fn with consecutive, in-order batches covering the
-	// whole stream. buf is a scratch buffer implementations may decode
-	// into (a zero-capacity buf lets the implementation size its own);
-	// the slice passed to fn is only valid for the duration of the call.
-	// A non-nil error from fn aborts the walk and is returned.
-	Batches(buf []Ref, fn func([]Ref) error) error
-}
-
-// RefSlice adapts a plain []Ref to the Stream interface. Batches yields
-// subslices of the backing array directly — no copying through buf.
-type RefSlice []Ref
-
-// Len returns the number of references.
-func (s RefSlice) Len() int { return len(s) }
-
-// Batches walks the slice in cap(buf)-sized windows (BlockRefs when buf has
-// no capacity), passing each subslice to fn.
-func (s RefSlice) Batches(buf []Ref, fn func([]Ref) error) error {
-	step := cap(buf)
-	if step <= 0 {
-		step = BlockRefs
-	}
-	for lo := 0; lo < len(s); lo += step {
-		hi := lo + step
-		if hi > len(s) {
-			hi = len(s)
-		}
-		if err := fn(s[lo:hi]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReplayStream pushes every reference of st into sink batch by batch and
-// flushes the sink — the batch-first generalization of Recorder.Replay.
-func ReplayStream(st Stream, sink Sink) {
-	var buf []Ref
-	st.Batches(buf, func(refs []Ref) error {
-		SinkBatch(sink, refs)
-		return nil
-	})
-	FlushIfPossible(sink)
 }

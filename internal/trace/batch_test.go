@@ -5,30 +5,39 @@ import (
 	"testing"
 )
 
-func TestSinkBatchEquivalence(t *testing.T) {
+// TestBatchCutEquivalence checks the batch contract on the package's sinks:
+// one whole batch, random cuts and one-reference batches leave Counter and
+// Recorder in identical states, and Recorder.Replay reproduces the stream.
+func TestBatchCutEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	refs := randRefs(rng, 10000)
 
-	// Batch-native sink: Counter.
-	var perRef, batched Counter
-	for _, r := range refs {
-		perRef.Access(r)
+	var perRef, cut, whole Counter
+	var perRefRec, cutRec Recorder
+	for i := range refs {
+		perRef.AccessBatch(refs[i : i+1])
+		perRefRec.AccessBatch(refs[i : i+1])
 	}
-	SinkBatch(&batched, refs)
-	if perRef != batched {
-		t.Fatalf("Counter batch diverges: %+v vs %+v", batched, perRef)
+	for lo := 0; lo < len(refs); {
+		hi := min(lo+rng.Intn(300), len(refs))
+		cut.AccessBatch(refs[lo:hi])
+		cutRec.AccessBatch(refs[lo:hi])
+		lo = hi
 	}
-
-	// Per-ref-only sink: SinkFunc must see every ref in order.
-	var order []Ref
-	SinkBatch(SinkFunc(func(r Ref) { order = append(order, r) }), refs)
-	if len(order) != len(refs) {
-		t.Fatalf("SinkFunc saw %d refs, want %d", len(order), len(refs))
+	whole.AccessBatch(refs)
+	if cut != perRef || whole != perRef {
+		t.Fatalf("Counter diverges: cut %+v, whole %+v, one-ref %+v", cut, whole, perRef)
 	}
 	for i := range refs {
-		if order[i] != refs[i] {
-			t.Fatalf("SinkFunc ref %d = %+v, want %+v", i, order[i], refs[i])
+		if perRefRec.Refs[i] != refs[i] || cutRec.Refs[i] != refs[i] {
+			t.Fatalf("Recorder ref %d = %+v / %+v, want %+v", i, perRefRec.Refs[i], cutRec.Refs[i], refs[i])
 		}
+	}
+
+	var replayed Counter
+	cutRec.Replay(&replayed)
+	if replayed != perRef {
+		t.Fatalf("Replay count %+v, want %+v", replayed, perRef)
 	}
 }
 
@@ -37,12 +46,14 @@ func TestBatcherDrainsInOrder(t *testing.T) {
 	refs := randRefs(rng, 1000)
 
 	var got []Ref
-	b := NewBatcher(SinkFunc(func(r Ref) { got = append(got, r) }), 64)
-	for i, r := range refs {
-		b.Access(r)
-		if b.Buffered() >= 64 {
-			t.Fatalf("buffer exceeded capacity at ref %d", i)
+	b := NewBatcher(SinkFunc(func(batch []Ref) {
+		if len(batch) > 64 {
+			t.Fatalf("batch of %d exceeds buffer capacity", len(batch))
 		}
+		got = append(got, batch...)
+	}), 64)
+	for _, r := range refs {
+		b.Add(r)
 	}
 	b.Drain()
 	if len(got) != len(refs) {
@@ -55,24 +66,6 @@ func TestBatcherDrainsInOrder(t *testing.T) {
 	}
 }
 
-func TestBatcherAccessBatchPreservesOrder(t *testing.T) {
-	var rec Recorder
-	b := NewBatcher(&rec, 8)
-	b.Access(Ref{Addr: 1, Size: 8})
-	b.Access(Ref{Addr: 2, Size: 8})
-	b.AccessBatch([]Ref{{Addr: 3, Size: 8}, {Addr: 4, Size: 8}})
-	b.Access(Ref{Addr: 5, Size: 8})
-	b.Drain()
-	if rec.Len() != 5 {
-		t.Fatalf("recorded %d refs, want 5", rec.Len())
-	}
-	for i, want := range []uint64{1, 2, 3, 4, 5} {
-		if rec.Refs[i].Addr != want {
-			t.Fatalf("ref %d addr = %d, want %d", i, rec.Refs[i].Addr, want)
-		}
-	}
-}
-
 // flushSpy records whether Flush reached the destination sink.
 type flushSpy struct {
 	Counter
@@ -81,73 +74,17 @@ type flushSpy struct {
 
 func (f *flushSpy) Flush() { f.flushed++ }
 
+// TestBatcherDrainVsFlush: Drain delivers the buffered references but
+// leaves flushing the destination (draining simulator state) to its owner.
 func TestBatcherDrainVsFlush(t *testing.T) {
 	var spy flushSpy
 	b := NewBatcher(&spy, 8)
-	b.Access(Ref{Addr: 1, Size: 8})
+	b.Add(Ref{Addr: 1, Size: 8})
 	b.Drain()
 	if spy.flushed != 0 {
 		t.Fatal("Drain must not flush the destination")
 	}
 	if spy.Total() != 1 {
 		t.Fatalf("Drain delivered %d refs, want 1", spy.Total())
-	}
-	b.Access(Ref{Addr: 2, Size: 8})
-	b.Flush()
-	if spy.flushed != 1 {
-		t.Fatalf("Flush reached destination %d times, want 1", spy.flushed)
-	}
-	if spy.Total() != 2 {
-		t.Fatalf("total %d refs, want 2", spy.Total())
-	}
-}
-
-func TestRefSliceStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	refs := randRefs(rng, 5000)
-	s := RefSlice(refs)
-	if s.Len() != len(refs) {
-		t.Fatalf("Len() = %d", s.Len())
-	}
-	buf := make([]Ref, 0, 512)
-	var seen, batches int
-	s.Batches(buf, func(b []Ref) error {
-		if len(b) > 512 {
-			t.Fatalf("batch of %d exceeds buffer capacity", len(b))
-		}
-		seen += len(b)
-		batches++
-		return nil
-	})
-	if seen != len(refs) || batches != (len(refs)+511)/512 {
-		t.Fatalf("seen=%d batches=%d", seen, batches)
-	}
-}
-
-func TestTeeAndRecorderBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	refs := randRefs(rng, 3000)
-
-	var c Counter
-	var rec Recorder
-	tee := NewTee(&c, &rec)
-	SinkBatch(tee, refs)
-
-	var want Counter
-	for _, r := range refs {
-		want.Access(r)
-	}
-	if c != want {
-		t.Fatalf("Tee batch count %+v, want %+v", c, want)
-	}
-	if rec.Len() != len(refs) {
-		t.Fatalf("Recorder got %d refs, want %d", rec.Len(), len(refs))
-	}
-
-	// Recorder.Replay through the batch bridge must match a scalar replay.
-	var c2 Counter
-	rec.Replay(&c2)
-	if c2 != want {
-		t.Fatalf("Replay count %+v, want %+v", c2, want)
 	}
 }

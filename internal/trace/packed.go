@@ -63,10 +63,9 @@ type packedBlock struct {
 // since post-L3 boundary streams are dominated by small line-address deltas
 // and long runs of identical transfer sizes.
 //
-// Packed implements Sink and BatchSink (encode) and Stream (decode), so it
-// drops in anywhere a recorded []Ref used to flow. Records decode into a
-// caller-provided batch buffer block by block; the packed bytes are the only
-// resident copy of the stream.
+// Packed is a Sink (encode) and a replayable stream (Batches, Replay).
+// Records decode into a caller-provided batch buffer block by block; the
+// packed bytes are the only resident copy of the stream.
 type Packed struct {
 	blocks []packedBlock
 	n      int
@@ -76,7 +75,8 @@ type Packed struct {
 }
 
 // Access encodes one reference, opening a new block when the current one is
-// full. It implements Sink.
+// full. core.RecordingMemory records its boundary stream through it one
+// reference at a time.
 func (p *Packed) Access(r Ref) {
 	if len(p.blocks) == 0 || p.blocks[len(p.blocks)-1].n == BlockRefs {
 		p.blocks = append(p.blocks, packedBlock{})
@@ -112,7 +112,7 @@ func (p *Packed) Access(r Ref) {
 	p.n++
 }
 
-// AccessBatch encodes refs in order. It implements BatchSink.
+// AccessBatch encodes refs in order. It implements Sink.
 func (p *Packed) AccessBatch(refs []Ref) {
 	for i := range refs {
 		p.Access(refs[i])
@@ -237,7 +237,10 @@ func (p *Packed) AppendEncodedBlock(data []byte, n int) {
 }
 
 // Batches decodes the stream block by block into buf and passes each batch
-// to fn, in stream order. It implements Stream.
+// to fn, in stream order. buf is a scratch buffer (a zero-capacity buf lets
+// Batches size its own); the slice passed to fn is only valid for the
+// duration of the call. A non-nil error from fn aborts the walk and is
+// returned.
 func (p *Packed) Batches(buf []Ref, fn func([]Ref) error) error {
 	if cap(buf) == 0 && len(p.blocks) > 0 {
 		buf = make([]Ref, 0, BlockRefs)
@@ -251,7 +254,13 @@ func (p *Packed) Batches(buf []Ref, fn func([]Ref) error) error {
 }
 
 // Replay pushes the whole stream into sink batch by batch and flushes it.
-func (p *Packed) Replay(sink Sink) { ReplayStream(p, sink) }
+func (p *Packed) Replay(sink Sink) {
+	p.Batches(nil, func(refs []Ref) error {
+		sink.AccessBatch(refs)
+		return nil
+	})
+	FlushIfPossible(sink)
+}
 
 // Refs materializes the stream as a fresh []Ref. It allocates the full raw
 // footprint the packed form exists to avoid; offline tools use it, replay

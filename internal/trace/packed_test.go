@@ -106,9 +106,7 @@ func TestPackedReplayAndStream(t *testing.T) {
 	var c Counter
 	p.Replay(&c)
 	var want Counter
-	for _, r := range refs {
-		want.Access(r)
-	}
+	want.AccessBatch(refs)
 	if c != want {
 		t.Fatalf("Replay counted %+v, want %+v", c, want)
 	}

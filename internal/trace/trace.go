@@ -7,17 +7,15 @@
 // instrumented Go kernels that push references into a Sink as they compute,
 // and the simulator is a Sink. Nothing is buffered beyond small batches.
 //
-// The pipeline is batch-first. Producers accumulate references into a
-// Batcher and hand them downstream DefaultBatchRefs at a time through
-// BatchSink.AccessBatch, so the cost of crossing the sink boundary — an
-// interface dispatch, a bounds check, a stats update — is paid once per
-// batch instead of once per reference. Every sink in this package is
-// batch-native (Counter, Tee, Recorder, Writer, Packed), SinkBatch bridges
-// batches onto legacy per-reference sinks, and Stream abstracts replayable
-// sources (RefSlice over a raw slice, Packed over the delta-encoded
-// boundary store) so consumers replay either representation identically.
-// Batched delivery is semantically transparent: a batch of n references
-// produces exactly the state n consecutive Access calls would.
+// There is one delivery protocol: Sink.AccessBatch, which takes references
+// many at a time, so the cost of crossing the sink boundary — an interface
+// dispatch, a bounds check, a stats update — is paid once per batch instead
+// of once per reference. Producers that compute one reference at a time add
+// them to a Batcher, which hands them downstream DefaultBatchRefs at a time.
+// Packed is the replayable form: the delta-encoded boundary store, walked
+// block by block through Batches and Replay. How a stream is cut into
+// batches never changes the result: every sink ends in exactly the state
+// one-reference batches would leave it in.
 package trace
 
 // Kind distinguishes loads from stores. The distinction is essential to the
@@ -60,12 +58,15 @@ func (r Ref) Bytes() uint64 {
 	return uint64(r.Size)
 }
 
-// Sink consumes a stream of memory references. Implementations include the
-// hierarchy simulator, counting sinks, and tees. Access must tolerate being
-// called many millions of times; implementations should avoid allocation.
+// Sink consumes a stream of memory references in batches. Implementations
+// include the hierarchy simulator, counting sinks, and the packed boundary
+// store. AccessBatch must tolerate being called many millions of times;
+// implementations should avoid allocation.
 type Sink interface {
-	// Access processes one reference.
-	Access(r Ref)
+	// AccessBatch processes refs in order. The slice is only valid for
+	// the duration of the call — callers reuse their batch buffers — so
+	// implementations that retain references must copy them.
+	AccessBatch(refs []Ref)
 }
 
 // Flusher is implemented by sinks that buffer state which must be drained
@@ -82,18 +83,15 @@ func FlushIfPossible(s Sink) {
 	}
 }
 
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Ref)
+// SinkFunc adapts a batch function to the Sink interface.
+type SinkFunc func(refs []Ref)
 
-// Access calls f(r).
-func (f SinkFunc) Access(r Ref) { f(r) }
+// AccessBatch calls f(refs).
+func (f SinkFunc) AccessBatch(refs []Ref) { f(refs) }
 
 // Null is a Sink that discards all references. Useful for running a workload
 // purely for its side effects (e.g. timing the generator itself).
 type Null struct{}
-
-// Access discards r.
-func (Null) Access(Ref) {}
 
 // AccessBatch discards refs.
 func (Null) AccessBatch([]Ref) {}
@@ -105,17 +103,6 @@ type Counter struct {
 	Stores     uint64
 	LoadBytes  uint64
 	StoreBytes uint64
-}
-
-// Access counts r.
-func (c *Counter) Access(r Ref) {
-	if r.Kind == Store {
-		c.Stores++
-		c.StoreBytes += r.Bytes()
-	} else {
-		c.Loads++
-		c.LoadBytes += r.Bytes()
-	}
 }
 
 // AccessBatch counts refs, accumulating into locals so the counter fields
@@ -143,54 +130,20 @@ func (c *Counter) Total() uint64 { return c.Loads + c.Stores }
 // Reset zeroes all counters.
 func (c *Counter) Reset() { *c = Counter{} }
 
-// Tee duplicates every reference to each of its sinks, in order.
-type Tee struct {
-	Sinks []Sink
-}
-
-// NewTee returns a Tee over the given sinks.
-func NewTee(sinks ...Sink) *Tee { return &Tee{Sinks: sinks} }
-
-// Access forwards r to every sink.
-func (t *Tee) Access(r Ref) {
-	for _, s := range t.Sinks {
-		s.Access(r)
-	}
-}
-
-// AccessBatch forwards the whole batch to every sink, in order, using each
-// sink's batch entry point when it has one.
-func (t *Tee) AccessBatch(refs []Ref) {
-	for _, s := range t.Sinks {
-		SinkBatch(s, refs)
-	}
-}
-
-// Flush flushes every sink that supports it.
-func (t *Tee) Flush() {
-	for _, s := range t.Sinks {
-		FlushIfPossible(s)
-	}
-}
-
-// Recorder is a Sink that records references for deterministic replay. It is
-// intended for tests and for profiling passes over short streams (the NDM
-// oracle uses it to re-run a stream against many placements); production
-// simulation streams should stay online.
+// Recorder is a Sink that records references for deterministic replay of
+// short streams in tests; production streams stay online or record into
+// Packed.
 type Recorder struct {
 	Refs []Ref
 }
 
-// Access appends r.
-func (rec *Recorder) Access(r Ref) { rec.Refs = append(rec.Refs, r) }
-
 // AccessBatch appends a copy of refs.
 func (rec *Recorder) AccessBatch(refs []Ref) { rec.Refs = append(rec.Refs, refs...) }
 
-// Replay pushes every recorded reference into sink and flushes it, using the
-// sink's batch entry point when it has one.
+// Replay pushes every recorded reference into sink as one batch and flushes
+// it.
 func (rec *Recorder) Replay(sink Sink) {
-	SinkBatch(sink, rec.Refs)
+	sink.AccessBatch(rec.Refs)
 	FlushIfPossible(sink)
 }
 

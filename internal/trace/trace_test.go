@@ -16,9 +16,11 @@ func TestKindString(t *testing.T) {
 
 func TestCounter(t *testing.T) {
 	var c Counter
-	c.Access(Ref{Addr: 0, Size: 8, Kind: Load})
-	c.Access(Ref{Addr: 64, Size: 4, Kind: Store})
-	c.Access(Ref{Addr: 128, Size: 2, Kind: Load})
+	c.AccessBatch([]Ref{
+		{Addr: 0, Size: 8, Kind: Load},
+		{Addr: 64, Size: 4, Kind: Store},
+		{Addr: 128, Size: 2, Kind: Load},
+	})
 	if c.Loads != 2 || c.Stores != 1 {
 		t.Fatalf("got %d loads %d stores, want 2/1", c.Loads, c.Stores)
 	}
@@ -39,9 +41,9 @@ func TestCounter(t *testing.T) {
 func TestCounterMatchesManualSum(t *testing.T) {
 	f := func(refs []Ref) bool {
 		var c Counter
+		c.AccessBatch(refs)
 		var loads, stores, lb, sb uint64
 		for _, r := range refs {
-			c.Access(r)
 			if r.Kind == Store {
 				stores++
 				sb += r.Bytes()
@@ -69,74 +71,21 @@ func TestRefBytesNormalizesZero(t *testing.T) {
 		t.Fatalf("Ref{Size:8}.Bytes() = %d, want 8", got)
 	}
 	var c Counter
-	c.Access(Ref{Addr: 64, Size: 0, Kind: Load})
-	c.Access(Ref{Addr: 128, Size: 0, Kind: Store})
+	c.AccessBatch([]Ref{{Addr: 64, Size: 0, Kind: Load}, {Addr: 128, Size: 0, Kind: Store}})
 	if c.LoadBytes != 1 || c.StoreBytes != 1 {
 		t.Fatalf("zero-size refs counted %d/%d bytes, want 1/1", c.LoadBytes, c.StoreBytes)
 	}
 }
 
-func TestTeeDuplicates(t *testing.T) {
-	var a, b Counter
-	tee := NewTee(&a, &b)
-	refs := []Ref{
-		{Addr: 1, Size: 8, Kind: Load},
-		{Addr: 2, Size: 8, Kind: Store},
-	}
-	for _, r := range refs {
-		tee.Access(r)
-	}
-	if a != b {
-		t.Fatalf("tee sinks diverged: %+v vs %+v", a, b)
-	}
-	if a.Total() != 2 {
-		t.Fatalf("tee sink saw %d refs, want 2", a.Total())
-	}
-}
-
-// flushRecorder counts Flush calls.
+// flushRecorder records the references it receives and counts Flush calls.
 type flushRecorder struct {
-	Counter
+	refs    []Ref
 	flushes int
 }
 
+func (f *flushRecorder) AccessBatch(refs []Ref) { f.refs = append(f.refs, refs...) }
+
 func (f *flushRecorder) Flush() { f.flushes++ }
-
-func TestTeeFlushPropagates(t *testing.T) {
-	fr := &flushRecorder{}
-	var plain Counter
-	tee := NewTee(fr, &plain)
-	tee.Flush()
-	if fr.flushes != 1 {
-		t.Fatalf("flushes = %d, want 1", fr.flushes)
-	}
-}
-
-// orderedFlusher records the order in which a shared log saw its flush.
-type orderedFlusher struct {
-	id  int
-	log *[]int
-}
-
-func (o *orderedFlusher) Access(Ref) {}
-func (o *orderedFlusher) Flush()     { *o.log = append(*o.log, o.id) }
-
-// TestTeeFlushOrdering verifies Tee.Flush drains sinks in registration
-// order — callers rely on it to flush upstream levels before downstream
-// consumers of their write-backs.
-func TestTeeFlushOrdering(t *testing.T) {
-	var log []int
-	tee := NewTee(
-		&orderedFlusher{id: 0, log: &log},
-		&Counter{}, // non-Flusher in the middle must be skipped, not abort
-		&orderedFlusher{id: 1, log: &log},
-		&orderedFlusher{id: 2, log: &log},
-	)
-	tee.Flush()
-	if len(log) != 3 || log[0] != 0 || log[1] != 1 || log[2] != 2 {
-		t.Fatalf("flush order = %v, want [0 1 2]", log)
-	}
-}
 
 func TestFlushIfPossible(t *testing.T) {
 	fr := &flushRecorder{}
@@ -150,8 +99,8 @@ func TestFlushIfPossible(t *testing.T) {
 
 func TestSinkFunc(t *testing.T) {
 	var got []Ref
-	s := SinkFunc(func(r Ref) { got = append(got, r) })
-	s.Access(Ref{Addr: 7, Size: 1, Kind: Store})
+	s := SinkFunc(func(refs []Ref) { got = append(got, refs...) })
+	s.AccessBatch([]Ref{{Addr: 7, Size: 1, Kind: Store}})
 	if len(got) != 1 || got[0].Addr != 7 {
 		t.Fatalf("SinkFunc recorded %v", got)
 	}
@@ -161,7 +110,7 @@ func TestNullDiscards(t *testing.T) {
 	// Null must accept anything without effect; this is a smoke test
 	// that it satisfies Sink.
 	var s Sink = Null{}
-	s.Access(Ref{Addr: 42, Size: 8})
+	s.AccessBatch([]Ref{{Addr: 42, Size: 8}})
 }
 
 func TestRecorderReplay(t *testing.T) {
@@ -171,17 +120,16 @@ func TestRecorderReplay(t *testing.T) {
 		{Addr: 200, Size: 4, Kind: Store},
 		{Addr: 300, Size: 2, Kind: Load},
 	}
-	for _, r := range want {
-		rec.Access(r)
+	for i := range want {
+		rec.AccessBatch(want[i : i+1])
 	}
 	if rec.Len() != 3 {
 		t.Fatalf("Len() = %d, want 3", rec.Len())
 	}
 
-	var replayed []Ref
 	fr := &flushRecorder{}
-	sink := NewTee(SinkFunc(func(r Ref) { replayed = append(replayed, r) }), fr)
-	rec.Replay(sink)
+	rec.Replay(fr)
+	replayed := fr.refs
 	if len(replayed) != len(want) {
 		t.Fatalf("replayed %d refs, want %d", len(replayed), len(want))
 	}
@@ -205,7 +153,7 @@ func TestRecorderReplay(t *testing.T) {
 func TestRecorderResetKeepsCapacity(t *testing.T) {
 	rec := &Recorder{}
 	for i := 0; i < 1000; i++ {
-		rec.Access(Ref{Addr: uint64(i), Size: 8})
+		rec.AccessBatch([]Ref{{Addr: uint64(i), Size: 8}})
 	}
 	before := cap(rec.Refs)
 	rec.Reset()
@@ -216,7 +164,7 @@ func TestRecorderResetKeepsCapacity(t *testing.T) {
 		t.Fatalf("cap after Reset = %d, want %d (capacity must be retained)", got, before)
 	}
 	// The retained capacity must actually be reused.
-	rec.Access(Ref{Addr: 1, Size: 8})
+	rec.AccessBatch([]Ref{{Addr: 1, Size: 8}})
 	if cap(rec.Refs) != before {
 		t.Fatalf("append after Reset reallocated: cap %d, want %d", cap(rec.Refs), before)
 	}
@@ -226,9 +174,9 @@ func TestRecorderResetKeepsCapacity(t *testing.T) {
 // through FlushIfPossible untouched and still receives accesses afterwards.
 func TestSinkFuncAsFlushTarget(t *testing.T) {
 	n := 0
-	s := SinkFunc(func(Ref) { n++ })
+	s := SinkFunc(func(refs []Ref) { n += len(refs) })
 	FlushIfPossible(s)
-	s.Access(Ref{Addr: 1, Size: 4})
+	s.AccessBatch([]Ref{{Addr: 1, Size: 4}})
 	if n != 1 {
 		t.Fatalf("SinkFunc saw %d accesses, want 1", n)
 	}
@@ -240,9 +188,9 @@ func TestRecorderRoundTrip(t *testing.T) {
 	f := func(refs []Ref) bool {
 		var direct Counter
 		rec := &Recorder{}
-		tee := NewTee(&direct, rec)
-		for _, r := range refs {
-			tee.Access(r)
+		for i := range refs {
+			direct.AccessBatch(refs[i : i+1])
+			rec.AccessBatch(refs[i : i+1])
 		}
 		var replayed Counter
 		rec.Replay(&replayed)

@@ -16,19 +16,18 @@ import (
 // sampled prefix).
 func CheckDeterminism(t *testing.T, w workload.Workload) {
 	t.Helper()
-	var c1, c2 trace.Counter
-	var prefix1, prefix2 []trace.Ref
 	const sample = 4096
-	w.Run(trace.NewTee(&c1, trace.SinkFunc(func(r trace.Ref) {
-		if len(prefix1) < sample {
-			prefix1 = append(prefix1, r)
-		}
-	})))
-	w.Run(trace.NewTee(&c2, trace.SinkFunc(func(r trace.Ref) {
-		if len(prefix2) < sample {
-			prefix2 = append(prefix2, r)
-		}
-	})))
+	run := func() (c trace.Counter, prefix []trace.Ref) {
+		w.Run(trace.SinkFunc(func(refs []trace.Ref) {
+			c.AccessBatch(refs)
+			if n := sample - len(prefix); n > 0 {
+				prefix = append(prefix, refs[:min(n, len(refs))]...)
+			}
+		}))
+		return c, prefix
+	}
+	c1, prefix1 := run()
+	c2, prefix2 := run()
 	if c1 != c2 {
 		t.Fatalf("%s: non-deterministic counters: %+v vs %+v", w.Name(), c1, c2)
 	}
@@ -70,13 +69,15 @@ func CheckRefsInRegions(t *testing.T, w workload.Workload) {
 	}
 	var bad, total uint64
 	var firstBad trace.Ref
-	w.Run(trace.SinkFunc(func(r trace.Ref) {
-		total++
-		if !contains(r.Addr) {
-			if bad == 0 {
-				firstBad = r
+	w.Run(trace.SinkFunc(func(refs []trace.Ref) {
+		for _, r := range refs {
+			total++
+			if !contains(r.Addr) {
+				if bad == 0 {
+					firstBad = r
+				}
+				bad++
 			}
-			bad++
 		}
 	}))
 	if bad > 0 {

@@ -186,29 +186,29 @@ func NewMem(sink trace.Sink) Mem { return Mem{b: trace.NewBatcher(sink, 0)} }
 func (m Mem) Flush() { m.b.Drain() }
 
 // Load8 emits an 8-byte load at addr.
-func (m Mem) Load8(addr uint64) { m.b.Access(trace.Ref{Addr: addr, Size: 8, Kind: trace.Load}) }
+func (m Mem) Load8(addr uint64) { m.b.Add(trace.Ref{Addr: addr, Size: 8, Kind: trace.Load}) }
 
 // Store8 emits an 8-byte store at addr.
-func (m Mem) Store8(addr uint64) { m.b.Access(trace.Ref{Addr: addr, Size: 8, Kind: trace.Store}) }
+func (m Mem) Store8(addr uint64) { m.b.Add(trace.Ref{Addr: addr, Size: 8, Kind: trace.Store}) }
 
 // Load4 emits a 4-byte load at addr.
-func (m Mem) Load4(addr uint64) { m.b.Access(trace.Ref{Addr: addr, Size: 4, Kind: trace.Load}) }
+func (m Mem) Load4(addr uint64) { m.b.Add(trace.Ref{Addr: addr, Size: 4, Kind: trace.Load}) }
 
 // Store4 emits a 4-byte store at addr.
-func (m Mem) Store4(addr uint64) { m.b.Access(trace.Ref{Addr: addr, Size: 4, Kind: trace.Store}) }
+func (m Mem) Store4(addr uint64) { m.b.Add(trace.Ref{Addr: addr, Size: 4, Kind: trace.Store}) }
 
 // Load1 emits a 1-byte load at addr.
-func (m Mem) Load1(addr uint64) { m.b.Access(trace.Ref{Addr: addr, Size: 1, Kind: trace.Load}) }
+func (m Mem) Load1(addr uint64) { m.b.Add(trace.Ref{Addr: addr, Size: 1, Kind: trace.Load}) }
 
 // Store1 emits a 1-byte store at addr.
-func (m Mem) Store1(addr uint64) { m.b.Access(trace.Ref{Addr: addr, Size: 1, Kind: trace.Store}) }
+func (m Mem) Store1(addr uint64) { m.b.Add(trace.Ref{Addr: addr, Size: 1, Kind: trace.Store}) }
 
 // LoadN emits an n-byte load at addr.
 func (m Mem) LoadN(addr, n uint64) {
-	m.b.Access(trace.Ref{Addr: addr, Size: uint32(n), Kind: trace.Load})
+	m.b.Add(trace.Ref{Addr: addr, Size: uint32(n), Kind: trace.Load})
 }
 
 // StoreN emits an n-byte store at addr.
 func (m Mem) StoreN(addr, n uint64) {
-	m.b.Access(trace.Ref{Addr: addr, Size: uint32(n), Kind: trace.Store})
+	m.b.Add(trace.Ref{Addr: addr, Size: uint32(n), Kind: trace.Store})
 }

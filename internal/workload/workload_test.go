@@ -93,7 +93,7 @@ func TestRegionAddrPanicsOutOfBounds(t *testing.T) {
 
 func TestMemEmission(t *testing.T) {
 	var refs []trace.Ref
-	m := NewMem(trace.SinkFunc(func(r trace.Ref) { refs = append(refs, r) }))
+	m := NewMem(trace.SinkFunc(func(batch []trace.Ref) { refs = append(refs, batch...) }))
 	m.Load8(100)
 	m.Store8(200)
 	m.Load4(300)
