@@ -239,7 +239,7 @@ func BenchmarkExtPrefetcher(b *testing.B) {
 					b.Fatal(err)
 				}
 				built.Replay(wp.Boundary)
-				hitRate = built.CacheStats()[0].HitRate()
+				hitRate = built.Levels()[0].Stats.HitRate()
 				snap := built.Snapshot()
 				nvmLoads = snap[len(snap)-1].Stats.Loads
 			}

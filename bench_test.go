@@ -512,7 +512,7 @@ func BenchmarkAblationPageGranularity(b *testing.B) {
 					b.Fatal(err)
 				}
 				built.Replay(wp.Boundary)
-				hitRate = built.CacheStats()[0].HitRate()
+				hitRate = built.Levels()[0].Stats.HitRate()
 			}
 			b.ReportMetric(hitRate, "hitRate")
 		})

@@ -26,6 +26,7 @@ import (
 
 	"hybridmem/internal/cli"
 	"hybridmem/internal/exp"
+	"hybridmem/internal/fault"
 	"hybridmem/internal/report"
 	"hybridmem/internal/serve"
 	"hybridmem/internal/store"
@@ -74,7 +75,7 @@ func doCapture(c *cli.Cmd, name, dir string) {
 	st, err := store.Open(dir, store.Options{})
 	c.Exit(err)
 	ev := serve.NewEvaluator(1, nil)
-	ev.SetStore(st)
+	ev.SetStoreGuard(serve.NewStoreGuard(st, nil, fault.RetryPolicy{}, nil))
 	fmt.Fprintf(os.Stderr, "capturing %s...\n", name)
 	_, err = ev.Evaluate(context.Background(), req)
 	c.Exit(err)

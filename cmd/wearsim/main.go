@@ -51,10 +51,10 @@ func main() {
 		dramCache := cache.New(cache.Config{
 			Name: dram.Name, Size: dram.Size, LineSize: dram.Line, Assoc: dram.Assoc,
 		})
-		backend, err := core.NewBackend(
+		h, err := core.NewHierarchy(
 			[]core.Level{{Cache: dramCache, Tech: dram.Tech}}, mem)
 		c.Exit(err)
-		backend.Replay(wp.Boundary)
+		h.Replay(wp.Boundary)
 		return mem.WearStats(), mem.Leveler()
 	}
 

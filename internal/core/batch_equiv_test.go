@@ -64,13 +64,13 @@ func TestAccessBatchEquivalence(t *testing.T) {
 			return h
 		},
 		"write-through-prefetch": func(t *testing.T) *Hierarchy {
-			return MustHierarchy([]Level{
+			return mustHierarchy(t, []Level{
 				{Cache: cache.New(cache.Config{Name: "L1wt", Size: 512, LineSize: 64, Assoc: 2, WriteThrough: true}), Tech: tech.SRAML1},
 				{Cache: cache.New(cache.Config{Name: "L2", Size: 4096, LineSize: 128, Assoc: 4}), Tech: tech.SRAML2, PrefetchNext: 2},
 			}, NewSimpleMemory("mem", tech.DRAM, 1<<20))
 		},
 		"cacheless": func(t *testing.T) *Hierarchy {
-			return MustHierarchy(nil, NewSimpleMemory("mem", tech.PCM, 1<<20))
+			return mustHierarchy(t, nil, NewSimpleMemory("mem", tech.PCM, 1<<20))
 		},
 		"partitioned": func(t *testing.T) *Hierarchy {
 			pm, err := NewPartitionedMemory(
@@ -79,7 +79,7 @@ func TestAccessBatchEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return MustHierarchy([]Level{
+			return mustHierarchy(t, []Level{
 				{Cache: cache.New(cache.Config{Name: "L1", Size: 512, LineSize: 64, Assoc: 2}), Tech: tech.SRAML1},
 			}, pm)
 		},
@@ -134,16 +134,10 @@ func TestBackendReplayBatchEquivalence(t *testing.T) {
 	var packed trace.Packed
 	packed.AccessBatch(refs)
 
-	replayed, err := NewBackend(mkLevels(), NewSimpleMemory("m", tech.PCM, 1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
+	replayed := mustHierarchy(t, mkLevels(), NewSimpleMemory("m", tech.PCM, 1<<20))
 	replayed.Replay(&packed)
 
-	direct, err := NewBackend(mkLevels(), NewSimpleMemory("m", tech.PCM, 1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := mustHierarchy(t, mkLevels(), NewSimpleMemory("m", tech.PCM, 1<<20))
 	for i := range refs {
 		direct.AccessBatch(refs[i : i+1])
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"hybridmem/internal/cache"
 	"hybridmem/internal/tech"
 	"hybridmem/internal/trace"
 )
@@ -74,52 +73,3 @@ func (m *RecordingMemory) Stream() *trace.Packed { return &m.stream }
 // Refs materializes the recorded boundary stream as a raw slice; replay
 // paths should use Stream instead.
 func (m *RecordingMemory) Refs() []trace.Ref { return m.stream.Refs() }
-
-// Backend is a partial hierarchy: the levels below the shared SRAM prefix
-// plus the memory terminal. Replaying a recorded boundary stream into a
-// Backend reproduces exactly what a full simulation of prefix+backend would
-// have produced for these levels.
-type Backend struct {
-	h *Hierarchy
-}
-
-// NewBackend builds a backend from levels (possibly empty) and a terminal.
-func NewBackend(levels []Level, mem Memory) (*Backend, error) {
-	h, err := NewHierarchy(levels, mem)
-	if err != nil {
-		return nil, err
-	}
-	return &Backend{h: h}, nil
-}
-
-// Replay streams the packed boundary stream p through the backend batch by
-// batch and flushes residual dirty state.
-func (b *Backend) Replay(p *trace.Packed) { p.Replay(b.h) }
-
-// AccessBatch feeds a batch of references; it implements trace.Sink.
-// The batch is only read, never retained or mutated, so a caller may share
-// one decoded batch across concurrent backends — the fan-out replay engine
-// (exp.WorkloadProfile.EvaluateFanout) broadcasts each decoded boundary
-// block to every design point's backend simultaneously.
-func (b *Backend) AccessBatch(refs []trace.Ref) { b.h.AccessBatch(refs) }
-
-// Flush drains dirty lines downward.
-func (b *Backend) Flush() { b.h.Flush() }
-
-// Snapshot returns the backend's level and memory statistics.
-func (b *Backend) Snapshot() []LevelStats { return b.h.Snapshot() }
-
-// Memory returns the backend's memory terminal, letting callers reach
-// through to decorators (e.g. the fault layer's device-fault wrapper) after
-// a replay.
-func (b *Backend) Memory() Memory { return b.h.Memory() }
-
-// CacheStats returns statistics of the backend's cache levels only.
-func (b *Backend) CacheStats() []cache.Stats {
-	ls := b.h.Levels()
-	out := make([]cache.Stats, len(ls))
-	for i, l := range ls {
-		out[i] = l.Stats
-	}
-	return out
-}

@@ -10,6 +10,16 @@ import (
 	"hybridmem/internal/trace"
 )
 
+// mustHierarchy is NewHierarchy for levels a test knows are valid.
+func mustHierarchy(t *testing.T, levels []Level, mem Memory) *Hierarchy {
+	t.Helper()
+	h, err := NewHierarchy(levels, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // twoLevel builds a tiny L1(256B)/L2(1KB) hierarchy over a simple memory.
 func twoLevel(t *testing.T) (*Hierarchy, *SimpleMemory) {
 	t.Helper()
@@ -43,15 +53,6 @@ func TestHierarchyValidation(t *testing.T) {
 	if err == nil {
 		t.Error("invalid tech should fail")
 	}
-}
-
-func TestMustHierarchyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustHierarchy should panic on error")
-		}
-	}()
-	MustHierarchy(nil, nil)
 }
 
 func TestMissPropagation(t *testing.T) {
@@ -276,20 +277,17 @@ func TestBoundaryReplayEquivalence(t *testing.T) {
 
 	// Path A: full hierarchy in one piece.
 	memA := NewSimpleMemory("m", tech.PCM, 1<<20)
-	full := MustHierarchy(append(mkPrefix(), mkBackendLevels()...), memA)
+	full := mustHierarchy(t, append(mkPrefix(), mkBackendLevels()...), memA)
 	full.AccessBatch(refs)
 	full.Flush()
 
 	// Path B: prefix with recorder, then replay into the backend.
 	rec := NewRecordingMemory(64)
-	pre := MustHierarchy(mkPrefix(), rec)
+	pre := mustHierarchy(t, mkPrefix(), rec)
 	pre.AccessBatch(refs)
 	pre.Flush()
 	memB := NewSimpleMemory("m", tech.PCM, 1<<20)
-	backend, err := NewBackend(mkBackendLevels(), memB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	backend := mustHierarchy(t, mkBackendLevels(), memB)
 	backend.Replay(rec.Stream())
 
 	// Backend cache statistics must be identical.
@@ -363,7 +361,7 @@ func TestConservationOfTraffic(t *testing.T) {
 func TestWriteThroughHierarchy(t *testing.T) {
 	mem := NewSimpleMemory("mem", tech.DRAM, 1<<20)
 	l1 := cache.New(cache.Config{Name: "L1wt", Size: 256, LineSize: 64, Assoc: 0, WriteThrough: true})
-	h := MustHierarchy([]Level{{Cache: l1, Tech: tech.SRAML1}}, mem)
+	h := mustHierarchy(t, []Level{{Cache: l1, Tech: tech.SRAML1}}, mem)
 	// Store miss: propagates to memory, does not allocate.
 	h.AccessBatch([]trace.Ref{{Addr: 0, Size: 8, Kind: trace.Store}})
 	if mem.Stats().Stores != 1 {
@@ -388,7 +386,7 @@ func TestWriteThroughHierarchy(t *testing.T) {
 func TestNextLinePrefetcher(t *testing.T) {
 	mem := NewSimpleMemory("mem", tech.DRAM, 1<<20)
 	l1 := cache.New(cache.Config{Name: "L1", Size: 1024, LineSize: 64, Assoc: 0})
-	h := MustHierarchy([]Level{{Cache: l1, Tech: tech.SRAML1, PrefetchNext: 2}}, mem)
+	h := mustHierarchy(t, []Level{{Cache: l1, Tech: tech.SRAML1, PrefetchNext: 2}}, mem)
 	// One demand miss triggers two prefetches: memory sees 3 loads.
 	h.AccessBatch([]trace.Ref{{Addr: 0, Size: 8, Kind: trace.Load}})
 	if mem.Stats().Loads != 3 {
@@ -409,7 +407,7 @@ func TestNextLinePrefetcher(t *testing.T) {
 func TestPrefetcherOnlyOnLoadMisses(t *testing.T) {
 	mem := NewSimpleMemory("mem", tech.DRAM, 1<<20)
 	l1 := cache.New(cache.Config{Name: "L1", Size: 1024, LineSize: 64, Assoc: 0})
-	h := MustHierarchy([]Level{{Cache: l1, Tech: tech.SRAML1, PrefetchNext: 4}}, mem)
+	h := mustHierarchy(t, []Level{{Cache: l1, Tech: tech.SRAML1, PrefetchNext: 4}}, mem)
 	h.AccessBatch([]trace.Ref{{Addr: 4096, Size: 8, Kind: trace.Store}})
 	// A store miss write-allocates (1 load) but must not prefetch.
 	if mem.Stats().Loads != 1 {

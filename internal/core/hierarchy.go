@@ -104,16 +104,6 @@ func CheckStack(lines []uint64, techs []tech.Tech) error {
 	return nil
 }
 
-// MustHierarchy is NewHierarchy that panics on error, for static design
-// tables whose validity is a program invariant.
-func MustHierarchy(levels []Level, mem Memory) *Hierarchy {
-	h, err := NewHierarchy(levels, mem)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // AccessBatch feeds a batch of references into the top of the hierarchy,
 // producing exactly the state len(refs) one-reference batches would.
 // References that straddle a level-0 line boundary are split, as hardware
@@ -121,7 +111,10 @@ func MustHierarchy(levels []Level, mem Memory) *Hierarchy {
 // size, write-through policy — is hoisted out of the per-reference path, so
 // the inner loop makes monomorphic calls into cache.Cache.Access with no
 // interface hop, and zero-level hierarchies accumulate whole batches into
-// the memory terminal with a single statistics update.
+// the memory terminal with a single statistics update. The batch is only
+// read, never retained or mutated, so the fan-out replay engine
+// (exp.WorkloadProfile.EvaluateFanout) shares one decoded block across
+// concurrent hierarchies.
 func (h *Hierarchy) AccessBatch(refs []trace.Ref) {
 	if len(refs) == 0 {
 		return
@@ -234,6 +227,11 @@ func (h *Hierarchy) levelAccess(level int, lv *Level, c *cache.Cache, addr, size
 		}
 	}
 }
+
+// Replay streams the packed boundary stream p through the hierarchy batch
+// by batch and flushes residual dirty state: for the levels below the SRAM
+// prefix, exactly what a full simulation would have produced.
+func (h *Hierarchy) Replay(p *trace.Packed) { p.Replay(h) }
 
 // Flush drains dirty lines from every level downward, so that residual dirty
 // state is charged as main-memory stores ("dirty cache lines eventually make

@@ -63,14 +63,9 @@ type MemorySpec struct {
 	RowHitFraction float64
 }
 
-// Build instantiates the backend.
-func (b Backend) Build() (*core.Backend, error) {
-	levels, mem, err := b.components(nil)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewBackend(levels, mem)
-}
+// Build instantiates the backend as a bare hierarchy, the target a
+// recorded boundary stream replays into.
+func (b Backend) Build() (*core.Hierarchy, error) { return b.BuildHierarchy(nil) }
 
 // ReplayKey names the back end's replay class: two back ends with the same
 // key produce identical cache and terminal statistics from any boundary

@@ -98,7 +98,7 @@ func TestPrefixGeometry(t *testing.T) {
 
 // buildAndTouch builds a backend and pushes a few references to prove it is
 // functional.
-func buildAndTouch(t *testing.T, b Backend) *core.Backend {
+func buildAndTouch(t *testing.T, b Backend) *core.Hierarchy {
 	t.Helper()
 	built, err := b.Build()
 	if err != nil {

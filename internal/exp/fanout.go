@@ -39,7 +39,7 @@ type FanoutResult struct {
 	Err  error
 }
 
-// replayTarget is the surface of *core.Backend the fan-out workers drive.
+// replayTarget is the surface of *core.Hierarchy the fan-out workers drive.
 // It exists as a seam: tests wrap built back ends with misbehaving targets
 // to prove that a panicking design point fails alone.
 type replayTarget interface {

@@ -1,8 +1,8 @@
 // Package fault is the deterministic fault-injection and resilience layer:
 // it spans the simulator (an injectable NVM device-fault model with ECC,
 // page retirement, and graceful degradation) and the serving path (typed
-// panic capture, deterministic chaos plans, and the jittered backoff that
-// paces store reopens).
+// panic capture, the chaos plan's poisoned keys, and the jittered backoff
+// that paces store reopens).
 //
 // # Determinism
 //
@@ -16,23 +16,22 @@
 //
 // # Error taxonomy
 //
-//   - TransientError marks infrastructure-shaped failures that a later
-//     attempt may cure. Nothing remembers them: the serving layer never
-//     caches a transient failure as a negative entry.
+// An evaluation replays a fixed reference stream into a deterministic
+// simulator, so it is a pure function of its request: it succeeds, or it
+// fails the same way every time. There is no transient class.
+//
 //   - PanicError is a recovered panic converted into a value that flows
 //     through ordinary error returns; RecoverTo installs the conversion at
 //     harness boundaries (exp.ProfileWorkloadOpts, exp.EvaluateCtx, the
 //     serve evaluation path), so a malformed design point fails one request
-//     instead of the process.
-//
-// Device-level uncorrectable errors are deliberately NOT transient:
-// replaying the same deterministic stream reproduces them, so retrying is
-// wasted work — they surface in Stats and in the evaluation's fault
-// metrics instead.
+//     instead of the process. The serving layer remembers it as a
+//     negative entry.
+//   - Device-level uncorrectable errors are not failures at all: replaying
+//     the same stream reproduces them, so they surface in Stats and in the
+//     evaluation's fault metrics.
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
 )
@@ -69,39 +68,6 @@ func hashString(s string) uint64 {
 
 // unit maps a hash to a uniform float64 in [0, 1).
 func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
-
-// TransientError marks a failure that a later attempt may cure: a spurious
-// infrastructure error — anything whose cause is not a deterministic
-// property of the request itself. The serving layer answers it with retry
-// guidance and never caches it.
-type TransientError struct {
-	// Op names the operation that failed.
-	Op string
-	// Err is the underlying cause (may be nil).
-	Err error
-}
-
-// Error implements the error interface.
-func (e *TransientError) Error() string {
-	if e.Err == nil {
-		return "transient fault: " + e.Op
-	}
-	return "transient fault: " + e.Op + ": " + e.Err.Error()
-}
-
-// Unwrap exposes the cause to errors.Is/As.
-func (e *TransientError) Unwrap() error { return e.Err }
-
-// Transient wraps err as a retryable transient failure of op.
-func Transient(op string, err error) error {
-	return &TransientError{Op: op, Err: err}
-}
-
-// IsTransient reports whether err is, or wraps, a TransientError.
-func IsTransient(err error) bool {
-	var te *TransientError
-	return errors.As(err, &te)
-}
 
 // PanicError is a panic recovered at a harness boundary and converted into
 // an ordinary error: the request that triggered it fails with a typed

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -24,24 +25,6 @@ func TestHashDeterministicAndSpread(t *testing.T) {
 		if u < 0 || u >= 1 {
 			t.Fatalf("unit(hash(%d)) = %g out of [0,1)", i, u)
 		}
-	}
-}
-
-func TestTransientErrorTaxonomy(t *testing.T) {
-	base := errors.New("connection reset")
-	err := Transient("replay", base)
-	if !IsTransient(err) {
-		t.Fatal("Transient error not detected by IsTransient")
-	}
-	if !errors.Is(err, base) {
-		t.Fatal("TransientError does not unwrap to its cause")
-	}
-	if IsTransient(base) || IsTransient(nil) {
-		t.Fatal("IsTransient misfires on plain errors")
-	}
-	// Wrapped transients still register.
-	if !IsTransient(fmt.Errorf("outer: %w", err)) {
-		t.Fatal("wrapped TransientError not detected")
 	}
 }
 
@@ -78,14 +61,17 @@ func TestRecoverToLeavesNormalReturnsAlone(t *testing.T) {
 	}
 }
 
+// TestRetryDelayJitterBounds holds every delay inside its equal-jitter
+// interval [d/2, d), where d doubles from retryBase up to retryMax, and
+// pins the store-reopen schedule so the backoff a wounded store heals on
+// cannot drift.
 func TestRetryDelayJitterBounds(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second, Seed: 7}
-	prevCap := time.Duration(0)
-	for attempt := 1; attempt <= 6; attempt++ {
+	var p RetryPolicy
+	for attempt := 1; attempt <= 8; attempt++ {
 		d := p.Delay("key", attempt)
-		full := p.BaseDelay << (attempt - 1)
-		if full <= 0 || full > p.MaxDelay {
-			full = p.MaxDelay
+		full := retryBase << (attempt - 1)
+		if full > retryMax {
+			full = retryMax
 		}
 		if d < full/2 || d >= full {
 			t.Fatalf("attempt %d delay %v out of [%v, %v)", attempt, d, full/2, full)
@@ -93,44 +79,21 @@ func TestRetryDelayJitterBounds(t *testing.T) {
 		if d != p.Delay("key", attempt) {
 			t.Fatalf("attempt %d delay is not deterministic", attempt)
 		}
-		if full >= prevCap {
-			prevCap = full
-		}
 	}
 	if p.Delay("key", 1) == p.Delay("other", 1) {
 		t.Fatal("different keys drew identical jitter (decorrelation broken)")
 	}
-}
-
-func TestRetryDelayInjectableJitter(t *testing.T) {
-	// A seeded jitter source replaces the hash draw, pinning exact delays.
-	var draws []int
-	p := RetryPolicy{
-		BaseDelay: 100 * time.Millisecond,
-		MaxDelay:  time.Second,
-		Jitter: func(key string, attempt int) float64 {
-			draws = append(draws, attempt)
-			return 0.5
-		},
-	}
-	if d := p.Delay("k", 1); d != 75*time.Millisecond {
-		t.Fatalf("Delay with u=0.5 = %v, want 75ms (d/2 + 0.5*d/2)", d)
-	}
-	if d := p.Delay("k", 2); d != 150*time.Millisecond {
-		t.Fatalf("Delay with u=0.5 = %v, want 150ms", d)
-	}
-	if len(draws) != 2 || draws[0] != 1 || draws[1] != 2 {
-		t.Fatalf("jitter source saw attempts %v, want [1 2]", draws)
-	}
-	// u=0 pins the lower bound of the equal-jitter interval.
-	p.Jitter = func(string, int) float64 { return 0 }
-	if d := p.Delay("k", 1); d != 50*time.Millisecond {
-		t.Fatalf("Delay with u=0 = %v, want 50ms (interval floor)", d)
+	want := []time.Duration{21687872, 29235186, 55020218, 199592953,
+		360761948, 523400715, 1152012199, 1464984866}
+	for i, w := range want {
+		if d := p.Delay("store-reopen", i+1); d != w {
+			t.Fatalf("store-reopen attempt %d delay = %d, want %d", i+1, d, w)
+		}
 	}
 }
 
 func TestServicePlanDeterministicAndProportional(t *testing.T) {
-	p := &ServicePlan{Seed: 42, PanicFraction: 0.25, TransientFraction: 0.1}
+	p := &ServicePlan{Seed: 42, PanicFraction: 0.25}
 	poisoned := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -141,9 +104,6 @@ func TestServicePlanDeterministicAndProportional(t *testing.T) {
 		}
 		if a {
 			poisoned++
-			if p.Decide(key, 0) != ActPanic || p.Decide(key, 99) != ActPanic {
-				t.Fatal("poisoned key did not order a panic on every call")
-			}
 		}
 	}
 	frac := float64(poisoned) / n
@@ -151,35 +111,25 @@ func TestServicePlanDeterministicAndProportional(t *testing.T) {
 		t.Fatalf("poisoned fraction = %.3f, want ~0.25", frac)
 	}
 
-	// Transients fire on non-poisoned keys at roughly their fraction, and
-	// depend on the call number (so a retry can dodge one).
-	transients, healthyCalls := 0, 0
-	varies := false
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		if p.Poisoned(key) {
-			continue
-		}
-		first := p.Decide(key, 0)
-		if first == ActTransient {
-			transients++
-		}
-		if first != p.Decide(key, 1) {
-			varies = true
-		}
-		healthyCalls++
-	}
-	tfrac := float64(transients) / float64(healthyCalls)
-	if tfrac < 0.05 || tfrac > 0.16 {
-		t.Fatalf("transient fraction = %.3f, want ~0.10", tfrac)
-	}
-	if !varies {
-		t.Fatal("transient decisions never vary across call numbers; retries could never help")
-	}
-
 	// A nil plan is inert.
 	var nilPlan *ServicePlan
-	if nilPlan.Poisoned("x") || nilPlan.Decide("x", 0) != ActNone {
+	if nilPlan.Poisoned("x") {
 		t.Fatal("nil ServicePlan injected a fault")
+	}
+}
+
+func TestRetryWaitSleepsTheDelayOrUntilCanceled(t *testing.T) {
+	var slept time.Duration
+	p := RetryPolicy{Sleep: func(_ context.Context, d time.Duration) error {
+		slept = d
+		return nil
+	}}
+	if err := p.Wait(context.Background(), "k", 3); err != nil || slept != p.Delay("k", 3) {
+		t.Fatalf("Wait slept %v (err %v), want Delay %v through Sleep", slept, err, p.Delay("k", 3))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := (RetryPolicy{}).Wait(ctx, "k", 8); err != context.Canceled {
+		t.Fatalf("Wait on a canceled context = %v, want context.Canceled", err)
 	}
 }

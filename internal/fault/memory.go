@@ -287,6 +287,3 @@ func (m *Memory) FaultStats() Stats { return m.stats }
 func (m *Memory) WearStats(capacityBytes uint64) wear.Stats {
 	return m.tracker.Stats(capacityBytes)
 }
-
-// Inner returns the wrapped terminal memory.
-func (m *Memory) Inner() core.Memory { return m.inner }

@@ -5,14 +5,10 @@ import (
 	"time"
 )
 
-// Backoff defaults, applied by RetryPolicy.Delay for zero-valued fields.
+// The backoff schedule: the first delay and the cap of its doubling.
 const (
-	// DefaultRetryBase is the first backoff delay when
-	// RetryPolicy.BaseDelay is zero.
-	DefaultRetryBase = 25 * time.Millisecond
-	// DefaultRetryMax caps the backoff delay when RetryPolicy.MaxDelay is
-	// zero.
-	DefaultRetryMax = 2 * time.Second
+	retryBase = 25 * time.Millisecond
+	retryMax  = 2 * time.Second
 )
 
 // RetryPolicy paces repeated attempts at an operation that fails for
@@ -21,52 +17,44 @@ const (
 // deterministically jittered delay.
 //
 // The jitter is the "equal jitter" scheme — each delay is uniformly drawn
-// from [d/2, d) where d doubles per attempt from BaseDelay up to MaxDelay —
-// with the draw derived from hash(Seed, key, attempt), so a fleet of
-// processes retrying the same failure decorrelates while a fixed seed
-// reproduces the exact schedule.
+// from [d/2, d) where d doubles per attempt from 25 ms up to 2 s — with the
+// draw derived from hash(0, key, attempt), so a fixed key reproduces the
+// exact schedule.
 //
 // Evaluations are not retried: an evaluation is a pure function of its
 // request key, so a failed one fails identically every time (the serving
 // layer remembers such failures instead; see serve's negative cache
 // entries).
 type RetryPolicy struct {
-	// BaseDelay is the first backoff delay (0 = DefaultRetryBase).
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth (0 = DefaultRetryMax).
-	MaxDelay time.Duration
-	// Seed drives the deterministic jitter draws.
-	Seed uint64
-	// Sleep waits between attempts (nil = time.Sleep); tests inject an
-	// instant clock.
+	// Sleep waits between attempts, returning early with ctx's error when
+	// ctx ends (nil = a timer that honours ctx); tests inject an instant
+	// or gated clock.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// Jitter overrides the deterministic jitter draw for a retry: it
-	// returns a value in [0, 1) for (key, attempt). Nil uses the
-	// hash(Seed, key, attempt) draw. Tests inject a fixed source to pin
-	// exact delays without re-deriving the hash.
-	Jitter func(key string, attempt int) float64
 }
 
 // Delay returns the jittered backoff before the given attempt (attempt 1 is
 // the first retry).
 func (p RetryPolicy) Delay(key string, attempt int) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		base = DefaultRetryBase
+	d := retryBase << (attempt - 1)
+	if d <= 0 || d > retryMax {
+		d = retryMax
 	}
-	max := p.MaxDelay
-	if max <= 0 {
-		max = DefaultRetryMax
-	}
-	d := base << (attempt - 1)
-	if d <= 0 || d > max {
-		d = max
-	}
-	var u float64
-	if p.Jitter != nil {
-		u = p.Jitter(key, attempt)
-	} else {
-		u = unit(hash(p.Seed, hashString(key), uint64(attempt)))
-	}
+	u := unit(hash(0, hashString(key), uint64(attempt)))
 	return d/2 + time.Duration(u*float64(d/2))
+}
+
+// Wait sleeps for Delay(key, attempt) through Sleep, or until ctx ends.
+func (p RetryPolicy) Wait(ctx context.Context, key string, attempt int) error {
+	d := p.Delay(key, attempt)
+	if p.Sleep != nil {
+		return p.Sleep(ctx, d)
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Snapshotter is a reference sink that can report cumulative per-level
-// statistics: *core.Hierarchy and *core.Backend both qualify.
+// statistics: *core.Hierarchy qualifies.
 type Snapshotter interface {
 	trace.Sink
 	Snapshot() []core.LevelStats
@@ -97,11 +97,8 @@ func NewEpochSampler(target Snapshotter, everyRefs uint64) *EpochSampler {
 // cacheLevelCount asks the target how many snapshot entries are cache
 // levels, falling back to "all but the last" for unknown targets.
 func cacheLevelCount(target Snapshotter, total int) int {
-	switch t := target.(type) {
-	case interface{ Levels() []core.LevelStats }: // *core.Hierarchy
-		return len(t.Levels())
-	case interface{ CacheStats() []cache.Stats }: // *core.Backend
-		return len(t.CacheStats())
+	if h, ok := target.(interface{ Levels() []core.LevelStats }); ok { // *core.Hierarchy
+		return len(h.Levels())
 	}
 	if total > 0 {
 		return total - 1

@@ -98,13 +98,6 @@ func StartTrace(ctx context.Context, traceID string) (context.Context, SpanConte
 	return ContextWithSpan(ctx, sc), sc
 }
 
-// StartSpan begins a child span of the context's active span (a new root
-// trace when there is none) and returns the child-carrying context.
-func StartSpan(ctx context.Context) (context.Context, SpanContext) {
-	sc := ChildSpan(ctx)
-	return ContextWithSpan(ctx, sc), sc
-}
-
 // ChildSpan mints a child span of the context's active span without
 // attaching it — for leaf events (a design_point record) that need their
 // own span identity but never hand the context on.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -117,7 +118,10 @@ func runOverloadScenario(t *testing.T) []overloadOutcome {
 	var logbuf syncBuffer
 	logger := obs.NewLogger(&logbuf)
 	guard := NewStoreGuard(st, reopen, fault.RetryPolicy{
-		BaseDelay: time.Millisecond, MaxDelay: time.Millisecond,
+		Sleep: func(context.Context, time.Duration) error {
+			time.Sleep(time.Millisecond)
+			return nil
+		},
 	}, logger)
 	t.Cleanup(func() { guard.Close() })
 

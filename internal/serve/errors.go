@@ -2,10 +2,8 @@ package serve
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
 	"strconv"
-	"time"
 )
 
 // Error codes returned in the "error.code" field of failed responses.
@@ -63,9 +61,9 @@ const (
 	// remembers it as a negative entry and answers repeats with the same
 	// error (X-Memsimd-Cache: negative) without evaluating again.
 	CodePanic = "eval_panic"
-	// CodeInternal marks unexpected evaluation failures. Without retry
-	// guidance the failure is permanent and remembered like CodePanic;
-	// with retry guidance it was transient and is never remembered.
+	// CodeInternal marks unexpected evaluation failures. Like CodePanic
+	// the failure is a property of the request and is remembered as a
+	// negative entry.
 	CodeInternal = "internal"
 )
 
@@ -75,12 +73,17 @@ const (
 //
 // # Client retry contract
 //
-// Retryable codes carry backoff guidance: RetryAfterMS is the base delay
-// before the next attempt and JitterMS the width of a uniform random spread
-// to add on top (sleep RetryAfterMS + rand[0, JitterMS)), so a fleet of
-// clients retrying the same failure decorrelates instead of stampeding.
-// The Retry-After response header repeats RetryAfterMS rounded up to whole
-// seconds for generic HTTP clients.
+// A request has three outcomes: it is answered (200), refused with retry
+// guidance, or fails permanently. An evaluation is a pure function of its
+// request, so no failure is transient.
+//
+// Refusals say nothing about the request and are never remembered. The
+// retryable ones carry backoff guidance: RetryAfterMS is the base delay
+// before the next attempt and JitterMS the width of a uniform random
+// spread to add on top (sleep RetryAfterMS + rand[0, JitterMS)), so a
+// fleet of clients retrying the same refusal decorrelates instead of
+// stampeding. The Retry-After response header repeats RetryAfterMS
+// rounded up to whole seconds for generic HTTP clients.
 //
 //   - CodeOverloaded (429): retry with the given backoff.
 //   - CodeRateLimited (429): this client exceeded its admission rate;
@@ -88,18 +91,16 @@ const (
 //     are wasted round trips.
 //   - CodeShuttingDown (503): this process is draining; retry against the
 //     fleet after the given backoff and another instance will serve it.
-//   - CodeInternal (500) with retry guidance: a transient fault; the server
-//     does not retry evaluations itself, so one client-side retry after
-//     the backoff is reasonable.
 //   - CodeTimeout (504): retry only with a smaller request (larger
 //     workload_scale) — the same request will time out again.
 //   - CodeWouldDeadline (503): the offered deadline cannot be met; retry
 //     only with a longer X-Memsimd-Deadline-Ms.
-//   - CodePanic (500), CodeInternal (500) without retry guidance, and all
-//     4xx codes: do not retry; the failure is a deterministic property of
-//     the request. The server remembers a 500 of this kind as a negative
-//     entry and answers repeats with a byte-identical body, marked
-//     X-Memsimd-Cache: negative, until NegativeTTL expires.
+//
+// Permanent failures — CodePanic (500), CodeInternal (500), and all 4xx
+// codes — are a deterministic property of the request: do not retry. The
+// server remembers a 500 as a negative entry and answers repeats with a
+// byte-identical body, marked X-Memsimd-Cache: negative, until
+// NegativeTTL expires.
 //
 // Earlier servers also sent 503 circuit_open after repeated failures of a
 // design and 503 retry_budget when a shared budget cut their own retries.
@@ -119,29 +120,6 @@ type APIError struct {
 	// JitterMS is the suggested uniform jitter width to add to
 	// RetryAfterMS (see the client retry contract above).
 	JitterMS int64 `json:"jitter_ms,omitempty"`
-}
-
-// Backoff computes the client retry contract's sleep for one uniform draw
-// u in [0, 1): RetryAfterMS + u*JitterMS, i.e. a duration in
-// [RetryAfterMS, RetryAfterMS+JitterMS). Client implementations should use
-// exactly this shape so a fleet retrying the same failure decorrelates;
-// the serve tests hold the bounds as a property over seeded draws.
-func (e *APIError) Backoff(u float64) time.Duration {
-	if u < 0 {
-		u = 0
-	} else if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	ms := float64(e.RetryAfterMS) + u*float64(e.JitterMS)
-	d := time.Duration(ms * float64(time.Millisecond))
-	// Float rounding near u=1 can land exactly on the open upper bound;
-	// clamp so the half-open interval holds for every representable draw.
-	if e.JitterMS > 0 {
-		if hi := time.Duration(e.RetryAfterMS+e.JitterMS) * time.Millisecond; d >= hi {
-			d = hi - time.Nanosecond
-		}
-	}
-	return d
 }
 
 // Error implements the error interface.

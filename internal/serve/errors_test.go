@@ -3,11 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // TestWriteErrorRetryAfterRounding pins the Retry-After header contract:
@@ -54,41 +52,9 @@ func TestWriteErrorRetryAfterRounding(t *testing.T) {
 	}
 }
 
-// TestBackoffJitterBounds is the client retry contract as a property: for
-// any retryable APIError and any draw, the computed sleep stays within
-// [RetryAfterMS, RetryAfterMS+JitterMS).
-func TestBackoffJitterBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(9)) // seeded: failures reproduce
-	errs := []*APIError{
-		{Code: CodeOverloaded, RetryAfterMS: 1000, JitterMS: 500},
-		{Code: CodeRateLimited, RetryAfterMS: 200, JitterMS: 100},
-		{Code: CodeInternal, RetryAfterMS: 1000, JitterMS: 500}, // transient fault
-		{Code: CodeShuttingDown, RetryAfterMS: drainRetryAfterMS, JitterMS: drainRetryAfterMS / 2},
-		{Code: CodeInternal, RetryAfterMS: 1, JitterMS: 0}, // zero jitter: exact sleep
-	}
-	for _, e := range errs {
-		lo := time.Duration(e.RetryAfterMS) * time.Millisecond
-		hi := time.Duration(e.RetryAfterMS+e.JitterMS) * time.Millisecond
-		for i := 0; i < 2000; i++ {
-			d := e.Backoff(rng.Float64())
-			if d < lo || (e.JitterMS > 0 && d >= hi) || (e.JitterMS == 0 && d != lo) {
-				t.Fatalf("%s: Backoff = %v outside [%v, %v)", e.Code, d, lo, hi)
-			}
-		}
-		// Boundary draws clamp into range instead of escaping it.
-		if d := e.Backoff(0); d != lo {
-			t.Fatalf("%s: Backoff(0) = %v, want %v", e.Code, d, lo)
-		}
-		if d := e.Backoff(1); e.JitterMS > 0 && (d < lo || d >= hi) {
-			t.Fatalf("%s: Backoff(1) = %v outside [%v, %v)", e.Code, d, lo, hi)
-		}
-	}
-}
-
 // TestRetryableCodesCarryGuidance walks every server path that emits a
 // retryable refusal and asserts the response carries both RetryAfterMS and
-// a Retry-After header, so the jitter property above applies to real
-// responses, not just hand-built ones.
+// a Retry-After header, the client retry contract's backoff guidance.
 func TestRetryableCodesCarryGuidance(t *testing.T) {
 	// Drain refusal: must be a retryable 503, not a connection reset.
 	s := New(Config{Runner: &stubRunner{fn: func(ctx0 context.Context, req *EvalRequest) (*EvalResult, error) {

@@ -75,7 +75,7 @@ type Evaluator struct {
 	// cache: a profile evicted (or belonging to a previous process) is
 	// restored from its persisted manifest + boundary stream with zero
 	// replay instead of being re-profiled. All access goes through the
-	// wounded-store self-healing StoreGuard. See SetStore/SetStoreGuard.
+	// wounded-store self-healing StoreGuard. See SetStoreGuard.
 	guard *StoreGuard
 
 	replays      atomic.Uint64
@@ -139,22 +139,15 @@ func NewEvaluator(maxProfiles int, log *obs.Logger) *Evaluator {
 	}
 }
 
-// SetStore attaches an on-disk store (see internal/store) as the durable
-// tier behind the in-memory profile cache. Profiles already persisted are
-// restored — manifest plus content-addressed boundary stream, zero replay —
-// instead of re-profiled, and every freshly profiled workload is written
-// through for the next process. Call before serving traffic; the evaluator
-// does not close the store. The store is wrapped in a non-healing
-// StoreGuard; use SetStoreGuard to share a self-healing guard with the
-// Server.
-func (e *Evaluator) SetStore(st *store.Store) {
-	e.guard = NewStoreGuard(st, nil, fault.RetryPolicy{}, e.Log)
-}
-
-// SetStoreGuard attaches an already-supervised durable tier (see
-// StoreGuard), typically the same guard the Server routes result documents
-// through, so a wound observed on either path quarantines one shared
-// instance and a single background reopen heals both.
+// SetStoreGuard attaches an on-disk store (see internal/store), supervised
+// by g, as the durable tier behind the in-memory profile cache. Profiles
+// already persisted are restored — manifest plus content-addressed
+// boundary stream, zero replay — instead of re-profiled, and every freshly
+// profiled workload is written through for the next process. Call before
+// serving traffic; the evaluator does not close the store. g is typically
+// the same guard the Server routes result documents through, so a wound
+// observed on either path quarantines one shared instance and a single
+// background reopen heals both.
 func (e *Evaluator) SetStoreGuard(g *StoreGuard) { e.guard = g }
 
 // Replays returns how many boundary replays this evaluator has performed —
@@ -323,7 +316,7 @@ func OpenStoredProfile(dir, workload string, scale uint64) (*exp.WorkloadProfile
 		return nil, nil, err
 	}
 	ev := NewEvaluator(1, nil)
-	ev.SetStore(st)
+	ev.SetStoreGuard(NewStoreGuard(st, nil, fault.RetryPolicy{}, nil))
 	wp, ok := ev.restoreProfile(profileKey(r))
 	if !ok {
 		st.Close()

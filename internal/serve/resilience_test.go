@@ -16,110 +16,64 @@ import (
 	"hybridmem/internal/fault"
 )
 
+// TestPanicRecoveryServesTypedError: a panicking evaluation answers a
+// typed 500 eval_panic, counts in panics_recovered, and is remembered as a
+// negative entry, whether the panic unwinds into the server or was already
+// recovered below it (exp recovers replay and profiling panics itself).
 func TestPanicRecoveryServesTypedError(t *testing.T) {
-	var calls atomic.Int64
-	runner := &stubRunner{fn: func(ctx context.Context, req *EvalRequest) (*EvalResult, error) {
-		if calls.Add(1) == 1 {
+	cases := map[string]func(req *EvalRequest) (*EvalResult, error){
+		"panic in the runner": func(req *EvalRequest) (*EvalResult, error) {
 			panic("synthetic replay bug")
-		}
-		return &EvalResult{Key: req.Key(), Metrics: map[string]float64{"norm_time": 1}}, nil
-	}}
-	s := New(Config{Runner: runner})
-	ts := newHTTPServer(t, s)
-	panicsBefore := s.panics.Value()
+		},
+		"panic recovered below the server": func(req *EvalRequest) (res *EvalResult, err error) {
+			defer fault.RecoverTo(&err, "replay "+req.Design.label())
+			panic("synthetic replay bug")
+		},
+	}
+	for name, fail := range cases {
+		t.Run(name, func(t *testing.T) {
+			var calls atomic.Int64
+			runner := &stubRunner{fn: func(ctx context.Context, req *EvalRequest) (*EvalResult, error) {
+				if calls.Add(1) == 1 {
+					return fail(req)
+				}
+				return &EvalResult{Key: req.Key(), Metrics: map[string]float64{"norm_time": 1}}, nil
+			}}
+			s := New(Config{Runner: runner})
+			ts := newHTTPServer(t, s)
+			panicsBefore := s.panics.Value()
 
-	resp, decoded := post(t, ts, testBody("NMM/N1"))
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("panicking evaluation status = %d, want 500 (%v)", resp.StatusCode, decoded)
-	}
-	if code := errorCode(t, decoded); code != CodePanic {
-		t.Fatalf("code = %q, want %q", code, CodePanic)
-	}
-	if got := s.panics.Value() - panicsBefore; got != 1 {
-		t.Fatalf("panics_recovered delta = %d, want 1", got)
-	}
+			resp, decoded := post(t, ts, testBody("NMM/N1"))
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("panicking evaluation status = %d, want 500 (%v)", resp.StatusCode, decoded)
+			}
+			if code := errorCode(t, decoded); code != CodePanic {
+				t.Fatalf("code = %q, want %q", code, CodePanic)
+			}
+			if got := s.panics.Value() - panicsBefore; got != 1 {
+				t.Fatalf("panics_recovered delta = %d, want 1", got)
+			}
 
-	// The panic is a property of the key: the repeat is answered from the
-	// negative entry with the same typed error, without evaluating again.
-	resp, decoded = post(t, ts, testBody("NMM/N1"))
-	if resp.StatusCode != http.StatusInternalServerError || errorCode(t, decoded) != CodePanic {
-		t.Fatalf("repeat status = %d (%v), want the remembered 500 %s", resp.StatusCode, decoded, CodePanic)
-	}
-	if got := resp.Header.Get("X-Memsimd-Cache"); got != "negative" {
-		t.Fatalf("repeat X-Memsimd-Cache = %q, want negative", got)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("runner called %d times, want 1 (repeat re-evaluated a poisoned key)", calls.Load())
-	}
+			// The panic is a property of the key: the repeat is answered from
+			// the negative entry with the same typed error, without evaluating
+			// again.
+			resp, decoded = post(t, ts, testBody("NMM/N1"))
+			if resp.StatusCode != http.StatusInternalServerError || errorCode(t, decoded) != CodePanic {
+				t.Fatalf("repeat status = %d (%v), want the remembered 500 %s", resp.StatusCode, decoded, CodePanic)
+			}
+			if got := resp.Header.Get("X-Memsimd-Cache"); got != "negative" {
+				t.Fatalf("repeat X-Memsimd-Cache = %q, want negative", got)
+			}
+			if calls.Load() != 1 {
+				t.Fatalf("runner called %d times, want 1 (repeat re-evaluated a poisoned key)", calls.Load())
+			}
 
-	// The process survived; the next design evaluates fine.
-	resp2, decoded2 := post(t, ts, testBody("NMM/N2"))
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("post-panic status = %d, want 200 (%v)", resp2.StatusCode, decoded2)
-	}
-}
-
-// TestTransientFailuresRetryToSuccess: a transient fault is never
-// remembered, so a client retrying after the advertised backoff reaches the
-// evaluator again and eventually succeeds. The server does not retry
-// evaluations itself: each request is one attempt.
-func TestTransientFailuresRetryToSuccess(t *testing.T) {
-	var calls atomic.Int64
-	runner := &stubRunner{fn: func(ctx context.Context, req *EvalRequest) (*EvalResult, error) {
-		if calls.Add(1) <= 2 {
-			return nil, fault.Transient("replay", nil)
-		}
-		return &EvalResult{Key: req.Key(), Metrics: map[string]float64{"norm_time": 1}}, nil
-	}}
-	s := New(Config{Runner: runner})
-	ts := newHTTPServer(t, s)
-	negativeBefore := s.negativeEntries.Value()
-
-	for attempt := 1; attempt <= 2; attempt++ {
-		resp, decoded := post(t, ts, testBody("NMM/N2"))
-		if resp.StatusCode != http.StatusInternalServerError || errorCode(t, decoded) != CodeInternal {
-			t.Fatalf("attempt %d: status = %d (%v), want 500 %s", attempt, resp.StatusCode, decoded, CodeInternal)
-		}
-		if calls.Load() != int64(attempt) {
-			t.Fatalf("attempt %d: runner called %d times; the server retried or remembered a transient",
-				attempt, calls.Load())
-		}
-	}
-	resp, decoded := post(t, ts, testBody("NMM/N2"))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("third attempt status = %d, want 200 (%v)", resp.StatusCode, decoded)
-	}
-	if got := s.negativeEntries.Value() - negativeBefore; got != 0 {
-		t.Fatalf("transient faults created %d negative entries, want 0", got)
-	}
-}
-
-// TestTransientExhaustionCarriesRetryGuidance: the one server-side attempt
-// a transient fault gets ends in a 500 with retry guidance, which is what
-// tells a client it may come back.
-func TestTransientExhaustionCarriesRetryGuidance(t *testing.T) {
-	runner := &stubRunner{fn: func(ctx context.Context, req *EvalRequest) (*EvalResult, error) {
-		return nil, fault.Transient("replay", nil)
-	}}
-	s := New(Config{Runner: runner})
-	ts := newHTTPServer(t, s)
-
-	resp, decoded := post(t, ts, testBody("NMM/N3"))
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500", resp.StatusCode)
-	}
-	if code := errorCode(t, decoded); code != CodeInternal {
-		t.Fatalf("code = %q, want %q", code, CodeInternal)
-	}
-	e := decoded["error"].(map[string]any)
-	if e["retry_after_ms"].(float64) <= 0 || e["jitter_ms"].(float64) <= 0 {
-		t.Fatalf("transient failure lacks retry guidance: %v", e)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("transient failure without Retry-After header")
-	}
-	if got := resp.Header.Get("X-Memsimd-Cache"); got == "negative" {
-		t.Fatal("a transient failure was answered from a negative entry")
+			// The process survived; the next design evaluates fine.
+			resp2, decoded2 := post(t, ts, testBody("NMM/N2"))
+			if resp2.StatusCode != http.StatusOK {
+				t.Fatalf("post-panic status = %d, want 200 (%v)", resp2.StatusCode, decoded2)
+			}
+		})
 	}
 }
 

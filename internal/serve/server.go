@@ -43,11 +43,11 @@
 //     metrics — in Prometheus text format on GET /metrics;
 //   - a crash-proof evaluation path: panics recover into typed CodePanic
 //     errors, and because an evaluation is a pure function of its key, a
-//     permanent failure (a panic or a non-transient internal error) is
-//     remembered as a negative entry in the result LRU for NegativeTTL —
-//     repeats of the key get the same typed error (X-Memsimd-Cache:
-//     negative) without spending replay capacity;
-//   - an optional durable tier (Config.Store, backed by internal/store):
+//     permanent failure (a panic or an internal error) is remembered as a
+//     negative entry in the result LRU for NegativeTTL — repeats of the
+//     key get the same typed error (X-Memsimd-Cache: negative) without
+//     spending replay capacity;
+//   - an optional durable tier (Config.StoreGuard over internal/store):
 //     results evicted from the LRU — or computed by a previous process —
 //     are served from disk as "store_hit" and written through on every
 //     miss, and workload profiles persist/restore with zero boundary
@@ -62,7 +62,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,7 +72,6 @@ import (
 	"hybridmem/internal/design"
 	"hybridmem/internal/fault"
 	"hybridmem/internal/obs"
-	"hybridmem/internal/store"
 	"hybridmem/internal/tech"
 	"hybridmem/internal/workload/catalog"
 )
@@ -94,10 +92,10 @@ const DefaultCacheEntries = 4096
 const DefaultTimeout = 2 * time.Minute
 
 // NegativeTTL is how long a key's permanent evaluation failure (a panic or
-// a non-transient internal error) stays in the result LRU as a negative
-// entry: long enough that a sweep hammering a broken design costs one
-// evaluation per key per minute, short enough that a failure wrongly
-// classed as permanent heals on its own.
+// an internal error) stays in the result LRU as a negative entry: long
+// enough that a sweep hammering a broken design costs one evaluation per
+// key per minute, short enough that a failure wrongly classed as permanent
+// heals on its own.
 const NegativeTTL = time.Minute
 
 // Config assembles a Server.
@@ -114,8 +112,7 @@ type Config struct {
 	Timeout time.Duration
 	// Chaos injects deterministic service-level faults for resilience
 	// testing: the evaluation of a poisoned key panics after spending its
-	// replay (nil = none; see fault.ServicePlan — only its poisoned keys
-	// apply here).
+	// replay (nil = none; see fault.ServicePlan).
 	Chaos *fault.ServicePlan
 	// Catalog is the technology catalog requests resolve against (nil =
 	// tech.Builtin(), the paper's Table 1 plus post-2014 extensions).
@@ -123,19 +120,15 @@ type Config struct {
 	// is folded into every result-cache, store, and profile key, so
 	// serving a different catalog can never reuse stale results.
 	Catalog *tech.Catalog
-	// Store, when non-nil, adds a durable result tier behind the in-process
-	// LRU: cache misses probe the on-disk index before spending replay
-	// capacity (outcome "store_hit", promoted back into the LRU), and
-	// freshly computed results are written through so the next process
-	// restarts warm. The server reads and writes the store but does not
-	// close it. See internal/store and FORMATS.md. New wraps it in a
-	// non-healing StoreGuard; set StoreGuard instead for wounded-store
-	// self-healing.
-	Store *store.Store
-	// StoreGuard supersedes Store when non-nil: the durable tier routed
-	// through wounded-store self-healing (and typically shared with the
-	// Evaluator via SetStoreGuard, so one background reopen heals both
-	// the result and profile paths).
+	// StoreGuard, when non-nil, adds a durable result tier behind the
+	// in-process LRU: cache misses probe the on-disk index before spending
+	// replay capacity (outcome "store_hit", promoted back into the LRU),
+	// and freshly computed results are written through so the next
+	// process restarts warm. The guard routes that traffic through
+	// wounded-store self-healing and is typically shared with the
+	// Evaluator via SetStoreGuard, so one background reopen heals both the
+	// result and profile paths. The server does not close it. See
+	// internal/store and FORMATS.md.
 	StoreGuard *StoreGuard
 	// RateLimit enables per-client token-bucket admission control ahead
 	// of the in-flight semaphore when Rate > 0 (see internal/admit).
@@ -189,7 +182,7 @@ type Server struct {
 	clientRequests  *obs.CounterVec
 	clientThrottled *obs.CounterVec
 
-	// Durable-tier traffic (zero without Config.Store): storeHits are
+	// Durable-tier traffic (zero without Config.StoreGuard): storeHits are
 	// requests answered from disk after an LRU miss; storeMisses fell
 	// through to evaluation; storeWriteErrors are dropped write-throughs.
 	storeHits        *obs.Counter
@@ -222,9 +215,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Catalog == nil {
 		cfg.Catalog = tech.Builtin()
-	}
-	if cfg.StoreGuard == nil && cfg.Store != nil {
-		cfg.StoreGuard = NewStoreGuard(cfg.Store, nil, fault.RetryPolicy{}, cfg.Log)
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -744,22 +734,27 @@ func outcomeForCode(code string) string {
 // safeEvaluate runs one evaluation with the resilience wrapping: a panic
 // anywhere below — injected or organic — is recovered into a typed
 // *fault.PanicError so the worker survives and the request fails with
-// CodePanic. A chaos-poisoned key panics after its evaluation has spent
-// its replay, the costliest way a design can fail, so a repeat that
-// reached the evaluator would show in memsimd.replays_total.
+// CodePanic. Every *fault.PanicError the evaluation ends with, whether
+// recovered here or below (exp recovers replay and profiling panics
+// itself), counts in memsimd.panics_recovered and logs panic_recovered.
+// A chaos-poisoned key panics after its evaluation has spent its replay,
+// the costliest way a design can fail, so a repeat that reached the
+// evaluator would show in memsimd.replays_total.
 func (s *Server) safeEvaluate(ctx context.Context, req *EvalRequest, key string) (res *EvalResult, err error) {
 	defer func() {
-		if v := recover(); v != nil {
-			s.panics.Add(1)
-			err = &fault.PanicError{Op: "evaluate " + req.Design.label(), Value: v, Stack: debug.Stack()}
-			if s.cfg.Log != nil {
-				s.cfg.Log.Warn("panic_recovered", obs.Fields{
-					"design": req.Design.label(), "workload": req.Workload,
-					"panic": err.Error(),
-				})
-			}
+		var pe *fault.PanicError
+		if !errors.As(err, &pe) {
+			return
+		}
+		s.panics.Add(1)
+		if s.cfg.Log != nil {
+			s.cfg.Log.Warn("panic_recovered", obs.Fields{
+				"design": req.Design.label(), "workload": req.Workload,
+				"panic": err.Error(),
+			})
 		}
 	}()
+	defer fault.RecoverTo(&err, "evaluate "+req.Design.label())
 	res, err = s.cfg.Runner.Evaluate(ctx, req)
 	if s.cfg.Chaos.Poisoned(key) {
 		panic("chaos: poisoned design point " + req.Design.label())
@@ -769,12 +764,11 @@ func (s *Server) safeEvaluate(ctx context.Context, req *EvalRequest, key string)
 
 // permanentFailure reports whether err is a permanent failure of the key's
 // evaluation — worth remembering as a negative entry — and its typed form.
-// Only panics and non-transient internal errors qualify. Timeouts,
-// cancellations, backpressure, and transient faults say nothing about the
-// key, and a failure that raced the request's own context ending is
-// suspect, so none of them is remembered.
+// Only panics and internal errors qualify. Timeouts, cancellations and
+// backpressure say nothing about the key, and a failure that raced the
+// request's own context ending is suspect, so none of them is remembered.
 func (s *Server) permanentFailure(ctx context.Context, err error) (*APIError, bool) {
-	if ctx.Err() != nil || fault.IsTransient(err) {
+	if ctx.Err() != nil {
 		return nil, false
 	}
 	apiErr := toAPIError(err)
@@ -801,9 +795,6 @@ func toAPIError(err error) *APIError {
 		return &APIError{Code: CodeCanceled, Message: "request canceled; in-flight replay aborted"}
 	case errors.As(err, &panicErr):
 		return &APIError{Code: CodePanic, Message: panicErr.Error()}
-	case fault.IsTransient(err):
-		return &APIError{Code: CodeInternal, Message: err.Error() + " (transient; retry after backing off)",
-			RetryAfterMS: 1000, JitterMS: 500}
 	default:
 		return &APIError{Code: CodeInternal, Message: err.Error()}
 	}

@@ -3,12 +3,17 @@ package serve
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"io/fs"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"hybridmem/internal/fault"
 	"hybridmem/internal/store"
 	"hybridmem/internal/tech"
 )
@@ -23,6 +28,21 @@ func openStore(t *testing.T, dir string) *store.Store {
 	return st
 }
 
+// guardStore supervises st without self-healing, as the offline tools do.
+func guardStore(st *store.Store) *StoreGuard {
+	return NewStoreGuard(st, nil, fault.RetryPolicy{}, nil)
+}
+
+// newStoreServer is newTestServer with st as the durable tier of both the
+// server's results and its evaluator's profiles, through one guard.
+func newStoreServer(t *testing.T, st *store.Store) (*Server, *Evaluator, *httptest.Server) {
+	t.Helper()
+	g := guardStore(st)
+	s, ev, ts := newTestServer(t, Config{StoreGuard: g})
+	ev.SetStoreGuard(g)
+	return s, ev, ts
+}
+
 // TestStoreTierWarmRestart is the warm-restart contract end to end: a
 // second "process" (fresh Server + Evaluator over the same store directory)
 // serves a previously evaluated design point from disk with zero profiling
@@ -34,8 +54,7 @@ func TestStoreTierWarmRestart(t *testing.T) {
 	// Process one: evaluate two design points cold, writing both results
 	// and the CG profile through to disk.
 	st1 := openStore(t, dir)
-	_, ev1, ts1 := newTestServer(t, Config{Store: st1})
-	ev1.SetStore(st1)
+	_, ev1, ts1 := newStoreServer(t, st1)
 	respA, bodyA := post(t, ts1, testBody("4LC/EH4"))
 	if got := respA.Header.Get("X-Memsimd-Cache"); got != "miss" {
 		t.Fatalf("cold request cache status %q, want miss", got)
@@ -54,8 +73,7 @@ func TestStoreTierWarmRestart(t *testing.T) {
 	// back from the durable tier — no profiling pass, no replay.
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	_, ev2, ts2 := newTestServer(t, Config{Store: st2})
-	ev2.SetStore(st2)
+	_, ev2, ts2 := newStoreServer(t, st2)
 	for name, want := range map[string]map[string]any{
 		testBody("4LC/EH4"): bodyA,
 		testBody("NMM/N6"):  bodyB,
@@ -93,8 +111,7 @@ func TestProfileRestoreServesNewDesigns(t *testing.T) {
 	dir := t.TempDir()
 
 	st1 := openStore(t, dir)
-	_, ev1, ts1 := newTestServer(t, Config{Store: st1})
-	ev1.SetStore(st1)
+	_, ev1, ts1 := newStoreServer(t, st1)
 	post(t, ts1, testBody("4LC/EH4"))
 	if ev1.ProfilesRun() != 1 {
 		t.Fatalf("seed run profiled %d times, want 1", ev1.ProfilesRun())
@@ -107,8 +124,7 @@ func TestProfileRestoreServesNewDesigns(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	_, ev2, ts2 := newTestServer(t, Config{Store: st2})
-	ev2.SetStore(st2)
+	_, ev2, ts2 := newStoreServer(t, st2)
 	resp, _ := post(t, ts2, testBody("NMM/N6"))
 	if got := resp.Header.Get("X-Memsimd-Cache"); got != "miss" {
 		t.Fatalf("new design cache status %q, want miss", got)
@@ -127,8 +143,7 @@ func TestProfileRestoreServesNewDesigns(t *testing.T) {
 func TestStoreMissFallsThrough(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	defer st.Close()
-	s, ev, ts := newTestServer(t, Config{Store: st})
-	ev.SetStore(st)
+	s, _, ts := newStoreServer(t, st)
 	resp, body := post(t, ts, testBody("4LC/EH4"))
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %v", resp.StatusCode, body)
@@ -182,7 +197,7 @@ func TestStoredProfileReadsWithoutWriting(t *testing.T) {
 	}
 	st1 := openStore(t, dir)
 	ev1 := NewEvaluator(0, nil)
-	ev1.SetStore(st1)
+	ev1.SetStoreGuard(guardStore(st1))
 	if _, err := ev1.Evaluate(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +209,7 @@ func TestStoredProfileReadsWithoutWriting(t *testing.T) {
 	// co-scaled ProfileRequest tuple would cost a full-size profile here).
 	st2 := openStore(t, dir)
 	ev2 := NewEvaluator(0, nil)
-	ev2.SetStore(st2)
+	ev2.SetStoreGuard(guardStore(st2))
 	wp, ok := ev2.restoreProfile(profileKey(req))
 	if !ok || wp.Boundary.Len() == 0 || wp.Sketch == nil {
 		t.Fatalf("persisted profile did not restore (ok=%v)", ok)
@@ -221,4 +236,106 @@ func TestStoredProfileReadsWithoutWriting(t *testing.T) {
 	if after := dirDigest(t, dir); !reflect.DeepEqual(before, after) {
 		t.Fatal("a missed OpenStoredProfile changed the store directory")
 	}
+}
+
+// woundedGuard opens a store at dir whose first append tears, supervises
+// it with reopen and sleep, and wounds it with one write, which starts the
+// background heal.
+func woundedGuard(t *testing.T, dir string, reopen func() (*store.Store, error),
+	sleep func(context.Context, time.Duration) error) *StoreGuard {
+	t.Helper()
+	var torn atomic.Bool
+	st, err := store.Open(dir, store.Options{TornWrite: func(_ string, _ int64, rec []byte) int {
+		if torn.CompareAndSwap(false, true) {
+			return len(rec) / 2
+		}
+		return -1
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewStoreGuard(st, reopen, fault.RetryPolicy{Sleep: sleep}, nil)
+	if err := g.PutDoc("k", []byte("v")); err == nil {
+		t.Fatal("torn write did not fail")
+	}
+	return g
+}
+
+// TestStoreGuardCloseStopsHeal: Close ends a heal in flight. A guard
+// wounded while its reopen is gated, closed during the backoff, and then
+// ungated runs no further reopen and stays degraded; and a reopen already
+// running when Close begins yields a store that is closed, not installed.
+func TestStoreGuardCloseStopsHeal(t *testing.T) {
+	t.Run("during backoff", func(t *testing.T) {
+		dir := t.TempDir()
+		var gate atomic.Bool
+		var reopens atomic.Int64
+		reopen := func() (*store.Store, error) {
+			reopens.Add(1)
+			if !gate.Load() {
+				return nil, errors.New("reopen gated")
+			}
+			return store.Open(dir, store.Options{})
+		}
+		sleeping, woke, wake := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		sleep := func(ctx context.Context, _ time.Duration) error {
+			defer close(woke)
+			close(sleeping)
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-wake:
+				return nil
+			}
+		}
+		g := woundedGuard(t, dir, reopen, sleep)
+		<-sleeping // the first reopen failed; the heal is backing off
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-woke:
+		default:
+			t.Fatal("Close returned while the heal was still backing off")
+		}
+		gate.Store(true)
+		close(wake)
+		if n := reopens.Load(); n != 1 {
+			t.Fatalf("reopen ran %d times, want 1 (none after Close)", n)
+		}
+		if s := g.State(); s != StoreStateDegraded {
+			t.Fatalf("closed guard state = %q, want %q", s, StoreStateDegraded)
+		}
+	})
+
+	t.Run("during reopen", func(t *testing.T) {
+		dir := t.TempDir()
+		reopening, proceed := make(chan struct{}), make(chan struct{})
+		var reopened *store.Store
+		reopen := func() (*store.Store, error) {
+			close(reopening)
+			<-proceed
+			st, err := store.Open(dir, store.Options{})
+			reopened = st
+			return st, err
+		}
+		g := woundedGuard(t, dir, reopen, nil)
+		<-reopening
+		closed := make(chan error)
+		go func() { closed <- g.Close() }()
+		<-g.ctx.Done() // Close has begun
+		close(proceed)
+		if err := <-closed; err != nil {
+			t.Fatal(err)
+		}
+		if reopened == nil {
+			t.Fatal("reopen did not complete before Close returned")
+		}
+		if _, _, err := reopened.GetDoc("k"); err == nil {
+			t.Fatal("the store reopened after Close is still open")
+		}
+		if s := g.State(); s != StoreStateDegraded {
+			t.Fatalf("closed guard state = %q, want %q", s, StoreStateDegraded)
+		}
+	})
 }

@@ -55,10 +55,15 @@ type StoreGuard struct {
 	backoff fault.RetryPolicy
 	log     *obs.Logger
 
-	mu      sync.Mutex
-	cur     *store.Store   // nil while degraded
-	sealed  []*store.Store // wounded instances kept alive for their mmaps
-	healing bool
+	// ctx is canceled, under mu, when Close begins: it ends the heal in
+	// flight, which healing tracks, and starts no new one.
+	ctx     context.Context
+	cancel  context.CancelFunc
+	healing sync.WaitGroup
+
+	mu     sync.Mutex
+	cur    *store.Store   // nil while degraded
+	sealed []*store.Store // wounded instances kept alive for their mmaps
 
 	wounds *obs.Counter
 	heals  *obs.Counter
@@ -67,8 +72,8 @@ type StoreGuard struct {
 // NewStoreGuard supervises st. reopen produces a replacement instance on
 // the same directory after a wound; nil means no self-healing — a wound
 // degrades the guard for the rest of the process lifetime. backoff paces
-// reopen attempts (zero value = fault defaults: 25ms doubling to 2s, equal
-// jitter); its Sleep hook makes healing instant under test. log may be nil.
+// reopen attempts (25ms doubling to 2s, equal jitter); its Sleep hook
+// makes healing instant under test. log may be nil.
 func NewStoreGuard(st *store.Store, reopen func() (*store.Store, error), backoff fault.RetryPolicy, log *obs.Logger) *StoreGuard {
 	g := &StoreGuard{
 		reopen:  reopen,
@@ -78,6 +83,7 @@ func NewStoreGuard(st *store.Store, reopen func() (*store.Store, error), backoff
 		wounds:  obs.NewCounter("memsimd.store_wounds"),
 		heals:   obs.NewCounter("memsimd.store_heals"),
 	}
+	g.ctx, g.cancel = context.WithCancel(context.Background())
 	obs.RegisterGaugeVecFunc("memsimd.store_state",
 		"Durable store state (1 on the active state's label).", "state",
 		func() map[string]float64 {
@@ -169,13 +175,19 @@ func (g *StoreGuard) Stats() store.Stats {
 	return st.Stats()
 }
 
-// Close releases the live store and every sealed instance. Mapped block
-// slices handed out by any of them are invalid afterwards, so this runs
-// only at process shutdown.
+// Close ends any heal in flight — it makes no further reopen attempt, and
+// a reopen already running is closed, not installed — then releases the
+// live store and every sealed instance. Mapped block slices handed out by
+// any of them are invalid afterwards, so this runs only at process
+// shutdown.
 func (g *StoreGuard) Close() error {
 	if g == nil {
 		return nil
 	}
+	g.mu.Lock()
+	g.cancel()
+	g.mu.Unlock()
+	g.healing.Wait()
 	g.mu.Lock()
 	cur := g.cur
 	sealed := g.sealed
@@ -212,9 +224,11 @@ func (g *StoreGuard) observe(st *store.Store, err error) {
 	}
 	g.cur = nil
 	g.sealed = append(g.sealed, st)
-	startHeal := g.reopen != nil && !g.healing
+	// The guard stays degraded until the heal installs a store, so no
+	// second wound can start a second heal meanwhile.
+	startHeal := g.reopen != nil && g.ctx.Err() == nil
 	if startHeal {
-		g.healing = true
+		g.healing.Add(1)
 	}
 	g.mu.Unlock()
 
@@ -232,17 +246,23 @@ func (g *StoreGuard) observe(st *store.Store, err error) {
 	}
 }
 
-// heal reopens the store directory until it succeeds, pacing attempts with
-// the guard's equal-jitter backoff. Reopen performs torn-tail recovery, so
-// the healed instance serves every record committed before the wound.
+// heal reopens the store directory until it succeeds or Close ends it,
+// pacing attempts with the guard's equal-jitter backoff. Reopen
+// performs torn-tail recovery, so the healed instance serves every record
+// committed before the wound.
 func (g *StoreGuard) heal() {
+	defer g.healing.Done()
 	start := time.Now()
 	for attempt := 1; ; attempt++ {
 		st, err := g.reopen()
 		if err == nil {
 			g.mu.Lock()
+			if g.ctx.Err() != nil { // closed while reopening
+				g.mu.Unlock()
+				st.Close()
+				return
+			}
 			g.cur = st
-			g.healing = false
 			g.mu.Unlock()
 			g.heals.Add(1)
 			if g.log != nil {
@@ -261,11 +281,9 @@ func (g *StoreGuard) heal() {
 		if g.log != nil {
 			g.log.Warn("store_reopen_failed", obs.Fields{"attempt": attempt, "err": err.Error()})
 		}
-		d := g.backoff.Delay("store-reopen", attempt)
-		if g.backoff.Sleep != nil {
-			g.backoff.Sleep(context.Background(), d)
-		} else {
-			time.Sleep(d)
+		_ = g.backoff.Wait(g.ctx, "store-reopen", attempt) // ends early once Close cancels ctx
+		if g.ctx.Err() != nil {
+			return
 		}
 	}
 }

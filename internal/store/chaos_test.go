@@ -1,28 +1,30 @@
 // Chaos coverage for the persistence layer: torn writes injected by a
-// deterministic fault plan at append granularity, interleaved with live
+// deterministic schedule at append granularity, interleaved with live
 // traffic and recovery reopens. The invariants mirror the serve chaos
 // harness's: the process never dies, committed data never regresses, and
 // the same seed replays the same crash schedule.
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
-	"hybridmem/internal/fault"
 	"hybridmem/internal/trace"
 )
 
-// planTorn adapts a fault.ServicePlan into a TornWriteFunc: each append is
-// a "call" keyed by its (file, offset) identity and the store's open
-// generation (a crash-and-reopen retries the same offset under the next
-// generation, so a deterministic plan cannot livelock one append). An
-// ActTransient verdict tears the record at half its framed length.
-// Decisions are pure functions of (seed, file, offset, generation), so a
-// run's crash schedule replays bit-identically.
-func planTorn(plan *fault.ServicePlan, gen uint64) TornWriteFunc {
+// planTorn is a deterministic torn-write schedule: each append is keyed
+// by its (file, offset) identity and the store's open generation (a
+// crash-and-reopen retries the same offset under the next generation, so
+// the schedule cannot livelock one append), and 15% of those keys tear the
+// record at half its framed length. Decisions are pure functions of
+// (seed, file, offset, generation), so a run's crash schedule replays
+// bit-identically.
+func planTorn(seed, gen uint64) TornWriteFunc {
 	return func(file string, off int64, rec []byte) int {
-		if plan.Decide(fmt.Sprintf("%s@%d", file, off), gen) == fault.ActTransient {
+		sum := sha256.Sum256(fmt.Appendf(nil, "%d/%s@%d/%d", seed, file, off, gen))
+		if binary.LittleEndian.Uint64(sum[:8])%100 < 15 {
 			return len(rec) / 2
 		}
 		return -1
@@ -37,10 +39,9 @@ func TestChaosTornWrites(t *testing.T) {
 	const docs = 40
 	run := func(seed uint64) (crashes int, finalStats Stats) {
 		dir := t.TempDir()
-		plan := &fault.ServicePlan{Seed: seed, TransientFraction: 0.15}
 		committed := map[string]bool{}
 		var gen uint64
-		s := mustOpen(t, dir, Options{TornWrite: planTorn(plan, gen)})
+		s := mustOpen(t, dir, Options{TornWrite: planTorn(seed, gen)})
 		for i := 0; i < docs; i++ {
 			key := fmt.Sprintf("doc-%03d", i)
 			for {
@@ -54,7 +55,7 @@ func TestChaosTornWrites(t *testing.T) {
 				crashes++
 				gen++
 				s.Close()
-				s = mustOpen(t, dir, Options{TornWrite: planTorn(plan, gen)})
+				s = mustOpen(t, dir, Options{TornWrite: planTorn(seed, gen)})
 				for k := range committed {
 					if _, ok, err := s.GetDoc(k); err != nil || !ok {
 						t.Fatalf("committed %q lost after crash recovery (ok=%v err=%v)", k, ok, err)
@@ -72,7 +73,7 @@ func TestChaosTornWrites(t *testing.T) {
 			crashes++
 			gen++
 			s.Close()
-			s = mustOpen(t, dir, Options{TornWrite: planTorn(plan, gen)})
+			s = mustOpen(t, dir, Options{TornWrite: planTorn(seed, gen)})
 			if got, _, ok, err := s.GetStream("w"); ok {
 				if err != nil {
 					t.Fatalf("stream manifest committed but unreadable: %v", err)
