@@ -517,7 +517,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Durable second tier: one bloom-guarded index probe per cold miss.
+	// Durable second tier: one index map probe per cold miss.
 	// Like an LRU hit, a store hit costs no replay capacity; the result is
 	// promoted back into the LRU so the next identical request is a plain
 	// "hit".

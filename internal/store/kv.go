@@ -1,159 +1,189 @@
 package store
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
-// Sharded key-value index: the home of evaluation results and stream
-// manifests. Keys hash (SHA-256) onto one of kvShards append-only shard
-// logs under <dir>/index/; each shard owns an in-memory map from key to
-// value location and a bloom filter consulted before anything else, so a
-// key that was never written is rejected after one filter probe. A KV
-// record's payload is:
+// Key-value index: the home of evaluation results and stream manifests.
+// Every key lives in one append-only log, <dir>/index/index.kv, and one
+// in-memory map from key to value location answers every lookup; a present
+// key's value is read back through the log's own open handle. This is the
+// log-plus-in-memory-index layout known as Bitcask. A KV record's payload
+// is:
 //
 //	u16 LE key length | key bytes | value bytes
 //
 // Rewrites append a fresh record; the open scan keeps the last committed
 // record per key (last-writer-wins), so the log needs no in-place updates
 // and inherits the torn-tail recovery of the record framing.
-const kvShards = 16
+const indexFile = "index.kv"
 
-// valLoc locates one committed value inside a shard log.
+// valLoc locates one committed value inside the index log.
 type valLoc struct {
 	off  int64 // value start offset (past header and key)
 	size int   // value length
 }
 
-// kvShard is one shard: its appender, offset index, and bloom filter.
-type kvShard struct {
-	app   *appender
-	path  string
-	index map[string]valLoc
-	bloom *bloom
-}
-
-// kvIndex is the sharded KV store.
+// kvIndex is the KV store: the log's appender and the key → value map.
 type kvIndex struct {
-	dir    string
-	shards [kvShards]*kvShard
+	app   *appender
+	index map[string]valLoc
 
-	// Probe accounting (see Stats): lookups, bloom-negative rejections,
-	// bloom false positives (passed the filter, absent from the index).
-	probes         uint64
-	bloomNegatives uint64
-	falsePositives uint64
-	tornBytes      int64
+	// streams and docs count distinct keys per keyspace, kept as each key
+	// is first inserted so Stats never walks the map.
+	streams, docs int
+	// probes counts lookups; tornBytes the bytes truncated at open.
+	probes    uint64
+	tornBytes int64
 }
 
-// kvDigest hashes a key for sharding and bloom probing.
-func kvDigest(key string) [32]byte { return sha256.Sum256([]byte(key)) }
-
-// shardOf maps a key digest to its shard number.
-func shardOf(d [32]byte) int { return int(d[0]) % kvShards }
-
-// shardPath returns shard n's log path.
-func (kv *kvIndex) shardPath(n int) string {
-	return filepath.Join(kv.dir, fmt.Sprintf("shard-%02x.kv", n))
-}
-
-// bloomPath returns shard n's bloom-sidecar path.
-func (kv *kvIndex) bloomPath(n int) string {
-	return filepath.Join(kv.dir, fmt.Sprintf("shard-%02x.bfl", n))
-}
-
-// openKVIndex scans every shard log under <root>/index, truncating torn
-// tails, rebuilding offset maps and bloom filters, and opening appenders.
+// openKVIndex scans <root>/index/index.kv, truncating a torn tail and
+// rebuilding the key map, opens its appender, and folds in any index left
+// in the retired sharded layout (see foldShards).
 func openKVIndex(root string, torn TornWriteFunc) (*kvIndex, error) {
 	dir := filepath.Join(root, "index")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	kv := &kvIndex{dir: dir}
-	for n := 0; n < kvShards; n++ {
-		sh, err := kv.openShard(n, torn)
-		if err != nil {
+	path := filepath.Join(dir, indexFile)
+	kv := &kvIndex{index: map[string]valLoc{}}
+	clean, size, err := scanKV(path, func(key string, val []byte, off int64) {
+		kv.set(key, valLoc{off: off, size: len(val)})
+	})
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	if size < fileHeaderBytes {
+		// Absent, or a crash while creating it: no committed data.
+		if err := writeFileHeader(path, kindKV); err != nil {
 			return nil, err
 		}
-		kv.shards[n] = sh
+		kv.tornBytes = size
+	} else {
+		kv.tornBytes = size - clean
+	}
+	// The appender truncates the file to its clean length, physically
+	// removing a recovered torn tail.
+	if kv.app, err = newAppender(path, clean, torn); err != nil {
+		return nil, err
+	}
+	if err := kv.foldShards(dir); err != nil {
+		kv.app.close()
+		return nil, err
 	}
 	return kv, nil
 }
 
-// openShard scans one shard log (creating it if absent) and sizes its
-// bloom filter from the recovered key count.
-func (kv *kvIndex) openShard(n int, torn TornWriteFunc) (*kvShard, error) {
-	path := kv.shardPath(n)
-	sh := &kvShard{path: path, index: map[string]valLoc{}}
-	clean := int64(fileHeaderBytes)
+// scanKV validates a KV log's header and calls fn with the key, value and
+// value offset of each committed record in file order. It returns the clean
+// length (the end of the last committed record, at least a header) and the
+// size on disk; a torn tail ends the scan without error.
+func scanKV(path string, fn func(key string, val []byte, off int64)) (clean, size int64, err error) {
 	f, err := os.Open(path)
-	switch {
-	case os.IsNotExist(err):
-		if err := writeFileHeader(path, kindKV); err != nil {
-			return nil, err
-		}
-	case err != nil:
-		return nil, err
-	default:
-		size, err := checkFileHeader(f, kindKV)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: shard %s: %w", pathBase(path), err)
-		}
-		if size < fileHeaderBytes {
-			f.Close()
-			if err := writeFileHeader(path, kindKV); err != nil {
-				return nil, err
-			}
-			kv.tornBytes += size
-		} else {
-			clean, err = scanRecords(f, size, fileHeaderBytes, func(off int64, payload []byte) error {
-				if len(payload) < 2 {
-					return fmt.Errorf("store: shard %s: record at %d shorter than its key length", pathBase(path), off)
-				}
-				klen := int(binary.LittleEndian.Uint16(payload))
-				if 2+klen > len(payload) {
-					return fmt.Errorf("store: shard %s: record at %d key overruns payload", pathBase(path), off)
-				}
-				key := string(payload[2 : 2+klen])
-				sh.index[key] = valLoc{
-					off:  off + recordHeaderBytes + 2 + int64(klen),
-					size: len(payload) - 2 - klen,
-				}
-				return nil
-			})
-			f.Close()
-			if err != nil {
-				return nil, err
-			}
-			if st, err := os.Stat(path); err == nil && clean < st.Size() {
-				kv.tornBytes += st.Size() - clean
-				if err := os.Truncate(path, clean); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	sh.app, err = newAppender(path, clean, torn)
 	if err != nil {
-		return nil, err
+		return fileHeaderBytes, 0, err
 	}
-	// Prefer the persisted sidecar when it plausibly matches the recovered
-	// index (same key count); otherwise rebuild from the scan. Either way
-	// the filter ends up covering exactly the committed keys.
-	if b, ok := readBloomSidecar(kv.bloomPath(n)); ok && b.n == uint64(len(sh.index)) {
-		sh.bloom = b
-	} else {
-		sh.bloom = newBloom(len(sh.index) + 256)
-		for key := range sh.index {
-			sh.bloom.Add(kvDigest(key))
+	defer f.Close()
+	if size, err = checkFileHeader(f, kindKV); err != nil {
+		return 0, 0, fmt.Errorf("store: %s: %w", pathBase(path), err)
+	}
+	if size < fileHeaderBytes {
+		return fileHeaderBytes, size, nil
+	}
+	clean, err = scanRecords(f, size, fileHeaderBytes, func(off int64, payload []byte) error {
+		if len(payload) < 2 {
+			return fmt.Errorf("store: %s: record at %d shorter than its key length", pathBase(path), off)
+		}
+		klen := int(binary.LittleEndian.Uint16(payload))
+		if 2+klen > len(payload) {
+			return fmt.Errorf("store: %s: record at %d key overruns payload", pathBase(path), off)
+		}
+		fn(string(payload[2:2+klen]), payload[2+klen:], off+recordHeaderBytes+2+int64(klen))
+		return nil
+	})
+	return clean, size, err
+}
+
+// foldShards migrates an index written in the retired sharded layout:
+// index/shard-XX.kv logs (same record format, keys spread by hash) plus
+// their .bfl bloom sidecars. Every committed shard key the log does not
+// already hold is appended, last writer wins; a key the log already holds
+// is newer and keeps its value. Only after the log is fsynced are the shard
+// and sidecar files removed and the directory fsynced, so a crash anywhere
+// in the fold leaves a directory whose next open yields the same key map.
+func (kv *kvIndex) foldShards(dir string) error {
+	shards, err := filepath.Glob(filepath.Join(dir, "shard-*.kv"))
+	if err != nil {
+		return err
+	}
+	sidecars, err := filepath.Glob(filepath.Join(dir, "*.bfl"))
+	if err != nil {
+		return err
+	}
+	if len(shards)+len(sidecars) == 0 {
+		return nil
+	}
+	var keys []string
+	vals := map[string][]byte{}
+	for _, path := range shards {
+		_, _, err := scanKV(path, func(key string, val []byte, _ int64) {
+			if _, held := kv.index[key]; held {
+				return
+			}
+			if _, seen := vals[key]; !seen {
+				keys = append(keys, key)
+			}
+			vals[key] = val
+		})
+		if err != nil {
+			return err
 		}
 	}
-	return sh, nil
+	for _, key := range keys {
+		if err := kv.Put(key, vals[key]); err != nil {
+			return err
+		}
+	}
+	if err := kv.app.sync(); err != nil {
+		return err
+	}
+	for _, path := range append(shards, sidecars...) {
+		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making removals of its entries durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// set records key's value location, counting the key on first insert.
+func (kv *kvIndex) set(key string, loc valLoc) {
+	if _, ok := kv.index[key]; !ok {
+		if strings.HasPrefix(key, streamPrefix) {
+			kv.streams++
+		} else {
+			kv.docs++
+		}
+	}
+	kv.index[key] = loc
 }
 
 // Put appends (or rewrites) key with value. The record is buffered until
@@ -162,127 +192,38 @@ func (kv *kvIndex) Put(key string, value []byte) error {
 	if len(key) == 0 || len(key) > 1<<16-1 {
 		return fmt.Errorf("store: key length %d out of range [1, 65535]", len(key))
 	}
-	d := kvDigest(key)
-	sh := kv.shards[shardOf(d)]
 	payload := make([]byte, 2+len(key)+len(value))
 	binary.LittleEndian.PutUint16(payload, uint16(len(key)))
 	copy(payload[2:], key)
 	copy(payload[2+len(key):], value)
-	off, err := sh.app.append(payload)
+	off, err := kv.app.append(payload)
 	if err != nil {
 		return err
 	}
-	sh.index[key] = valLoc{off: off + recordHeaderBytes + 2 + int64(len(key)), size: len(value)}
-	sh.bloom.Add(d)
+	kv.set(key, valLoc{off: off + recordHeaderBytes + 2 + int64(len(key)), size: len(value)})
 	return nil
 }
 
-// Get returns the committed value for key. The bloom filter screens first:
-// a never-written key is rejected without touching the index or the disk.
+// Get returns the committed value for key: a map probe, and for a present
+// key one pread through the log's held handle.
 func (kv *kvIndex) Get(key string) ([]byte, bool, error) {
 	kv.probes++
-	d := kvDigest(key)
-	sh := kv.shards[shardOf(d)]
-	if !sh.bloom.Test(d) {
-		kv.bloomNegatives++
-		return nil, false, nil
-	}
-	loc, ok := sh.index[key]
+	loc, ok := kv.index[key]
 	if !ok {
-		kv.falsePositives++
 		return nil, false, nil
 	}
-	if err := sh.app.flush(); err != nil && err != ErrWounded {
+	if err := kv.app.flush(); err != nil && err != ErrWounded {
 		return nil, false, err
 	}
 	buf := make([]byte, loc.size)
-	f, err := os.Open(sh.path)
-	if err != nil {
-		return nil, false, err
-	}
-	defer f.Close()
-	if _, err := f.ReadAt(buf, loc.off); err != nil {
+	if _, err := kv.app.f.ReadAt(buf, loc.off); err != nil {
 		return nil, false, err
 	}
 	return buf, true, nil
 }
 
-// Len returns the number of distinct committed keys across all shards.
-func (kv *kvIndex) Len() int {
-	var n int
-	for _, sh := range kv.shards {
-		n += len(sh.index)
-	}
-	return n
-}
+// Sync commits every buffered append with one fsync of the log.
+func (kv *kvIndex) Sync() error { return kv.app.sync() }
 
-// Sync commits every buffered append and rewrites the bloom sidecars.
-func (kv *kvIndex) Sync() error {
-	for n, sh := range kv.shards {
-		if err := sh.app.sync(); err != nil {
-			return err
-		}
-		if err := writeBloomSidecar(kv.bloomPath(n), sh.bloom); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close syncs (best effort) and closes every shard appender.
-func (kv *kvIndex) Close() error {
-	var first error
-	for n, sh := range kv.shards {
-		if sh.app.err == nil {
-			if err := writeBloomSidecar(kv.bloomPath(n), sh.bloom); err != nil && first == nil {
-				first = err
-			}
-		}
-		if err := sh.app.close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// writeBloomSidecar rewrites a shard's bloom filter file whole: header plus
-// one framed record. Sidecars are derived data — an invalid or stale one is
-// simply rebuilt from the shard scan at the next open — so a plain rewrite
-// (no append discipline) suffices.
-func writeBloomSidecar(path string, b *bloom) error {
-	payload := b.marshal()
-	out := make([]byte, fileHeaderBytes+recordHeaderBytes+len(payload))
-	copy(out, fileMagic)
-	out[4] = fileVersion
-	out[5] = kindBloom
-	binary.LittleEndian.PutUint32(out[fileHeaderBytes:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[fileHeaderBytes+4:], crc32.Checksum(payload, castagnoli))
-	copy(out[fileHeaderBytes+recordHeaderBytes:], payload)
-	return os.WriteFile(path, out, 0o644)
-}
-
-// readBloomSidecar loads a shard's bloom sidecar; ok is false (without
-// error) when the sidecar is absent or fails validation, in which case the
-// caller rebuilds from its scan.
-func readBloomSidecar(path string) (*bloom, bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, false
-	}
-	defer f.Close()
-	size, err := checkFileHeader(f, kindBloom)
-	if err != nil || size < fileHeaderBytes {
-		return nil, false
-	}
-	var b *bloom
-	_, err = scanRecords(f, size, fileHeaderBytes, func(off int64, payload []byte) error {
-		if b == nil {
-			b, _ = unmarshalBloom(payload)
-		}
-		return nil
-	})
-	if err != nil || b == nil {
-		return nil, false
-	}
-	return b, true
-}
+// Close syncs (best effort) and closes the log.
+func (kv *kvIndex) Close() error { return kv.app.close() }

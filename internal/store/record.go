@@ -10,7 +10,7 @@ import (
 )
 
 // Record framing, shared by every append-only file in the store (block
-// segments, KV shard logs, bloom sidecars). Each record is:
+// segments and the KV index log). Each record is:
 //
 //	u32 LE payload length | u32 LE CRC-32C (Castagnoli) of payload | payload
 //

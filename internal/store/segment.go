@@ -33,7 +33,6 @@ const (
 	// kindSegment and kindKV distinguish store file roles in their headers.
 	kindSegment = 'B'
 	kindKV      = 'K'
-	kindBloom   = 'F'
 
 	// blockRecordOverhead is the payload size of a block record before its
 	// packed bytes: the content digest plus the reference count.
@@ -240,17 +239,13 @@ func (bl *blockLog) Get(d BlockDigest) (data []byte, refs int, err error) {
 	}
 	if loc.seg == bl.actSeg {
 		// Appender-owned segment: make buffered records visible, then copy
-		// out via pread (the file is still growing; mmap would go stale).
+		// out via pread on the appender's handle (the file is still
+		// growing; mmap would go stale).
 		if err := bl.active.flush(); err != nil && err != ErrWounded {
 			return nil, 0, err
 		}
 		buf := make([]byte, loc.size)
-		f, err := os.Open(bl.segPath(loc.seg))
-		if err != nil {
-			return nil, 0, err
-		}
-		defer f.Close()
-		if _, err := f.ReadAt(buf, loc.off+recordHeaderBytes+blockRecordOverhead); err != nil {
+		if _, err := bl.active.f.ReadAt(buf, loc.off+recordHeaderBytes+blockRecordOverhead); err != nil {
 			return nil, 0, err
 		}
 		return buf, loc.refs, nil

@@ -3,15 +3,14 @@
 // evaluation results. It is what makes `memsimd -warm -store <dir>` restart
 // in O(index) instead of O(replay): a workload profiled once is written
 // through append-only segment files and read back block by block out of
-// mmap'd segments, and finished evaluations live in a sharded key-value
-// index whose per-shard bloom filters answer cold misses after a single
-// probe.
+// mmap'd segments, and finished evaluations live in a key-value index: one
+// append-only log behind an in-memory key map, so a lookup is one map probe
+// and a durable write is one fsync.
 //
 // Layout (normative spec in FORMATS.md):
 //
 //	<dir>/segments/seg-NNNNNN.blk   content-addressed packed blocks
-//	<dir>/index/shard-XX.kv         sharded KV logs (manifests, documents)
-//	<dir>/index/shard-XX.bfl        bloom-filter sidecars (derived data)
+//	<dir>/index/index.kv            KV log (manifests, documents)
 //
 // Every file is a 16-byte header followed by length-prefixed, CRC-32C
 // checksummed records. Appends are buffered and committed by fsync; on
@@ -35,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 
 	"hybridmem/internal/trace"
@@ -96,12 +94,8 @@ type Stats struct {
 	DedupBlocks uint64 `json:"dedup_blocks"`
 	// TornBytesRecovered counts bytes truncated from torn tails at open.
 	TornBytesRecovered int64 `json:"torn_bytes_recovered"`
-	// Probes, BloomNegatives, and FalsePositives account KV lookups:
-	// every Get probes once; bloom negatives ended there; false positives
-	// passed the filter but missed the index.
-	Probes         uint64 `json:"probes"`
-	BloomNegatives uint64 `json:"bloom_negatives"`
-	FalsePositives uint64 `json:"false_positives"`
+	// Probes counts KV lookups: every GetStream and GetDoc probes once.
+	Probes uint64 `json:"probes"`
 }
 
 // streamManifest is the JSON value committed under a stream key: the
@@ -123,7 +117,9 @@ type manifestBlock struct {
 
 // Open opens (creating if needed) the store rooted at dir, scanning every
 // log, truncating torn tails, and rebuilding the block and key indexes —
-// the O(index) startup cost warm restart pays instead of O(replay).
+// the O(index) startup cost warm restart pays instead of O(replay). An
+// index left in the retired sharded layout is folded into the single log
+// first (FORMATS.md, "Migrating the sharded index").
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = DefaultMaxSegmentBytes
@@ -210,7 +206,7 @@ func (s *Store) PutStream(key string, p *trace.Packed, meta []byte) error {
 }
 
 // GetStream reassembles the stream committed under key, or ok=false when
-// no such stream exists (a bloom-screened single probe). The returned
+// no such stream exists (one index map probe). The returned
 // Packed decodes directly out of mmap'd segment bytes where possible —
 // no block is copied or decoded until a replay asks for it — and must be
 // treated as read-only. An error (not a miss) is returned when a manifest
@@ -256,7 +252,8 @@ func (s *Store) GetStream(key string) (*trace.Packed, []byte, bool, error) {
 }
 
 // PutDoc persists a small opaque value (e.g. a finished evaluation result)
-// under key, committed durably before returning.
+// under key, committed durably (one fsync of the index log) before
+// returning.
 func (s *Store) PutDoc(key string, val []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -270,7 +267,8 @@ func (s *Store) PutDoc(key string, val []byte) error {
 }
 
 // GetDoc returns the committed value under key, or ok=false when the key
-// was never written — decided by one bloom probe on the cold path.
+// was never written — decided by one index map probe, without touching the
+// disk.
 func (s *Store) GetDoc(key string) ([]byte, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -280,32 +278,24 @@ func (s *Store) GetDoc(key string) ([]byte, bool, error) {
 	return s.kv.Get(docPrefix + key)
 }
 
-// Stats summarizes the open store.
+// Stats summarizes the open store in constant time: every count is kept
+// as the store changes, so a /metrics scrape never walks the index.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{
+	return Stats{
+		Streams:            s.kv.streams,
+		Docs:               s.kv.docs,
 		Blocks:             s.blocks.Blocks(),
 		Segments:           len(s.blocks.segs),
 		DedupBlocks:        s.blocks.dedupHits,
 		TornBytesRecovered: s.blocks.tornBytes + s.kv.tornBytes,
 		Probes:             s.kv.probes,
-		BloomNegatives:     s.kv.bloomNegatives,
-		FalsePositives:     s.kv.falsePositives,
 	}
-	for _, sh := range s.kv.shards {
-		for key := range sh.index {
-			if strings.HasPrefix(key, streamPrefix) {
-				st.Streams++
-			} else {
-				st.Docs++
-			}
-		}
-	}
-	return st
 }
 
-// Sync commits every buffered append across segments and shards.
+// Sync commits every buffered append: one fsync of the active segment and
+// one of the index log.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
