@@ -19,8 +19,9 @@ set -euo pipefail
 # sweep code was identical, and 10-second runs were no steadier; ten pairs
 # of 5-second runs passed every such comparison.
 readonly pairs=10 seconds=5 seed=1
-# The replay and serving hot loops.
-readonly gated=(sweep_exact serve_hot)
+# The replay and serving hot loops, and the durable store's write, restart
+# and read path (serve_cold_store is the only workload that runs the store).
+readonly gated=(sweep_exact serve_hot serve_cold_store)
 
 if [[ $# -ne 1 ]]; then
 	echo "usage: bash .github/bench-gate.sh <parent-rev>" >&2

@@ -82,7 +82,7 @@ func BenchmarkExtWearLeveling(b *testing.B) {
 func BenchmarkExtRowBuffer(b *testing.B) {
 	s := suite(b)
 	wp := s.Profiles[0]
-	flat := design.Reference(wp.Footprint)
+	flat := design.DefaultRegistry().Reference(wp.Footprint)
 	rowbuf := flat.WithRowBuffer()
 	b.Run("flat", func(b *testing.B) {
 		var amat float64
@@ -207,7 +207,7 @@ func BenchmarkExtWritePolicy(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var nvmStores uint64
 			for i := 0; i < b.N; i++ {
-				backend := design.NMM(design.NConfigs[5], tech.PCM, 64, wp.Footprint)
+				backend := design.DefaultRegistry().NMMWith(design.NConfigs[5], tech.PCM, 64, wp.Footprint)
 				backend.Caches[0].WriteThrough = wt
 				built, err := backend.Build()
 				if err != nil {
@@ -232,7 +232,7 @@ func BenchmarkExtPrefetcher(b *testing.B) {
 			var hitRate float64
 			var nvmLoads uint64
 			for i := 0; i < b.N; i++ {
-				backend := design.NMM(design.NConfigs[8], tech.PCM, 64, wp.Footprint) // N9: 64B pages
+				backend := design.DefaultRegistry().NMMWith(design.NConfigs[8], tech.PCM, 64, wp.Footprint) // N9: 64B pages
 				backend.Caches[0].PrefetchNext = depth
 				built, err := backend.Build()
 				if err != nil {

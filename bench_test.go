@@ -253,7 +253,7 @@ func BenchmarkAblationBoundaryReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	backend := design.NMM(design.NConfigs[5], tech.PCM, 64, wp.Footprint)
+	backend := design.DefaultRegistry().NMMWith(design.NConfigs[5], tech.PCM, 64, wp.Footprint)
 
 	b.Run("replay", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -264,7 +264,7 @@ func BenchmarkAblationBoundaryReplay(b *testing.B) {
 	})
 	b.Run("full-resimulation", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			prefix, err := design.BuildPrefix(64)
+			prefix, err := design.DefaultRegistry().BuildPrefix(64)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -275,7 +275,7 @@ func BenchmarkAblationBoundaryReplay(b *testing.B) {
 			// Chain prefix onto the backend via a full hierarchy.
 			mem := core.NewSimpleMemory("m", tech.PCM, wp.Footprint)
 			levels := prefix
-			dc := design.NMM(design.NConfigs[5], tech.PCM, 64, wp.Footprint).Caches[0]
+			dc := design.DefaultRegistry().NMMWith(design.NConfigs[5], tech.PCM, 64, wp.Footprint).Caches[0]
 			c := cache.New(cache.Config{Name: dc.Name, Size: dc.Size, LineSize: dc.Line, Assoc: dc.Assoc})
 			levels = append(levels, core.Level{Cache: c, Tech: dc.Tech})
 			h, err := core.NewHierarchy(levels, mem)
@@ -299,7 +299,7 @@ func BenchmarkAblationBoundaryReplay(b *testing.B) {
 func BenchmarkBoundaryReplayScalar(b *testing.B) {
 	s := suite(b)
 	wp := s.Profiles[0]
-	backend := design.Reference(wp.Footprint)
+	backend := design.DefaultRegistry().Reference(wp.Footprint)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		built, err := backend.Build()
@@ -327,7 +327,7 @@ func BenchmarkBoundaryReplayScalar(b *testing.B) {
 func BenchmarkBoundaryReplayBatch(b *testing.B) {
 	s := suite(b)
 	wp := s.Profiles[0]
-	backend := design.Reference(wp.Footprint)
+	backend := design.DefaultRegistry().Reference(wp.Footprint)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		built, err := backend.Build()
@@ -353,7 +353,7 @@ func BenchmarkFanoutReplay(b *testing.B) {
 	wp := s.Profiles[0]
 	var backends []design.Backend
 	for _, cfg := range design.NConfigs {
-		backends = append(backends, design.NMM(cfg, tech.PCM, 64, wp.Footprint))
+		backends = append(backends, design.DefaultRegistry().NMMWith(cfg, tech.PCM, 64, wp.Footprint))
 	}
 	refs := float64(wp.Boundary.Len()) * float64(len(backends))
 	b.Run("shared", func(b *testing.B) {
@@ -393,7 +393,7 @@ func TestAnalyticSpeedupFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	wp := s.Profiles[0]
-	bk := design.NMM(design.NConfigs[5], tech.PCM, 64, wp.Footprint)
+	bk := design.DefaultRegistry().NMMWith(design.NConfigs[5], tech.PCM, 64, wp.Footprint)
 	pred, err := wp.Predictor()
 	if err != nil {
 		t.Fatal(err)
@@ -433,7 +433,7 @@ func BenchmarkAnalyticPredict(b *testing.B) {
 	wp := s.Profiles[0]
 	var backends []design.Backend
 	for _, cfg := range design.NConfigs {
-		backends = append(backends, design.NMM(cfg, tech.PCM, 64, wp.Footprint))
+		backends = append(backends, design.DefaultRegistry().NMMWith(cfg, tech.PCM, 64, wp.Footprint))
 	}
 	pred, err := wp.Predictor()
 	if err != nil {
@@ -525,7 +525,7 @@ func BenchmarkAblationPageGranularity(b *testing.B) {
 func BenchmarkAblationDirtySectorWriteback(b *testing.B) {
 	s := suite(b)
 	wp := s.Profiles[0]
-	backend := design.NMM(design.NConfigs[0], tech.PCM, 64, wp.Footprint) // 4KB pages
+	backend := design.DefaultRegistry().NMMWith(design.NConfigs[0], tech.PCM, 64, wp.Footprint) // 4KB pages
 	var sectorJ, pageJ float64
 	for i := 0; i < b.N; i++ {
 		built, err := backend.Build()
@@ -573,7 +573,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 	var jobs []exp.Job
 	for _, cfg := range design.NConfigs {
 		for _, wp := range s.Profiles {
-			jobs = append(jobs, exp.Job{WP: wp, B: design.NMM(cfg, tech.PCM, 64, wp.Footprint)})
+			jobs = append(jobs, exp.Job{WP: wp, B: design.DefaultRegistry().NMMWith(cfg, tech.PCM, 64, wp.Footprint)})
 		}
 	}
 	for _, workers := range []int{1, 2, 4} {
@@ -604,7 +604,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 }
 
 func BenchmarkHierarchyAccess(b *testing.B) {
-	prefix, err := design.BuildPrefix(64)
+	prefix, err := design.DefaultRegistry().BuildPrefix(64)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func main() {
 	c.Exit(err)
 
 	backends := []design.Backend{}
-	for _, cfg := range c.Reg.NConfigs() {
+	for _, cfg := range design.NConfigs {
 		backends = append(backends, c.Reg.NMMWith(cfg, c.NVM, c.Scale, wp.Footprint))
 	}
 	if *withNDM {

@@ -53,7 +53,8 @@ func main() {
 		for _, cfg := range design.NConfigs {
 			fmt.Printf(" %s", cfg.Name)
 		}
-		fmt.Println("\ntechnologies:", tech.Names())
+		fmt.Println("\ntechnologies: -llc", techNames(c.Cat.Class(tech.ClassLLC)),
+			"-nvm", techNames(c.Cat.Class(tech.ClassNVM)))
 		return
 	}
 	c.Exit(c.Start())
@@ -132,7 +133,7 @@ func main() {
 // per-epoch CSV to the -timeseries destination and an ASCII heat-strip to
 // stdout.
 func timeSeries(c *cli.Cmd, w workload.Workload, backend design.Backend) error {
-	prefix, err := design.BuildPrefix(c.Scale)
+	prefix, err := c.Reg.BuildPrefix(c.Scale)
 	if err != nil {
 		return err
 	}
@@ -155,6 +156,15 @@ func timeSeries(c *cli.Cmd, w workload.Workload, backend design.Backend) error {
 	}
 	fmt.Println()
 	return report.EpochHeatStrip(os.Stdout, series)
+}
+
+// techNames lists the technologies' names.
+func techNames(ts []tech.Tech) []string {
+	names := make([]string, len(ts))
+	for i, t := range ts {
+		names[i] = t.Name
+	}
+	return names
 }
 
 func printEval(label string, ev model.Evaluation) {

@@ -48,9 +48,9 @@ func main() {
 
 	fmt.Println("design,config,tech,workload,norm_time,norm_energy,norm_edp,amat_ns,dynamic_j,static_j")
 
-	// Paper-default axes come from the catalog (identical to the hardcoded
-	// Table 1 sets for the builtin); -extensions widens each axis to every
-	// catalog entry of the class, including post-2014 additions.
+	// Paper-default axes come from the catalog (the Table 1 sets for the
+	// builtin); -extensions widens each axis to every catalog entry of the
+	// class, including post-2014 additions.
 	nvms, llcs := c.Cat.NVMs(), c.Cat.LLCs()
 	if *exts {
 		nvms, llcs = c.Cat.Class(tech.ClassNVM), c.Cat.Class(tech.ClassLLC)

@@ -58,14 +58,15 @@ var (
 	HMC    = tech.HMC
 )
 
-// TechByName looks up a technology by case-insensitive name.
-func TechByName(name string) (Tech, error) { return tech.ByName(name) }
+// TechByName looks up a technology in the builtin catalog by
+// case-insensitive name or alias.
+func TechByName(name string) (Tech, error) { return tech.Builtin().Tech(name) }
 
 // NVMs returns the paper's non-volatile main-memory candidates.
-func NVMs() []Tech { return tech.NVMs() }
+func NVMs() []Tech { return tech.Builtin().NVMs() }
 
 // LLCs returns the paper's fast volatile last-level-cache candidates.
-func LLCs() []Tech { return tech.LLCs() }
+func LLCs() []Tech { return tech.Builtin().LLCs() }
 
 // Config sizes an experiment run; the zero value reproduces the paper's
 // defaults at the default co-scaling factor.
@@ -171,18 +172,19 @@ type Counter = trace.Counter
 // Backend describes a design point below the shared SRAM prefix.
 type Backend = design.Backend
 
-// Design-space constructors (Section III.A of the paper).
+// Design-space constructors (Section III.A of the paper), built by the
+// builtin catalog's design registry.
 var (
 	// ReferenceDesign is the baseline: SRAM caches over DRAM.
-	ReferenceDesign = design.Reference
+	ReferenceDesign = design.DefaultRegistry().Reference
 	// FourLC adds an eDRAM/HMC fourth-level cache over DRAM.
-	FourLC = design.FourLC
+	FourLC = design.DefaultRegistry().FourLCWith
 	// NMM places a DRAM cache over NVM main memory.
-	NMM = design.NMM
+	NMM = design.DefaultRegistry().NMMWith
 	// FourLCNVM combines an eDRAM/HMC cache with NVM main memory.
-	FourLCNVM = design.FourLCNVM
+	FourLCNVM = design.DefaultRegistry().FourLCNVMWith
 	// NDMDesign partitions the address space between DRAM and NVM.
-	NDMDesign = design.NDM
+	NDMDesign = design.DefaultRegistry().NDMWith
 )
 
 // EHConfig and NConfig are rows of the paper's Tables 2 and 3.

@@ -92,8 +92,8 @@ func New(in Input) (*Predictor, error) {
 	if in.Sketch == nil {
 		return nil, fmt.Errorf("analytic: workload %q has no sketch (profiled with NoSketch, or restored from a pre-sketch manifest)", in.Workload)
 	}
-	if in.Sketch.Version != reuse.SketchVersion {
-		return nil, fmt.Errorf("analytic: workload %q sketch version %d (this build reads %d)", in.Workload, in.Sketch.Version, reuse.SketchVersion)
+	if err := in.Sketch.Validate(); err != nil {
+		return nil, fmt.Errorf("analytic: workload %q: %w", in.Workload, err)
 	}
 	if in.TotalRefs == 0 {
 		return nil, fmt.Errorf("analytic: workload %q input has zero total refs", in.Workload)

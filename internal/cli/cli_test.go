@@ -139,9 +139,9 @@ func TestTechnologyClass(t *testing.T) {
 	}
 }
 
-// TestBackendMatchesConstructors pins that the registry-backed resolver
-// builds the same back ends the package-level constructors do on the
-// builtin catalog, so commands that moved onto it print the same bytes.
+// TestBackendMatchesConstructors pins the -design/-config/-llc/-nvm
+// defaults: the resolver builds the same back ends as the registry's
+// constructors given EH1 or N6, eDRAM and PCM on the builtin catalog.
 func TestBackendMatchesConstructors(t *testing.T) {
 	const footprint = 1 << 26
 	eh1, _ := design.EHByName("EH1")
@@ -151,10 +151,10 @@ func TestBackendMatchesConstructors(t *testing.T) {
 		args []string
 		want design.Backend
 	}{
-		{nil, design.Reference(footprint)},
-		{[]string{"-design", "4lc"}, design.FourLC(eh1, tech.EDRAM, 32, footprint)},
-		{[]string{"-design", "nmm"}, design.NMM(n6, tech.PCM, 32, footprint)},
-		{[]string{"-design", "4lcnvm", "-config", "EH3"}, design.FourLCNVM(eh3, tech.EDRAM, tech.PCM, 32, footprint)},
+		{nil, design.DefaultRegistry().Reference(footprint)},
+		{[]string{"-design", "4lc"}, design.DefaultRegistry().FourLCWith(eh1, tech.EDRAM, 32, footprint)},
+		{[]string{"-design", "nmm"}, design.DefaultRegistry().NMMWith(n6, tech.PCM, 32, footprint)},
+		{[]string{"-design", "4lcnvm", "-config", "EH3"}, design.DefaultRegistry().FourLCNVMWith(eh3, tech.EDRAM, tech.PCM, 32, footprint)},
 	}
 	for _, tt := range tests {
 		c, err := parse(t, Scale|LLC|NVM|Config, "", "reference", tt.args...)

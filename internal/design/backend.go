@@ -46,10 +46,8 @@ type MemorySpec struct {
 	NVMCapacity uint64
 	// DRAMCapacity is the DRAM partition size.
 	DRAMCapacity uint64
-	// DRAMTech is the DRAM partition's technology. The zero value (empty
-	// Name) selects the package default tech.DRAM, preserving the
-	// pre-catalog behaviour; registry-built NDM backends set it from
-	// their catalog.
+	// DRAMTech is the DRAM partition's technology (the registry's
+	// catalog DRAM).
 	DRAMTech tech.Tech
 
 	// RowBuffer selects the open-page row-buffer timing refinement for
@@ -133,7 +131,7 @@ func (b Backend) Relabel(stats []core.LevelStats) []core.LevelStats {
 
 // BuildHierarchy instantiates the backend's cache levels and terminal as a
 // full hierarchy beneath the given prefix levels (typically
-// design.BuildPrefix; nil for a bare backend). Unlike the boundary-replay
+// Registry.BuildPrefix; nil for a bare backend). Unlike the boundary-replay
 // path, the resulting hierarchy accepts the workload's raw reference stream
 // end to end — the shape online observers (epoch samplers) need to see
 // every level of one run at once.
@@ -160,13 +158,9 @@ func (b Backend) components(prefix []core.Level) ([]core.Level, core.Memory, err
 	var mem core.Memory
 	switch {
 	case b.Memory.Partitioned:
-		dram := b.Memory.DRAMTech
-		if dram.Name == "" {
-			dram = tech.DRAM
-		}
 		pm, err := core.NewPartitionedMemory(b.Memory.NVMRanges,
 			"NVM("+b.Memory.NVMTech.Name+")", b.Memory.NVMTech, b.Memory.NVMCapacity,
-			"DRAM-part", dram, b.Memory.DRAMCapacity)
+			"DRAM-part", b.Memory.DRAMTech, b.Memory.DRAMCapacity)
 		if err != nil {
 			return nil, nil, fmt.Errorf("design %s: %w", b.Name, err)
 		}
@@ -200,94 +194,4 @@ func (b Backend) WithRowBuffer() Backend {
 	b.Name += "+rowbuf"
 	b.Memory.RowBuffer = true
 	return b
-}
-
-// Reference returns the baseline back end: DRAM large enough to hold the
-// workload footprint, directly below L3 ("3 on chip SRAM caches followed by
-// a DRAM big enough to support necessary memory footprint").
-func Reference(footprint uint64) Backend {
-	return referenceWith(tech.DRAM, footprint)
-}
-
-// referenceWith is Reference with an explicit DRAM characterization (the
-// registry passes its catalog's).
-func referenceWith(dram tech.Tech, footprint uint64) Backend {
-	return Backend{
-		Name:   "reference",
-		Memory: MemorySpec{Name: "DRAM", Tech: dram, Capacity: footprint},
-	}
-}
-
-// FourLC returns a 4-Level Cache design point: an eDRAM or HMC fourth-level
-// cache (Table 2 configuration cfg, capacities divided by scale) in front of
-// footprint-sized DRAM.
-func FourLC(cfg EHConfig, llc tech.Tech, scale, footprint uint64) Backend {
-	return fourLCWith(cfg, llc, tech.DRAM, scale, footprint)
-}
-
-// fourLCWith is FourLC with an explicit DRAM characterization.
-func fourLCWith(cfg EHConfig, llc, dram tech.Tech, scale, footprint uint64) Backend {
-	return Backend{
-		Name: fmt.Sprintf("4LC/%s/%s", cfg.Name, llc.Name),
-		Caches: []LevelSpec{{
-			Name: llc.Name + "-L4", Tech: llc,
-			Size: cfg.Capacity / scale, Line: cfg.PageSize, Assoc: pageCacheAssoc,
-		}},
-		Memory: MemorySpec{Name: "DRAM", Tech: dram, Capacity: footprint},
-	}
-}
-
-// NMM returns an NVM-as-Main-Memory design point: a DRAM cache (Table 3
-// configuration cfg, capacity divided by scale) in front of footprint-sized
-// NVM.
-func NMM(cfg NConfig, nvm tech.Tech, scale, footprint uint64) Backend {
-	return nmmWith(cfg, nvm, tech.DRAM, scale, footprint)
-}
-
-// nmmWith is NMM with an explicit DRAM characterization for the cache.
-func nmmWith(cfg NConfig, nvm, dram tech.Tech, scale, footprint uint64) Backend {
-	return Backend{
-		Name: fmt.Sprintf("NMM/%s/%s", cfg.Name, nvm.Name),
-		Caches: []LevelSpec{{
-			Name: "DRAM$", Tech: dram,
-			Size: cfg.Capacity / scale, Line: cfg.PageSize, Assoc: pageCacheAssoc,
-		}},
-		Memory: MemorySpec{Name: "NVM(" + nvm.Name + ")", Tech: nvm, Capacity: footprint},
-	}
-}
-
-// FourLCNVM returns the combined design point: an eDRAM or HMC cache in
-// front of footprint-sized NVM, with no DRAM at all.
-func FourLCNVM(cfg EHConfig, llc, nvm tech.Tech, scale, footprint uint64) Backend {
-	return Backend{
-		Name: fmt.Sprintf("4LCNVM/%s/%s/%s", cfg.Name, llc.Name, nvm.Name),
-		Caches: []LevelSpec{{
-			Name: llc.Name + "-L4", Tech: llc,
-			Size: cfg.Capacity / scale, Line: cfg.PageSize, Assoc: pageCacheAssoc,
-		}},
-		Memory: MemorySpec{Name: "NVM(" + nvm.Name + ")", Tech: nvm, Capacity: footprint},
-	}
-}
-
-// NDM returns an NVM+DRAM partitioned design point. nvmRanges are the
-// address ranges placed on NVM (the oracle's choice); nvmBytes is the total
-// footprint they cover. The DRAM partition holds the rest of the footprint,
-// so its capacity — and therefore its static power — shrinks by exactly the
-// bytes migrated to NVM, which is the mechanism behind the paper's NDM
-// energy savings.
-func NDM(nvm tech.Tech, nvmRanges []core.AddrRange, nvmBytes, footprint uint64, label string) Backend {
-	dramCap := uint64(0)
-	if footprint > nvmBytes {
-		dramCap = footprint - nvmBytes
-	}
-	return Backend{
-		Name: fmt.Sprintf("NDM/%s/%s", nvm.Name, label),
-		Memory: MemorySpec{
-			Partitioned:  true,
-			NVMRanges:    nvmRanges,
-			NVMTech:      nvm,
-			NVMCapacity:  nvmBytes,
-			DRAMCapacity: dramCap,
-		},
-	}
 }

@@ -98,35 +98,6 @@ func (s LevelSpec) build() (core.Level, error) {
 	return core.Level{Cache: cache.New(cfg), Tech: s.Tech, PrefetchNext: s.PrefetchNext}, nil
 }
 
-// PrefixSpecs returns the reference system's on-chip SRAM cache levels
-// shared by every design: 32KB 8-way L1, 256KB 8-way L2, and the per-core
-// 2.5MB 20-way slice of the shared 20MB L3, all with 64B lines and all
-// divided by scale.
-func PrefixSpecs(scale uint64) []LevelSpec {
-	return []LevelSpec{
-		{Name: "L1", Tech: tech.SRAML1, Size: 32 * kb / scale, Line: CacheLine, Assoc: 8},
-		{Name: "L2", Tech: tech.SRAML2, Size: 256 * kb / scale, Line: CacheLine, Assoc: 8},
-		{Name: "L3", Tech: tech.SRAML3, Size: 20 * mb / SharedL3Cores / scale, Line: CacheLine, Assoc: 20},
-	}
-}
-
-// BuildPrefix instantiates the shared SRAM prefix.
-func BuildPrefix(scale uint64) ([]core.Level, error) {
-	if err := ValidateScale(scale); err != nil {
-		return nil, err
-	}
-	specs := PrefixSpecs(scale)
-	levels := make([]core.Level, len(specs))
-	for i, s := range specs {
-		l, err := s.build()
-		if err != nil {
-			return nil, fmt.Errorf("design: prefix: %w", err)
-		}
-		levels[i] = l
-	}
-	return levels, nil
-}
-
 // EHConfig is one row of Table 2: an eDRAM/HMC fourth-level-cache
 // configuration (capacity per core and page size).
 type EHConfig struct {

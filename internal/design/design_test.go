@@ -73,7 +73,7 @@ func TestConfigLookups(t *testing.T) {
 
 func TestPrefixGeometry(t *testing.T) {
 	for _, scale := range []uint64{1, 8, 32, 64} {
-		levels, err := BuildPrefix(scale)
+		levels, err := DefaultRegistry().BuildPrefix(scale)
 		if err != nil {
 			t.Fatalf("scale %d: %v", scale, err)
 		}
@@ -91,7 +91,7 @@ func TestPrefixGeometry(t *testing.T) {
 			}
 		}
 	}
-	if _, err := BuildPrefix(0); err == nil {
+	if _, err := DefaultRegistry().BuildPrefix(0); err == nil {
 		t.Error("scale 0 should fail")
 	}
 }
@@ -113,23 +113,23 @@ func buildAndTouch(t *testing.T, b Backend) *core.Hierarchy {
 func TestAllDesignPointsBuild(t *testing.T) {
 	const footprint = 64 << 20
 	for _, scale := range []uint64{1, 32, 64} {
-		buildAndTouch(t, Reference(footprint))
+		buildAndTouch(t, DefaultRegistry().Reference(footprint))
 		for _, cfg := range EHConfigs {
-			for _, llc := range tech.LLCs() {
-				buildAndTouch(t, FourLC(cfg, llc, scale, footprint))
-				buildAndTouch(t, FourLCNVM(cfg, llc, tech.PCM, scale, footprint))
+			for _, llc := range tech.Builtin().LLCs() {
+				buildAndTouch(t, DefaultRegistry().FourLCWith(cfg, llc, scale, footprint))
+				buildAndTouch(t, DefaultRegistry().FourLCNVMWith(cfg, llc, tech.PCM, scale, footprint))
 			}
 		}
 		for _, cfg := range NConfigs {
-			for _, nvm := range tech.NVMs() {
-				buildAndTouch(t, NMM(cfg, nvm, scale, footprint))
+			for _, nvm := range tech.Builtin().NVMs() {
+				buildAndTouch(t, DefaultRegistry().NMMWith(cfg, nvm, scale, footprint))
 			}
 		}
 	}
 }
 
 func TestReferenceBackendShape(t *testing.T) {
-	b := Reference(1 << 30)
+	b := DefaultRegistry().Reference(1 << 30)
 	built := buildAndTouch(t, b)
 	snap := built.Snapshot()
 	if len(snap) != 1 {
@@ -142,7 +142,7 @@ func TestReferenceBackendShape(t *testing.T) {
 
 func TestNMMBackendShape(t *testing.T) {
 	cfg, _ := NByName("N6")
-	b := NMM(cfg, tech.PCM, 32, 1<<30)
+	b := DefaultRegistry().NMMWith(cfg, tech.PCM, 32, 1<<30)
 	built := buildAndTouch(t, b)
 	snap := built.Snapshot()
 	if len(snap) != 2 {
@@ -161,7 +161,7 @@ func TestNMMBackendShape(t *testing.T) {
 
 func TestFourLCBackendShape(t *testing.T) {
 	cfg, _ := EHByName("EH1")
-	b := FourLC(cfg, tech.HMC, 32, 1<<30)
+	b := DefaultRegistry().FourLCWith(cfg, tech.HMC, 32, 1<<30)
 	built := buildAndTouch(t, b)
 	snap := built.Snapshot()
 	if len(snap) != 2 {
@@ -180,7 +180,7 @@ func TestFourLCBackendShape(t *testing.T) {
 
 func TestFourLCNVMHasNoDRAM(t *testing.T) {
 	cfg, _ := EHByName("EH1")
-	b := FourLCNVM(cfg, tech.EDRAM, tech.STTRAM, 32, 1<<30)
+	b := DefaultRegistry().FourLCNVMWith(cfg, tech.EDRAM, tech.STTRAM, 32, 1<<30)
 	built := buildAndTouch(t, b)
 	for _, l := range built.Snapshot() {
 		if l.Tech.Name == "DRAM" {
@@ -191,7 +191,7 @@ func TestFourLCNVMHasNoDRAM(t *testing.T) {
 
 func TestNDMBackend(t *testing.T) {
 	ranges := []core.AddrRange{{Start: 0, End: 1 << 20}}
-	b := NDM(tech.FeRAM, ranges, 1<<20, 4<<20, "test")
+	b := DefaultRegistry().NDMWith(tech.FeRAM, ranges, 1<<20, 4<<20, "test")
 	built, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestNDMBackend(t *testing.T) {
 
 func TestNDMCapacityClamp(t *testing.T) {
 	// NVM bytes exceeding the footprint must clamp DRAM to zero.
-	b := NDM(tech.PCM, nil, 8<<20, 4<<20, "clamp")
+	b := DefaultRegistry().NDMWith(tech.PCM, nil, 8<<20, 4<<20, "clamp")
 	if b.Memory.DRAMCapacity != 0 {
 		t.Fatalf("DRAM capacity = %d, want 0", b.Memory.DRAMCapacity)
 	}
@@ -221,7 +221,7 @@ func TestNDMCapacityClamp(t *testing.T) {
 
 func TestNDMRejectsOverlappingRanges(t *testing.T) {
 	ranges := []core.AddrRange{{Start: 0, End: 100}, {Start: 50, End: 150}}
-	b := NDM(tech.PCM, ranges, 100, 1000, "bad")
+	b := DefaultRegistry().NDMWith(tech.PCM, ranges, 100, 1000, "bad")
 	if _, err := b.Build(); err == nil {
 		t.Fatal("overlapping NVM ranges should fail to build")
 	}
@@ -231,7 +231,7 @@ func TestAssocClampOnTinyCaches(t *testing.T) {
 	// EH8 at scale 64: 4MB/64 = 64KB with 2KB pages = 32 lines < 16 ways
 	// x ... must degrade gracefully rather than fail.
 	cfg, _ := EHByName("EH8")
-	b := FourLC(cfg, tech.EDRAM, 64, 1<<30)
+	b := DefaultRegistry().FourLCWith(cfg, tech.EDRAM, 64, 1<<30)
 	if _, err := b.Build(); err != nil {
 		t.Fatalf("EH8 at scale 64: %v", err)
 	}

@@ -1,10 +1,7 @@
 package design
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"hybridmem/internal/core"
@@ -28,25 +25,19 @@ func (e *ClassError) Error() string {
 	return fmt.Sprintf("design: tech %s has class %q, want %q for this axis", e.Tech, e.Class, e.Want)
 }
 
-// Registry builds design points by name against a technology catalog. It is
-// the data-driven counterpart of the package-level constructors: the same
-// Table 2/3 configuration tables, but with every technology — including the
-// SRAM prefix and the implicit DRAM under 4LC/NMM/NDM — resolved from the
-// catalog instead of the hardcoded package variables. For the builtin
-// catalog the two paths produce identical Backend structs (pinned by the
-// golden-equivalence test in internal/exp).
+// Registry builds design points against a technology catalog: the paper's
+// design families (Section III.A) over the Table 2/3 configuration tables,
+// with every technology — including the SRAM prefix and the DRAM under
+// 4LC/NMM/NDM — resolved from the catalog. It is the only design-point
+// builder; DefaultRegistry serves the builtin catalog. Name-taking methods
+// resolve configurations and class-checked technologies; the *With methods
+// take them already resolved.
 type Registry struct {
 	cat *tech.Catalog
-
-	// ehConfigs and nConfigs are the Table 2/3 rows this registry serves.
-	ehConfigs []EHConfig
-	nConfigs  []NConfig
 
 	// Resolved catalog entries for the roles every design point needs.
 	sram [3]tech.Tech // L1, L2, L3
 	dram tech.Tech
-
-	hash string
 }
 
 // prefixTechNames are the catalog names the SRAM prefix resolves, in level
@@ -57,11 +48,7 @@ var prefixTechNames = [3]string{"SRAM-L1", "SRAM-L2", "SRAM-L3"}
 // provide the reference system's fixed roles: SRAM-L1, SRAM-L2, SRAM-L3
 // (class sram) and DRAM (class dram).
 func NewRegistry(cat *tech.Catalog) (*Registry, error) {
-	r := &Registry{
-		cat:       cat,
-		ehConfigs: EHConfigs,
-		nConfigs:  NConfigs,
-	}
+	r := &Registry{cat: cat}
 	for i, name := range prefixTechNames {
 		t, err := r.TechOfClass(name, tech.ClassSRAM)
 		if err != nil {
@@ -74,7 +61,6 @@ func NewRegistry(cat *tech.Catalog) (*Registry, error) {
 		return nil, fmt.Errorf("design: catalog %s: %w", cat.Name(), err)
 	}
 	r.dram = dram
-	r.hash = r.computeHash()
 	return r, nil
 }
 
@@ -100,31 +86,6 @@ func DefaultRegistry() *Registry {
 // Catalog returns the catalog this registry resolves against.
 func (r *Registry) Catalog() *tech.Catalog { return r.cat }
 
-// Hash returns a hex digest covering the catalog contents and the design
-// tables. Any change to a technology parameter, a Table 2/3 row, or the NDM
-// DRAM capacity changes the hash, which is what lets result caches key on
-// the full design space rather than trusting names to stay meaningful.
-func (r *Registry) Hash() string { return r.hash }
-
-func (r *Registry) computeHash() string {
-	h := sha256.New()
-	w := func(parts ...string) {
-		for _, p := range parts {
-			h.Write([]byte(p))
-			h.Write([]byte{0})
-		}
-	}
-	w("design-registry/1", r.cat.Hash())
-	for _, c := range r.ehConfigs {
-		w("eh", c.Name, strconv.FormatUint(c.Capacity, 10), strconv.FormatUint(c.PageSize, 10))
-	}
-	for _, c := range r.nConfigs {
-		w("n", c.Name, strconv.FormatUint(c.Capacity, 10), strconv.FormatUint(c.PageSize, 10))
-	}
-	w("ndm-dram", strconv.FormatUint(uint64(NDMDRAMCapacity), 10))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // TechOfClass resolves a technology by case-insensitive name or alias and
 // checks its catalog class, failing with *ClassError on a mismatch.
 func (r *Registry) TechOfClass(name, class string) (tech.Tech, error) {
@@ -147,40 +108,16 @@ func (r *Registry) Tech(name string) (tech.Tech, error) { return r.cat.Tech(name
 // NDM DRAM partition.
 func (r *Registry) DRAM() tech.Tech { return r.dram }
 
-// EHConfigs returns the Table 2 rows this registry serves.
-func (r *Registry) EHConfigs() []EHConfig { return r.ehConfigs }
-
-// NConfigs returns the Table 3 rows this registry serves.
-func (r *Registry) NConfigs() []NConfig { return r.nConfigs }
-
-// EHByName finds a Table 2 configuration in the registry.
-func (r *Registry) EHByName(name string) (EHConfig, error) {
-	for _, c := range r.ehConfigs {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return EHConfig{}, fmt.Errorf("design: unknown eDRAM/HMC config %q", name)
-}
-
-// NByName finds a Table 3 configuration in the registry.
-func (r *Registry) NByName(name string) (NConfig, error) {
-	for _, c := range r.nConfigs {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return NConfig{}, fmt.Errorf("design: unknown NMM config %q", name)
-}
-
-// PrefixSpecs returns the shared SRAM prefix with technologies resolved from
-// the registry's catalog (same geometry as the package-level PrefixSpecs).
+// PrefixSpecs returns the reference system's on-chip SRAM cache levels
+// shared by every design, with the catalog's SRAM technologies: 32KB 8-way
+// L1, 256KB 8-way L2, and the per-core 2.5MB 20-way slice of the shared
+// 20MB L3, all with 64B lines and all divided by scale.
 func (r *Registry) PrefixSpecs(scale uint64) []LevelSpec {
-	specs := PrefixSpecs(scale)
-	for i := range specs {
-		specs[i].Tech = r.sram[i]
+	return []LevelSpec{
+		{Name: "L1", Tech: r.sram[0], Size: 32 * kb / scale, Line: CacheLine, Assoc: 8},
+		{Name: "L2", Tech: r.sram[1], Size: 256 * kb / scale, Line: CacheLine, Assoc: 8},
+		{Name: "L3", Tech: r.sram[2], Size: 20 * mb / SharedL3Cores / scale, Line: CacheLine, Assoc: 20},
 	}
-	return specs
 }
 
 // BuildPrefix instantiates the shared SRAM prefix from the catalog.
@@ -200,15 +137,20 @@ func (r *Registry) BuildPrefix(scale uint64) ([]core.Level, error) {
 	return levels, nil
 }
 
-// Reference returns the baseline back end with the catalog's DRAM.
+// Reference returns the baseline back end: the catalog's DRAM, large enough
+// to hold the workload footprint, directly below L3 ("3 on chip SRAM caches
+// followed by a DRAM big enough to support necessary memory footprint").
 func (r *Registry) Reference(footprint uint64) Backend {
-	return referenceWith(r.dram, footprint)
+	return Backend{
+		Name:   "reference",
+		Memory: MemorySpec{Name: "DRAM", Tech: r.dram, Capacity: footprint},
+	}
 }
 
 // FourLC builds a 4-Level Cache design point by name: cfgName is a Table 2
 // row and llcName must resolve to a class-llc technology.
 func (r *Registry) FourLC(cfgName, llcName string, scale, footprint uint64) (Backend, error) {
-	cfg, err := r.EHByName(cfgName)
+	cfg, err := EHByName(cfgName)
 	if err != nil {
 		return Backend{}, err
 	}
@@ -216,21 +158,25 @@ func (r *Registry) FourLC(cfgName, llcName string, scale, footprint uint64) (Bac
 	if err != nil {
 		return Backend{}, err
 	}
-	return fourLCWith(cfg, llc, r.dram, scale, footprint), nil
+	return r.FourLCWith(cfg, llc, scale, footprint), nil
 }
 
-// FourLCWith is FourLC for callers that already hold a resolved
-// configuration and cache technology (the experiment sweeps), still using
-// the registry's catalog DRAM underneath.
+// FourLCWith returns a 4-Level Cache design point: an eDRAM or HMC
+// fourth-level cache (Table 2 configuration cfg, capacities divided by
+// scale) in front of footprint-sized catalog DRAM.
 func (r *Registry) FourLCWith(cfg EHConfig, llc tech.Tech, scale, footprint uint64) Backend {
-	return fourLCWith(cfg, llc, r.dram, scale, footprint)
+	return Backend{
+		Name:   fmt.Sprintf("4LC/%s/%s", cfg.Name, llc.Name),
+		Caches: []LevelSpec{llcLevel(cfg, llc, scale)},
+		Memory: MemorySpec{Name: "DRAM", Tech: r.dram, Capacity: footprint},
+	}
 }
 
 // NMM builds an NVM-as-Main-Memory design point by name: cfgName is a
 // Table 3 row and nvmName must resolve to a class-nvm technology (paper trio
 // or a catalog extension).
 func (r *Registry) NMM(cfgName, nvmName string, scale, footprint uint64) (Backend, error) {
-	cfg, err := r.NByName(cfgName)
+	cfg, err := NByName(cfgName)
 	if err != nil {
 		return Backend{}, err
 	}
@@ -238,19 +184,27 @@ func (r *Registry) NMM(cfgName, nvmName string, scale, footprint uint64) (Backen
 	if err != nil {
 		return Backend{}, err
 	}
-	return nmmWith(cfg, nvm, r.dram, scale, footprint), nil
+	return r.NMMWith(cfg, nvm, scale, footprint), nil
 }
 
-// NMMWith is NMM for callers that already hold a resolved configuration and
-// main-memory technology, with the registry's catalog DRAM as the cache.
+// NMMWith returns an NVM-as-Main-Memory design point: a catalog-DRAM cache
+// (Table 3 configuration cfg, capacity divided by scale) in front of
+// footprint-sized NVM.
 func (r *Registry) NMMWith(cfg NConfig, nvm tech.Tech, scale, footprint uint64) Backend {
-	return nmmWith(cfg, nvm, r.dram, scale, footprint)
+	return Backend{
+		Name: fmt.Sprintf("NMM/%s/%s", cfg.Name, nvm.Name),
+		Caches: []LevelSpec{{
+			Name: "DRAM$", Tech: r.dram,
+			Size: cfg.Capacity / scale, Line: cfg.PageSize, Assoc: pageCacheAssoc,
+		}},
+		Memory: MemorySpec{Name: "NVM(" + nvm.Name + ")", Tech: nvm, Capacity: footprint},
+	}
 }
 
 // FourLCNVM builds the combined design point by name: a class-llc cache in
 // front of a class-nvm main memory.
 func (r *Registry) FourLCNVM(cfgName, llcName, nvmName string, scale, footprint uint64) (Backend, error) {
-	cfg, err := r.EHByName(cfgName)
+	cfg, err := EHByName(cfgName)
 	if err != nil {
 		return Backend{}, err
 	}
@@ -262,17 +216,57 @@ func (r *Registry) FourLCNVM(cfgName, llcName, nvmName string, scale, footprint 
 	if err != nil {
 		return Backend{}, err
 	}
-	return FourLCNVM(cfg, llc, nvm, scale, footprint), nil
+	return r.FourLCNVMWith(cfg, llc, nvm, scale, footprint), nil
 }
 
-// NDM builds an NVM+DRAM partitioned design point by name, with the DRAM
-// partition characterized by the catalog's DRAM entry.
+// FourLCNVMWith returns the combined design point: an eDRAM or HMC cache in
+// front of footprint-sized NVM, with no DRAM at all.
+func (r *Registry) FourLCNVMWith(cfg EHConfig, llc, nvm tech.Tech, scale, footprint uint64) Backend {
+	return Backend{
+		Name:   fmt.Sprintf("4LCNVM/%s/%s/%s", cfg.Name, llc.Name, nvm.Name),
+		Caches: []LevelSpec{llcLevel(cfg, llc, scale)},
+		Memory: MemorySpec{Name: "NVM(" + nvm.Name + ")", Tech: nvm, Capacity: footprint},
+	}
+}
+
+// llcLevel is the fourth-level cache of the 4LC and 4LCNVM designs.
+func llcLevel(cfg EHConfig, llc tech.Tech, scale uint64) LevelSpec {
+	return LevelSpec{
+		Name: llc.Name + "-L4", Tech: llc,
+		Size: cfg.Capacity / scale, Line: cfg.PageSize, Assoc: pageCacheAssoc,
+	}
+}
+
+// NDM builds an NVM+DRAM partitioned design point by name; nvmName must
+// resolve to a class-nvm technology.
 func (r *Registry) NDM(nvmName string, nvmRanges []core.AddrRange, nvmBytes, footprint uint64, label string) (Backend, error) {
 	nvm, err := r.TechOfClass(nvmName, tech.ClassNVM)
 	if err != nil {
 		return Backend{}, err
 	}
-	b := NDM(nvm, nvmRanges, nvmBytes, footprint, label)
-	b.Memory.DRAMTech = r.dram
-	return b, nil
+	return r.NDMWith(nvm, nvmRanges, nvmBytes, footprint, label), nil
+}
+
+// NDMWith returns an NVM+DRAM partitioned design point. nvmRanges are the
+// address ranges placed on NVM (the oracle's choice); nvmBytes is the total
+// footprint they cover. The catalog-DRAM partition holds the rest of the
+// footprint, so its capacity — and therefore its static power — shrinks by
+// exactly the bytes migrated to NVM, which is the mechanism behind the
+// paper's NDM energy savings.
+func (r *Registry) NDMWith(nvm tech.Tech, nvmRanges []core.AddrRange, nvmBytes, footprint uint64, label string) Backend {
+	dramCap := uint64(0)
+	if footprint > nvmBytes {
+		dramCap = footprint - nvmBytes
+	}
+	return Backend{
+		Name: fmt.Sprintf("NDM/%s/%s", nvm.Name, label),
+		Memory: MemorySpec{
+			Partitioned:  true,
+			NVMRanges:    nvmRanges,
+			NVMTech:      nvm,
+			NVMCapacity:  nvmBytes,
+			DRAMCapacity: dramCap,
+			DRAMTech:     r.dram,
+		},
+	}
 }

@@ -2,62 +2,10 @@ package design
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"hybridmem/internal/tech"
 )
-
-// TestRegistryMatchesHardcodedConstructors pins every registry constructor to
-// its hardcoded counterpart for the builtin catalog.
-func TestRegistryMatchesHardcodedConstructors(t *testing.T) {
-	r := DefaultRegistry()
-	const scale, footprint = 8, 1 << 28
-
-	if got, want := r.Reference(footprint), Reference(footprint); !reflect.DeepEqual(got, want) {
-		t.Errorf("Reference: registry %+v, hardcoded %+v", got, want)
-	}
-	got4, err := r.FourLC("EH3", "HMC", scale, footprint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, _ := EHByName("EH3")
-	if want := FourLC(cfg, tech.HMC, scale, footprint); !reflect.DeepEqual(got4, want) {
-		t.Errorf("FourLC: registry %+v, hardcoded %+v", got4, want)
-	}
-	gotN, err := r.NMM("N6", "pcm", scale, footprint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ncfg, _ := NByName("N6")
-	if want := NMM(ncfg, tech.PCM, scale, footprint); !reflect.DeepEqual(gotN, want) {
-		t.Errorf("NMM: registry %+v, hardcoded %+v", gotN, want)
-	}
-	gotC, err := r.FourLCNVM("EH1", "eDRAM", "STTRAM", scale, footprint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ecfg, _ := EHByName("EH1")
-	if want := FourLCNVM(ecfg, tech.EDRAM, tech.STTRAM, scale, footprint); !reflect.DeepEqual(gotC, want) {
-		t.Errorf("FourLCNVM: registry %+v, hardcoded %+v", gotC, want)
-	}
-	gotD, err := r.NDM("FeRAM", nil, 1<<27, footprint, "oracle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantD := NDM(tech.FeRAM, nil, 1<<27, footprint, "oracle")
-	// The registry stamps the catalog DRAM on the partition; the hardcoded
-	// path leaves the zero value and falls back at build time. Both must
-	// build the same components.
-	wantD.Memory.DRAMTech = tech.DRAM
-	if !reflect.DeepEqual(gotD, wantD) {
-		t.Errorf("NDM: registry %+v, hardcoded+dram %+v", gotD, wantD)
-	}
-
-	if got, want := r.PrefixSpecs(scale), PrefixSpecs(scale); !reflect.DeepEqual(got, want) {
-		t.Errorf("PrefixSpecs: registry %+v, hardcoded %+v", got, want)
-	}
-}
 
 // TestRegistryClassMismatch checks the typed error for a tech resolved on
 // the wrong design axis, plus unknown-name passthrough.
@@ -96,32 +44,6 @@ func TestRegistryExtensions(t *testing.T) {
 		if _, err := b.Build(); err != nil {
 			t.Errorf("build NMM/%s: %v", name, err)
 		}
-	}
-}
-
-// TestRegistryHash: the registry hash is stable for one catalog and moves
-// when any technology parameter moves.
-func TestRegistryHash(t *testing.T) {
-	a := DefaultRegistry()
-	b, err := NewRegistry(tech.Builtin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Hash() != b.Hash() {
-		t.Error("same catalog produced different registry hashes")
-	}
-	faster := tech.Builtin().MustTech("PCM")
-	faster.WriteNS = 42
-	edited, err := tech.Builtin().WithEntries(tech.Entry{Tech: faster, Class: tech.ClassNVM})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := NewRegistry(edited)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Hash() == a.Hash() {
-		t.Error("editing a catalog value did not change the registry hash")
 	}
 }
 

@@ -128,16 +128,16 @@ func TestAnalyticAccuracy(t *testing.T) {
 
 	for _, wp := range s.Profiles {
 		check(wp, "reference", reg.Reference(wp.Footprint))
-		for _, cfg := range reg.EHConfigs() {
-			for _, llc := range tech.LLCs() {
+		for _, cfg := range design.EHConfigs {
+			for _, llc := range tech.Builtin().LLCs() {
 				check(wp, "4LC", reg.FourLCWith(cfg, llc, s.Cfg.Scale, wp.Footprint))
-				for _, nvm := range tech.NVMs() {
-					check(wp, "4LCNVM", design.FourLCNVM(cfg, llc, nvm, s.Cfg.Scale, wp.Footprint))
+				for _, nvm := range tech.Builtin().NVMs() {
+					check(wp, "4LCNVM", design.DefaultRegistry().FourLCNVMWith(cfg, llc, nvm, s.Cfg.Scale, wp.Footprint))
 				}
 			}
 		}
-		for _, cfg := range reg.NConfigs() {
-			for _, nvm := range tech.NVMs() {
+		for _, cfg := range design.NConfigs {
+			for _, nvm := range tech.Builtin().NVMs() {
 				check(wp, "NMM", reg.NMMWith(cfg, nvm, s.Cfg.Scale, wp.Footprint))
 			}
 		}
@@ -158,7 +158,7 @@ func TestAnalyticUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ndm := design.NDM(tech.PCM, nil, wp.Footprint/2, wp.Footprint, "half")
+	ndm := design.DefaultRegistry().NDMWith(tech.PCM, nil, wp.Footprint/2, wp.Footprint, "half")
 	if _, err := pred.Predict(ndm); err == nil {
 		t.Fatal("partitioned NDM terminal should be unsupported")
 	} else {

@@ -18,8 +18,8 @@ func TestEvaluateBatchMatchesScalarReplay(t *testing.T) {
 	s := suite(t)
 	for _, wp := range s.Profiles {
 		for _, backend := range []design.Backend{
-			design.NMM(design.NConfigs[0], tech.PCM, testConfig.Scale, wp.Footprint),
-			design.FourLC(design.EHConfigs[0], tech.EDRAM, testConfig.Scale, wp.Footprint),
+			design.DefaultRegistry().NMMWith(design.NConfigs[0], tech.PCM, testConfig.Scale, wp.Footprint),
+			design.DefaultRegistry().FourLCWith(design.EHConfigs[0], tech.EDRAM, testConfig.Scale, wp.Footprint),
 		} {
 			batched, err := wp.Evaluate(backend)
 			if err != nil {
@@ -78,7 +78,7 @@ func TestParallelBatchedReplayRace(t *testing.T) {
 	var jobs []Job
 	for _, wp := range s.Profiles {
 		for _, cfg := range design.NConfigs[:4] {
-			jobs = append(jobs, Job{WP: wp, B: design.NMM(cfg, tech.PCM, testConfig.Scale, wp.Footprint)})
+			jobs = append(jobs, Job{WP: wp, B: design.DefaultRegistry().NMMWith(cfg, tech.PCM, testConfig.Scale, wp.Footprint)})
 		}
 	}
 	evs, err := RunJobs(context.Background(), jobs, 4)

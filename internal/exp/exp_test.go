@@ -158,7 +158,7 @@ func TestDilutionAccounting(t *testing.T) {
 func TestReferenceEvaluatesToUnity(t *testing.T) {
 	s := suite(t)
 	wp := s.Profiles[0]
-	ev, err := wp.Evaluate(design.Reference(wp.Footprint))
+	ev, err := wp.Evaluate(design.DefaultRegistry().Reference(wp.Footprint))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestReferenceEvaluatesToUnity(t *testing.T) {
 func TestEvaluateIsRepeatable(t *testing.T) {
 	s := suite(t)
 	wp := s.Profiles[0]
-	b := design.NMM(design.NConfigs[5], tech.PCM, s.Cfg.Scale, wp.Footprint)
+	b := design.DefaultRegistry().NMMWith(design.NConfigs[5], tech.PCM, s.Cfg.Scale, wp.Footprint)
 	e1, err := wp.Evaluate(b)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestRunJobsOrderAndParallel(t *testing.T) {
 	var wantDesigns []string
 	for _, cfg := range design.NConfigs[:4] {
 		for _, wp := range s.Profiles {
-			b := design.NMM(cfg, tech.PCM, s.Cfg.Scale, wp.Footprint)
+			b := design.DefaultRegistry().NMMWith(cfg, tech.PCM, s.Cfg.Scale, wp.Footprint)
 			jobs = append(jobs, Job{WP: wp, B: b})
 			wantDesigns = append(wantDesigns, b.Name)
 		}
@@ -240,7 +240,7 @@ func TestRunJobsHonorsCancellation(t *testing.T) {
 	var jobs []Job
 	for _, cfg := range design.NConfigs {
 		for _, wp := range s.Profiles {
-			jobs = append(jobs, Job{WP: wp, B: design.NMM(cfg, tech.PCM, s.Cfg.Scale, wp.Footprint)})
+			jobs = append(jobs, Job{WP: wp, B: design.DefaultRegistry().NMMWith(cfg, tech.PCM, s.Cfg.Scale, wp.Footprint)})
 		}
 	}
 	if _, err := RunJobs(ctx, jobs, 2); !errors.Is(err, context.Canceled) {
@@ -251,7 +251,7 @@ func TestRunJobsHonorsCancellation(t *testing.T) {
 func TestEvaluateCtxAbortsReplay(t *testing.T) {
 	s := suite(t)
 	wp := s.Profiles[0]
-	b := design.NMM(design.NConfigs[0], tech.PCM, s.Cfg.Scale, wp.Footprint)
+	b := design.DefaultRegistry().NMMWith(design.NConfigs[0], tech.PCM, s.Cfg.Scale, wp.Footprint)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := wp.EvaluateCtx(ctx, b); !errors.Is(err, context.Canceled) {

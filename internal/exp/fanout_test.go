@@ -36,14 +36,14 @@ func catalogSuite(t *testing.T) *Suite {
 // (N1-N9 x NVM tech) design point for one workload's footprint.
 func table23Designs(scale, footprint uint64) []design.Backend {
 	var out []design.Backend
-	for _, llc := range tech.LLCs() {
+	for _, llc := range tech.Builtin().LLCs() {
 		for _, cfg := range design.EHConfigs {
-			out = append(out, design.FourLC(cfg, llc, scale, footprint))
+			out = append(out, design.DefaultRegistry().FourLCWith(cfg, llc, scale, footprint))
 		}
 	}
-	for _, nvm := range tech.NVMs() {
+	for _, nvm := range tech.Builtin().NVMs() {
 		for _, cfg := range design.NConfigs {
-			out = append(out, design.NMM(cfg, nvm, scale, footprint))
+			out = append(out, design.DefaultRegistry().NMMWith(cfg, nvm, scale, footprint))
 		}
 	}
 	return out
@@ -121,9 +121,9 @@ func TestFanoutCancelsMidStream(t *testing.T) {
 	defer func() { fanoutDecodeHook = nil }()
 
 	backends := []design.Backend{
-		design.NMM(design.NConfigs[0], tech.PCM, s.Cfg.Scale, wp.Footprint),
-		design.NMM(design.NConfigs[1], tech.PCM, s.Cfg.Scale, wp.Footprint),
-		design.NMM(design.NConfigs[2], tech.PCM, s.Cfg.Scale, wp.Footprint),
+		design.DefaultRegistry().NMMWith(design.NConfigs[0], tech.PCM, s.Cfg.Scale, wp.Footprint),
+		design.DefaultRegistry().NMMWith(design.NConfigs[1], tech.PCM, s.Cfg.Scale, wp.Footprint),
+		design.DefaultRegistry().NMMWith(design.NConfigs[2], tech.PCM, s.Cfg.Scale, wp.Footprint),
 	}
 	for i, r := range wp.EvaluateFanout(ctx, backends) {
 		if !errors.Is(r.Err, context.Canceled) {
@@ -157,7 +157,7 @@ func (p *panicTarget) AccessBatch(refs []trace.Ref) {
 func TestFanoutPanicFailsAlone(t *testing.T) {
 	s := catalogSuite(t)
 	wp := synthProfile(s.Profiles[0], 4)
-	poisoned := design.NMM(design.NConfigs[1], tech.PCM, s.Cfg.Scale, wp.Footprint)
+	poisoned := design.DefaultRegistry().NMMWith(design.NConfigs[1], tech.PCM, s.Cfg.Scale, wp.Footprint)
 	fanoutTargetHook = func(b design.Backend, target replayTarget) replayTarget {
 		if b.Name == poisoned.Name {
 			return &panicTarget{replayTarget: target, after: 2}
@@ -167,9 +167,9 @@ func TestFanoutPanicFailsAlone(t *testing.T) {
 	defer func() { fanoutTargetHook = nil }()
 
 	backends := []design.Backend{
-		design.NMM(design.NConfigs[0], tech.PCM, s.Cfg.Scale, wp.Footprint),
+		design.DefaultRegistry().NMMWith(design.NConfigs[0], tech.PCM, s.Cfg.Scale, wp.Footprint),
 		poisoned,
-		design.NMM(design.NConfigs[2], tech.PCM, s.Cfg.Scale, wp.Footprint),
+		design.DefaultRegistry().NMMWith(design.NConfigs[2], tech.PCM, s.Cfg.Scale, wp.Footprint),
 	}
 	results := wp.EvaluateFanout(context.Background(), backends)
 	var pe *fault.PanicError
@@ -201,7 +201,7 @@ func TestFanoutBuildErrorFailsAlone(t *testing.T) {
 		Caches: []design.LevelSpec{{Name: "x", Tech: tech.EDRAM, Size: 100, Line: 64, Assoc: 1}},
 		Memory: design.MemorySpec{Name: "m", Tech: tech.DRAM, Capacity: 1},
 	}
-	good := design.NMM(design.NConfigs[0], tech.PCM, s.Cfg.Scale, wp.Footprint)
+	good := design.DefaultRegistry().NMMWith(design.NConfigs[0], tech.PCM, s.Cfg.Scale, wp.Footprint)
 	results := wp.EvaluateFanout(context.Background(), []design.Backend{bad, good})
 	if results[0].Err == nil {
 		t.Fatal("invalid backend built successfully")
@@ -301,7 +301,7 @@ func TestFanoutSteadyStateZeroAllocs(t *testing.T) {
 	base := s.Profiles[0]
 	smallWP := synthProfile(base, 2)
 	largeWP := synthProfile(base, 8)
-	b := design.NMM(design.NConfigs[0], tech.PCM, s.Cfg.Scale, base.Footprint)
+	b := design.DefaultRegistry().NMMWith(design.NConfigs[0], tech.PCM, s.Cfg.Scale, base.Footprint)
 	ctx := context.Background()
 	run := func(wp *WorkloadProfile) float64 {
 		return testing.AllocsPerRun(3, func() {

@@ -60,12 +60,12 @@ func TestProfileRecoversKernelPanic(t *testing.T) {
 func TestEvaluateCtxAttachesFaultStats(t *testing.T) {
 	s := suite(t)
 	wp := s.Profiles[0]
-	nvm, err := tech.ByName("PCM")
+	nvm, err := tech.Builtin().Tech("PCM")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	base := design.NMM(design.NConfigs[0], nvm, testConfig.Scale, wp.Footprint)
+	base := design.DefaultRegistry().NMMWith(design.NConfigs[0], nvm, testConfig.Scale, wp.Footprint)
 	// NMM/N1 moves whole 4KB pages, so λ = BER * 32768 bits; 1e-6 keeps
 	// single-bit (correctable) errors dominant.
 	faulty := base.WithFault(fault.Config{Seed: 11, BitErrorRate: 1e-6})

@@ -61,7 +61,7 @@ func (s *Suite) Rows(sets []RowSet) ([][]Row, error) {
 				if set.Family == Family4LC {
 					return s.reg.FourLCWith(design.EHConfigs[i], set.LLC, s.Cfg.Scale, footprint)
 				}
-				return design.FourLCNVM(design.EHConfigs[i], set.LLC, set.NVM, s.Cfg.Scale, footprint)
+				return s.reg.FourLCNVMWith(design.EHConfigs[i], set.LLC, set.NVM, s.Cfg.Scale, footprint)
 			}
 		default:
 			return nil, fmt.Errorf("exp: unknown design family %q", set.Family)

@@ -16,11 +16,10 @@ import (
 	"hybridmem/internal/workload/catalog"
 )
 
-// updateGolden regenerates the pre-refactor Table 2/3 fixture from the
-// hardcoded (package-variable) design path. The committed fixture was
-// generated before the catalog refactor landed; regenerate it only when the
-// legacy path itself intentionally changes.
-var updateGolden = flag.Bool("update-golden", false, "regenerate testdata/golden_table23.json from the hardcoded design path")
+// updateGolden regenerates the Table 2/3 fixture from the registry path.
+// The committed fixture predates the technology catalog; regenerate it only
+// when a design point's evaluation intentionally changes.
+var updateGolden = flag.Bool("update-golden", false, "regenerate testdata/golden_table23.json from the design registry")
 
 // goldenPath is the committed fixture location.
 const goldenPath = "testdata/golden_table23.json"
@@ -54,31 +53,6 @@ func goldenProfile(t *testing.T) *WorkloadProfile {
 	return wp
 }
 
-// legacyTable23Backends enumerates every Table 2/3 design point through the
-// hardcoded constructors and package technology variables — the
-// pre-catalog-refactor path the fixture pins.
-func legacyTable23Backends(footprint uint64) []design.Backend {
-	var out []design.Backend
-	for _, cfg := range design.EHConfigs {
-		for _, llc := range []tech.Tech{tech.EDRAM, tech.HMC} {
-			out = append(out, design.FourLC(cfg, llc, goldenScale, footprint))
-		}
-	}
-	for _, cfg := range design.NConfigs {
-		for _, nvm := range []tech.Tech{tech.PCM, tech.STTRAM, tech.FeRAM} {
-			out = append(out, design.NMM(cfg, nvm, goldenScale, footprint))
-		}
-	}
-	for _, cfg := range design.EHConfigs {
-		for _, llc := range []tech.Tech{tech.EDRAM, tech.HMC} {
-			for _, nvm := range []tech.Tech{tech.PCM, tech.STTRAM, tech.FeRAM} {
-				out = append(out, design.FourLCNVM(cfg, llc, nvm, goldenScale, footprint))
-			}
-		}
-	}
-	return out
-}
-
 // evaluateAll replays the profiled stream into each backend serially (width-1
 // fan-out; TestFanoutMatchesSerial pins the wider paths to this one).
 func evaluateAll(t *testing.T, wp *WorkloadProfile, backends []design.Backend) []goldenCase {
@@ -94,16 +68,47 @@ func evaluateAll(t *testing.T, wp *WorkloadProfile, backends []design.Backend) [
 	return out
 }
 
-// TestGoldenTable23Fixture pins the hardcoded design path to the committed
-// pre-refactor fixture: every Table 2/3 design point's evaluation of the
-// fixture workload must be struct-equal to the fixture row. With
-// -update-golden it regenerates the fixture instead.
+// table23Backends enumerates every Table 2/3 design point by name through
+// the given registry.
+func table23Backends(t *testing.T, r *design.Registry, footprint uint64) []design.Backend {
+	t.Helper()
+	build := func(b design.Backend, err error) design.Backend {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var out []design.Backend
+	for _, cfg := range design.EHConfigs {
+		for _, llc := range []string{"eDRAM", "HMC"} {
+			out = append(out, build(r.FourLC(cfg.Name, llc, goldenScale, footprint)))
+		}
+	}
+	for _, cfg := range design.NConfigs {
+		for _, nvm := range []string{"PCM", "STTRAM", "FeRAM"} {
+			out = append(out, build(r.NMM(cfg.Name, nvm, goldenScale, footprint)))
+		}
+	}
+	for _, cfg := range design.EHConfigs {
+		for _, llc := range []string{"eDRAM", "HMC"} {
+			for _, nvm := range []string{"PCM", "STTRAM", "FeRAM"} {
+				out = append(out, build(r.FourLCNVM(cfg.Name, llc, nvm, goldenScale, footprint)))
+			}
+		}
+	}
+	return out
+}
+
+// TestGoldenTable23Fixture pins the design space to the committed fixture:
+// every Table 2/3 design point, built by name through the builtin catalog's
+// registry, must evaluate the fixture workload struct-equal to its fixture
+// row. With -update-golden it regenerates the fixture instead.
 func TestGoldenTable23Fixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fixture replay in -short mode")
 	}
 	wp := goldenProfile(t)
-	got := evaluateAll(t, wp, legacyTable23Backends(wp.Footprint))
+	got := evaluateAll(t, wp, table23Backends(t, design.DefaultRegistry(), wp.Footprint))
 
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", "\t")
@@ -119,69 +124,47 @@ func TestGoldenTable23Fixture(t *testing.T) {
 		t.Logf("wrote %d cases to %s", len(got), goldenPath)
 		return
 	}
-
-	want := readGolden(t)
-	compareGolden(t, want, got, "hardcoded")
+	compareGolden(t, readGolden(t), got)
 }
 
-// registryTable23Backends enumerates the same Table 2/3 design points
-// through the catalog-backed registry, by name.
-func registryTable23Backends(t *testing.T, r *design.Registry, footprint uint64) []design.Backend {
-	t.Helper()
-	build := func(b design.Backend, err error) design.Backend {
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	var out []design.Backend
-	for _, cfg := range r.EHConfigs() {
-		for _, llc := range []string{"eDRAM", "HMC"} {
-			out = append(out, build(r.FourLC(cfg.Name, llc, goldenScale, footprint)))
-		}
-	}
-	for _, cfg := range r.NConfigs() {
-		for _, nvm := range []string{"PCM", "STTRAM", "FeRAM"} {
-			out = append(out, build(r.NMM(cfg.Name, nvm, goldenScale, footprint)))
-		}
-	}
-	for _, cfg := range r.EHConfigs() {
-		for _, llc := range []string{"eDRAM", "HMC"} {
-			for _, nvm := range []string{"PCM", "STTRAM", "FeRAM"} {
-				out = append(out, build(r.FourLCNVM(cfg.Name, llc, nvm, goldenScale, footprint)))
-			}
-		}
-	}
-	return out
-}
-
-// TestGoldenCatalogEquivalence is the refactor's acceptance gate: building
-// every Table 2/3 design point by name through the embedded catalog and
-// registry must reproduce the committed pre-refactor fixture struct-for-
-// struct. The backends themselves must also be deep-equal to the hardcoded
-// constructors' output, so the equivalence holds at the spec level, not just
-// in the aggregated metrics.
+// TestGoldenCatalogEquivalence pins the catalog-file path to the builtin
+// one: the builtin catalog written to disk and loaded back (as a -catalog
+// flag does) must carry the builtin's hash, build every Table 2/3 design
+// point deep-equal to the default registry's, and reproduce the committed
+// fixture struct-for-struct.
 func TestGoldenCatalogEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fixture replay in -short mode")
 	}
-	wp := goldenProfile(t)
-	r := design.DefaultRegistry()
-
-	legacy := legacyTable23Backends(wp.Footprint)
-	viaCatalog := registryTable23Backends(t, r, wp.Footprint)
-	if len(legacy) != len(viaCatalog) {
-		t.Fatalf("registry enumerates %d design points, hardcoded path %d", len(viaCatalog), len(legacy))
+	path := filepath.Join(t.TempDir(), "catalog.json")
+	if err := os.WriteFile(path, tech.BuiltinJSON(), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for i := range legacy {
-		if !reflect.DeepEqual(legacy[i], viaCatalog[i]) {
-			t.Errorf("%s: registry backend diverges from hardcoded constructor\n got %+v\nwant %+v",
-				legacy[i].Name, viaCatalog[i], legacy[i])
+	cat, err := tech.LoadCatalog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cat.Hash() != tech.Builtin().Hash() {
+		t.Fatalf("loaded catalog hash %s, builtin %s", cat.Hash(), tech.Builtin().Hash())
+	}
+	r, err := design.NewRegistry(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	wp := goldenProfile(t)
+	builtin := table23Backends(t, design.DefaultRegistry(), wp.Footprint)
+	loaded := table23Backends(t, r, wp.Footprint)
+	if len(builtin) != len(loaded) {
+		t.Fatalf("loaded catalog enumerates %d design points, builtin %d", len(loaded), len(builtin))
+	}
+	for i := range builtin {
+		if !reflect.DeepEqual(builtin[i], loaded[i]) {
+			t.Errorf("%s: loaded-catalog backend diverges from builtin\n got %+v\nwant %+v",
+				builtin[i].Name, loaded[i], builtin[i])
 		}
 	}
-
-	got := evaluateAll(t, wp, viaCatalog)
-	compareGolden(t, readGolden(t), got, "catalog")
+	compareGolden(t, readGolden(t), evaluateAll(t, wp, loaded))
 }
 
 // readGolden loads the committed fixture.
@@ -199,19 +182,19 @@ func readGolden(t *testing.T) []goldenCase {
 }
 
 // compareGolden asserts got is struct-equal to the fixture, case by case.
-func compareGolden(t *testing.T, want, got []goldenCase, path string) {
+func compareGolden(t *testing.T, want, got []goldenCase) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s path: %d cases, fixture has %d", path, len(got), len(want))
+		t.Fatalf("%d cases, fixture has %d", len(got), len(want))
 	}
 	for i, w := range want {
 		g := got[i]
 		if g.Label != w.Label {
-			t.Errorf("case %d: %s path label %q, fixture %q", i, path, g.Label, w.Label)
+			t.Errorf("case %d: label %q, fixture %q", i, g.Label, w.Label)
 			continue
 		}
 		if g.Eval != w.Eval {
-			t.Errorf("%s: %s path evaluation diverges from fixture\n got %+v\nwant %+v", w.Label, path, g.Eval, w.Eval)
+			t.Errorf("%s: evaluation diverges from fixture\n got %+v\nwant %+v", w.Label, g.Eval, w.Eval)
 		}
 	}
 }

@@ -80,7 +80,8 @@ func (wp *WorkloadProfile) Manifest() *ProfileManifest {
 }
 
 // RestoreProfile rebuilds a ready-to-evaluate WorkloadProfile from a
-// manifest and its separately persisted boundary stream. No simulation or
+// manifest and its separately persisted boundary stream, refusing a
+// manifest whose sketch fails reuse.Sketch.Validate. No simulation or
 // replay runs: the returned profile evaluates design points exactly as the
 // one Manifest was taken from (asserted bit-identical by the package
 // tests). log receives the restored profile's later design_point events,
@@ -98,6 +99,11 @@ func RestoreProfile(m *ProfileManifest, boundary *trace.Packed, log *obs.Logger)
 	}
 	if len(m.Prefix) == 0 || m.TotalRefs == 0 {
 		return nil, fmt.Errorf("exp: profile %q manifest missing prefix statistics", m.Name)
+	}
+	if m.Sketch != nil {
+		if err := m.Sketch.Validate(); err != nil {
+			return nil, fmt.Errorf("exp: profile %q: %w", m.Name, err)
+		}
 	}
 	return &WorkloadProfile{
 		Name:       m.Name,

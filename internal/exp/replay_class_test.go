@@ -82,7 +82,7 @@ func TestReplayClassMatchesOwnReplay(t *testing.T) {
 	s := catalogSuite(t)
 	ctx := context.Background()
 	for _, wp := range s.Profiles[:2] {
-		backends := append(legacyTable23Backends(wp.Footprint), customClassDesigns(uint64(len(wp.Name)), 40, wp.Footprint)...)
+		backends := append(table23Backends(t, design.DefaultRegistry(), wp.Footprint), customClassDesigns(uint64(len(wp.Name)), 40, wp.Footprint)...)
 		leaders := map[string][]core.LevelStats{}
 		followers := 0
 		for _, b := range backends {
@@ -161,11 +161,11 @@ func TestReplayClassMatchesOwnReplay(t *testing.T) {
 	})
 
 	t.Run("opt-out", func(t *testing.T) {
-		b := design.NMM(design.NConfigs[0], tech.PCM, 64, 1<<20)
+		b := design.DefaultRegistry().NMMWith(design.NConfigs[0], tech.PCM, 64, 1<<20)
 		for name, o := range map[string]design.Backend{
 			"fault":       b.WithFault(fault.Config{Seed: 1}),
 			"rowbuffer":   b.WithRowBuffer(),
-			"partitioned": design.NDM(tech.PCM, []core.AddrRange{{Start: 0, End: 4096}}, 4096, 1<<20, "x"),
+			"partitioned": design.DefaultRegistry().NDMWith(tech.PCM, []core.AddrRange{{Start: 0, End: 4096}}, 4096, 1<<20, "x"),
 		} {
 			if _, ok := o.ReplayKey(); ok {
 				t.Errorf("%s design has a replay key", name)
@@ -177,8 +177,8 @@ func TestReplayClassMatchesOwnReplay(t *testing.T) {
 		wp := s.Profiles[0]
 		bad := tech.EDRAM
 		bad.Name, bad.ReadNS = "bad-eDRAM", 0
-		leader := design.FourLC(design.EHConfigs[2], tech.EDRAM, s.Cfg.Scale, wp.Footprint)
-		follower := design.FourLC(design.EHConfigs[2], bad, s.Cfg.Scale, wp.Footprint)
+		leader := design.DefaultRegistry().FourLCWith(design.EHConfigs[2], tech.EDRAM, s.Cfg.Scale, wp.Footprint)
+		follower := design.DefaultRegistry().FourLCWith(design.EHConfigs[2], bad, s.Cfg.Scale, wp.Footprint)
 		if keyOf(leader) != keyOf(follower) {
 			t.Fatal("leader and follower are not one replay class")
 		}
@@ -216,12 +216,12 @@ func TestRunJobsSharesReplays(t *testing.T) {
 		t.Fatalf("suite has %d workloads, want the 7 of Table 4", len(s.Profiles))
 	}
 	var sets []RowSet
-	for _, nvm := range tech.NVMs() {
+	for _, nvm := range tech.Builtin().NVMs() {
 		sets = append(sets, RowSet{Family: FamilyNMM, NVM: nvm})
 	}
-	for _, llc := range tech.LLCs() {
+	for _, llc := range tech.Builtin().LLCs() {
 		sets = append(sets, RowSet{Family: Family4LC, LLC: llc})
-		for _, nvm := range tech.NVMs() {
+		for _, nvm := range tech.Builtin().NVMs() {
 			sets = append(sets, RowSet{Family: Family4LCNVM, LLC: llc, NVM: nvm})
 		}
 	}

@@ -27,17 +27,17 @@ import (
 	"math/bits"
 )
 
+// HistBuckets is the number of buckets in every captured histogram; the
+// last one also holds every longer distance.
+const HistBuckets = 48
+
 // bucket maps a finite reuse distance to its histogram bucket index:
 // bucket 0 covers distances 0 and 1, bucket k covers [2^k, 2^(k+1)).
 func bucket(d uint64) int {
 	if d <= 1 {
 		return 0
 	}
-	k := bits.Len64(d) - 1
-	if k > 47 {
-		k = 47
-	}
-	return k
+	return min(bits.Len64(d)-1, HistBuckets-1)
 }
 
 // Histogram is one reuse-distance histogram of a Sketch. The JSON tags

@@ -85,6 +85,42 @@ func (gs GranSketch) DirtyEpisodes(cachePages uint64) float64 {
 	return float64(gs.Dirty.Total) * (1 - gs.Dirty.HitRate(cachePages))
 }
 
+// Validate reports why s cannot be a sketch a Sketcher captured, or nil: a
+// schema version other than SketchVersion, or a histogram that breaks the
+// capture invariants — exactly HistBuckets buckets, whose counts plus Cold
+// sum to Total. Restore paths treat a failure as a miss, never as data.
+func (s *Sketch) Validate() error {
+	if s.Version != SketchVersion {
+		return fmt.Errorf("reuse: sketch version %d (this build reads %d)", s.Version, SketchVersion)
+	}
+	for _, g := range s.Grans {
+		if err := g.Access.validate(); err != nil {
+			return fmt.Errorf("reuse: sketch %d B access histogram: %w", g.Gran, err)
+		}
+		if err := g.Dirty.validate(); err != nil {
+			return fmt.Errorf("reuse: sketch %d B dirty histogram: %w", g.Gran, err)
+		}
+	}
+	return nil
+}
+
+// validate checks one histogram's capture invariants (see Sketch.Validate).
+func (h Histogram) validate() error {
+	if len(h.Buckets) != HistBuckets {
+		return fmt.Errorf("%d buckets, want %d", len(h.Buckets), HistBuckets)
+	}
+	sum, carry := h.Cold, uint64(0)
+	for _, n := range h.Buckets {
+		var c uint64
+		sum, c = bits.Add64(sum, n, 0)
+		carry |= c
+	}
+	if carry != 0 || sum != h.Total {
+		return fmt.Errorf("buckets plus cold do not sum to total %d", h.Total)
+	}
+	return nil
+}
+
 // At returns the granularity slice for gran bytes.
 func (s *Sketch) At(gran uint64) (GranSketch, bool) {
 	for _, g := range s.Grans {
@@ -178,9 +214,9 @@ type granSketcher struct {
 	compactions int
 
 	total     uint64
-	hist      [48]uint64
+	hist      [HistBuckets]uint64
 	cold      uint64
-	dirtyHist [48]uint64
+	dirtyHist [HistBuckets]uint64
 	dirtyCold uint64
 	dirtyTot  uint64
 }

@@ -114,7 +114,7 @@ func TestAnalyticNoSketch(t *testing.T) {
 	}
 	noSketch := *wp
 	noSketch.Sketch = nil
-	b := design.NMM(design.NConfigs[5], tech.PCM, testScale, wp.Footprint)
+	b := design.DefaultRegistry().NMMWith(design.NConfigs[5], tech.PCM, testScale, wp.Footprint)
 	_, err = e.evaluateAnalytic(&noSketch, b)
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Code != CodeNoSketch {

@@ -151,7 +151,8 @@ type CustomSpec struct {
 type CustomLevel struct {
 	// Name labels the level in breakdowns (empty = "Lx").
 	Name string `json:"name,omitempty"`
-	// Tech is a technology name from Table 1 (see tech.Names).
+	// Tech is a technology name or alias from the request's catalog
+	// (see tech.Catalog.TechNames).
 	Tech string `json:"tech"`
 	// SizeBytes and LineBytes size the cache; Assoc is its
 	// associativity (0 = 16 ways, the page-cache default).

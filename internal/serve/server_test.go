@@ -204,7 +204,7 @@ func TestServerMatchesHarness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := wp.Evaluate(design.FourLC(cfg, tech.EDRAM, testScale, wp.Footprint))
+	want, err := wp.Evaluate(design.DefaultRegistry().FourLCWith(cfg, tech.EDRAM, testScale, wp.Footprint))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"hybridmem/internal/exp"
 	"hybridmem/internal/fault"
 	"hybridmem/internal/store"
 	"hybridmem/internal/tech"
@@ -153,6 +155,59 @@ func TestStoreMissFallsThrough(t *testing.T) {
 	}
 	if s.storeMisses.Value() == 0 {
 		t.Fatal("store miss not counted")
+	}
+}
+
+// TestHostileSketchReprofiles: a stored profile record whose sketch breaks
+// the capture invariants is a restore miss, not data. The next request
+// re-profiles the workload, and its write-through replaces the record
+// with one that restores.
+func TestHostileSketchReprofiles(t *testing.T) {
+	dir := t.TempDir()
+	req := &EvalRequest{Design: DesignSpec{Family: "reference"}, Workload: "CG", Scale: testScale, WorkloadScale: testWScale}
+	if apiErr := req.Normalize(); apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	key := profileStorePrefix + profileKey(req)
+
+	st := openStore(t, dir)
+	ev := NewEvaluator(0, nil)
+	ev.SetStoreGuard(guardStore(st))
+	if _, err := ev.Evaluate(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	boundary, meta, ok, err := st.GetStream(key)
+	if err != nil || !ok {
+		t.Fatalf("profile record missing (ok=%v err=%v)", ok, err)
+	}
+	var m exp.ProfileManifest
+	if err := json.Unmarshal(meta, &m); err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Sketch.Grans {
+		h := &m.Sketch.Grans[i].Access
+		h.Buckets = append(h.Buckets, make([]uint64, 70-len(h.Buckets))...)
+		h.Buckets[65] = 1 << 40
+	}
+	if meta, err = json.Marshal(&m); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutStream(key, boundary, meta); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, wantProfiles := range []uint64{1, 0} {
+		ev := NewEvaluator(0, nil)
+		ev.SetStoreGuard(guardStore(st))
+		if _, err := ev.Evaluate(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		if ev.ProfilesRun() != wantProfiles {
+			t.Fatalf("process %d profiled %d times, want %d", i+2, ev.ProfilesRun(), wantProfiles)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

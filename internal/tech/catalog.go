@@ -82,8 +82,7 @@ type catalogJSON struct {
 	Techs   []entryJSON `json:"techs"`
 }
 
-// Catalog is a validated, versioned set of technology characterizations —
-// the data-driven replacement for this package's compile-time variables.
+// Catalog is a validated, versioned set of technology characterizations.
 // Catalogs are immutable after construction; derive modified ones with
 // WithEntries. The zero value is not useful; use Builtin, ParseCatalog,
 // LoadCatalog, or NewCatalog.
@@ -95,9 +94,8 @@ type Catalog struct {
 	hash    string
 }
 
-// builtinJSON is the embedded default catalog: the paper's Table 1 rows
-// (byte-for-byte the values of this package's variables) plus post-2014
-// extension entries.
+// builtinJSON is the embedded default catalog: the paper's Table 1 rows,
+// the reference system's SRAM caches, and post-2014 extension entries.
 //
 //go:embed builtin.json
 var builtinJSON []byte

@@ -5,50 +5,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
-
-// TestBuiltinMatchesPackageVars pins the embedded catalog to this package's
-// Table 1 variables, field for field: the data file and the historical
-// hardcoded path must be byte-for-byte the same characterization.
-func TestBuiltinMatchesPackageVars(t *testing.T) {
-	cases := []struct {
-		name string
-		want Tech
-	}{
-		{"DRAM", DRAM}, {"RAM", DRAM}, {"PCM", PCM}, {"STTRAM", STTRAM},
-		{"FeRAM", FeRAM}, {"eDRAM", EDRAM}, {"HMC", HMC},
-		{"SRAM-L1", SRAML1}, {"SRAM-L2", SRAML2}, {"SRAM-L3", SRAML3},
-	}
-	cat := Builtin()
-	for _, c := range cases {
-		got, err := cat.Tech(c.name)
-		if err != nil {
-			t.Errorf("builtin catalog missing %s: %v", c.name, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("builtin %s = %+v, want package var %+v", c.name, got, c.want)
-		}
-	}
-}
-
-// TestBuiltinClassSetsMatchPackageSets pins the catalog's class-derived
-// default sweep sets to the package-level NVMs/LLCs lists.
-func TestBuiltinClassSetsMatchPackageSets(t *testing.T) {
-	cat := Builtin()
-	if got, want := cat.NVMs(), NVMs(); !reflect.DeepEqual(got, want) {
-		t.Errorf("builtin NVMs() = %v, want %v", got, want)
-	}
-	if got, want := cat.LLCs(), LLCs(); !reflect.DeepEqual(got, want) {
-		t.Errorf("builtin LLCs() = %v, want %v", got, want)
-	}
-	if got := cat.Class(ClassSRAM); len(got) != 3 {
-		t.Errorf("builtin SRAM class = %v, want the L1/L2/L3 prefix trio", got)
-	}
-}
 
 // TestBuiltinExtensions checks the post-2014 entries: present, marked as
 // extensions, non-volatile NVM-class, valid, and excluded from the

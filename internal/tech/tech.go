@@ -1,28 +1,24 @@
 // Package tech models memory technology characteristics.
 //
-// It reproduces Table 1 of the paper (read/write delay in nanoseconds and
-// read/write energy in pJ/bit for DRAM, PCM, STT-RAM, FeRAM, eDRAM, and HMC)
-// and adds the static/refresh power figures the paper references but does
-// not print. The paper sourced cache, DRAM, and eDRAM parameters from CACTI,
-// PCM and STT-RAM from the ITRS 2013 report, FeRAM from published chain-FeRAM
-// literature, HMC from prototype measurements, and DRAM background power from
-// the Micron system power calculator. Our static-power constants are chosen
-// in that spirit and are documented on each value; the paper's qualitative
-// conclusions require only that (a) NVM draws no static power, (b) DRAM and
-// eDRAM refresh power grows with capacity, and (c) SRAM leakage is
-// significant for a 20MB last-level cache.
+// The characterizations themselves are data: the embedded catalog
+// builtin.json holds the paper's Table 1 (read/write delay in nanoseconds and
+// read/write energy in pJ/bit for DRAM, PCM, STT-RAM, FeRAM, eDRAM, and HMC),
+// the reference system's SRAM caches, the static/refresh power figures the
+// paper references but does not print, and post-2014 extension entries. Each
+// entry's "source" field records where its numbers came from. The paper's
+// qualitative conclusions require only that (a) NVM draws no static power,
+// (b) DRAM and eDRAM refresh power grows with capacity, and (c) SRAM leakage
+// is significant for a 20MB last-level cache.
 package tech
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 )
 
 // Tech describes one memory technology: access latencies, per-bit dynamic
 // energies, and static (leakage plus refresh) power. The zero value is not
-// useful; use the predefined variables or NewCustom.
+// useful; resolve one from a Catalog or validate one with NewCustom.
 type Tech struct {
 	// Name identifies the technology (e.g. "DRAM", "PCM").
 	Name string
@@ -50,130 +46,27 @@ type Tech struct {
 	NonVolatile bool
 }
 
-// Predefined technologies. Latency and dynamic energy follow Table 1 of the
-// paper verbatim. Static power sources are noted per entry.
+// Named builtin technologies: lookups into Builtin(), which holds their
+// values and provenance.
 var (
-	// DRAM is commodity DDR DRAM (Table 1 row "RAM"). Static power
-	// follows the Micron power-calculator ballpark of a few hundred
-	// milliwatts per gigabyte of background plus refresh power.
-	DRAM = Tech{
-		Name: "DRAM", ReadNS: 10, WriteNS: 10,
-		ReadPJPerBit: 10, WritePJPerBit: 10,
-		// Micron power-calculator ballpark: background plus refresh
-		// power of idle DDR3, ~120mW per GB.
-		StaticWPerGB: 0.12,
-	}
-
-	// PCM is phase-change memory (ITRS 2013): strongly asymmetric, with
-	// expensive writes, and no refresh.
-	PCM = Tech{
-		Name: "PCM", ReadNS: 21, WriteNS: 100,
-		ReadPJPerBit: 12.4, WritePJPerBit: 210.3,
-		NonVolatile: true,
-	}
-
-	// STTRAM is spin-torque-transfer magnetic RAM (ITRS 2013): symmetric
-	// latency, moderate energy, high endurance, no refresh.
-	STTRAM = Tech{
-		Name: "STTRAM", ReadNS: 35, WriteNS: 35,
-		ReadPJPerBit: 58.5, WritePJPerBit: 67.7,
-		NonVolatile: true,
-	}
-
-	// FeRAM is chain ferro-electric RAM (Hoya et al., ISSCC 2006):
-	// DRAM-like reads, slower and energy-hungry writes, no refresh.
-	FeRAM = Tech{
-		Name: "FeRAM", ReadNS: 40, WriteNS: 65,
-		ReadPJPerBit: 12.4, WritePJPerBit: 210,
-		NonVolatile: true,
-	}
-
-	// EDRAM is on-chip embedded DRAM (CACTI): much faster than DDR DRAM,
-	// but it must be refreshed and its dense on-chip arrays leak, so its
-	// per-capacity static power exceeds commodity DRAM's.
-	EDRAM = Tech{
-		Name: "eDRAM", ReadNS: 4.4, WriteNS: 4.4,
-		ReadPJPerBit: 3.11, WritePJPerBit: 3.09,
-		StaticWPerGB: 1.2, // retention + refresh for dense on-chip arrays
-	}
-
-	// HMC is the Hybrid Memory Cube (prototype measurements, Jeddeloh &
-	// Keeth 2012): through-silicon-via stacking gives very low access
-	// latency and read energy; the logic layer contributes a fixed
-	// static power.
-	HMC = Tech{
-		Name: "HMC", ReadNS: 0.18, WriteNS: 0.18,
-		ReadPJPerBit: 0.48, WritePJPerBit: 10.48,
-		StaticWPerGB: 1.6, // stacked DRAM refresh plus logic-layer share
-	}
-
-	// SRAML1, SRAML2, and SRAML3 model the reference system's on-chip
-	// SRAM caches (Sandy Bridge-like latencies; CACTI-flavoured energy
-	// and leakage). The paper takes these from CACTI.
-	SRAML1 = Tech{
-		Name: "SRAM-L1", ReadNS: 1.3, WriteNS: 1.3,
-		ReadPJPerBit: 0.35, WritePJPerBit: 0.35,
-		StaticWPerGB: 1536, // ~1.5 W/MB of fast SRAM leakage
-	}
-	SRAML2 = Tech{
-		Name: "SRAM-L2", ReadNS: 3.3, WriteNS: 3.3,
-		ReadPJPerBit: 0.6, WritePJPerBit: 0.6,
-		StaticWPerGB: 1024, // ~1 W/MB
-	}
-	SRAML3 = Tech{
-		Name: "SRAM-L3", ReadNS: 7.7, WriteNS: 7.7,
-		ReadPJPerBit: 1.0, WritePJPerBit: 1.0,
-		StaticWPerGB: 160, // ~2-4W for a 20MB LLC, per CACTI's ballpark
-	}
+	// DRAM is commodity DDR DRAM (Table 1 row "RAM").
+	DRAM = Builtin().MustTech("DRAM")
+	// PCM is phase-change memory.
+	PCM = Builtin().MustTech("PCM")
+	// STTRAM is spin-torque-transfer magnetic RAM.
+	STTRAM = Builtin().MustTech("STTRAM")
+	// FeRAM is chain ferro-electric RAM.
+	FeRAM = Builtin().MustTech("FeRAM")
+	// EDRAM is on-chip embedded DRAM.
+	EDRAM = Builtin().MustTech("eDRAM")
+	// HMC is the Hybrid Memory Cube.
+	HMC = Builtin().MustTech("HMC")
+	// SRAML1, SRAML2, and SRAML3 are the reference system's on-chip SRAM
+	// caches.
+	SRAML1 = Builtin().MustTech("SRAM-L1")
+	SRAML2 = Builtin().MustTech("SRAM-L2")
+	SRAML3 = Builtin().MustTech("SRAM-L3")
 )
-
-// nvmNames lists the non-volatile main-memory candidates the paper
-// evaluates.
-var nvmNames = []string{"PCM", "STTRAM", "FeRAM"}
-
-// registry maps canonical lower-case names to technologies.
-var registry = map[string]Tech{
-	"dram":   DRAM,
-	"ram":    DRAM, // Table 1 labels the DRAM row "RAM"
-	"pcm":    PCM,
-	"sttram": STTRAM,
-	"feram":  FeRAM,
-	"edram":  EDRAM,
-	"hmc":    HMC,
-}
-
-// ByName looks a technology up by case-insensitive name ("DRAM", "PCM",
-// "STTRAM", "FeRAM", "eDRAM", "HMC"; "RAM" is accepted as an alias for DRAM).
-// Unknown names return a *UnknownError.
-func ByName(name string) (Tech, error) {
-	t, ok := registry[strings.ToLower(name)]
-	if !ok {
-		return Tech{}, &UnknownError{Name: name, Known: Names()}
-	}
-	return t, nil
-}
-
-// Names returns the canonical registered technology names, sorted.
-func Names() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, t := range registry {
-		if !seen[t.Name] {
-			seen[t.Name] = true
-			out = append(out, t.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NVMs returns the non-volatile main-memory technologies the paper
-// evaluates: PCM, STT-RAM, and FeRAM.
-func NVMs() []Tech { return []Tech{PCM, STTRAM, FeRAM} }
-
-// LLCs returns the fast volatile last-level-cache technologies the paper
-// evaluates: eDRAM and HMC.
-func LLCs() []Tech { return []Tech{EDRAM, HMC} }
 
 // StaticPowerW returns the static power drawn by capacityBytes of this
 // technology, in watts: the fixed component plus the capacity-proportional
@@ -258,17 +151,6 @@ func NewCustom(t Tech) (Tech, error) {
 		return Tech{}, err
 	}
 	return t, nil
-}
-
-// IsNVMCandidate reports whether t is one of the paper's non-volatile
-// main-memory candidates (PCM, STT-RAM, FeRAM).
-func (t Tech) IsNVMCandidate() bool {
-	for _, n := range nvmNames {
-		if t.Name == n {
-			return true
-		}
-	}
-	return false
 }
 
 // AccessNS returns the access latency for a load or store.

@@ -2,30 +2,34 @@ package tech
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// TestTable1Values pins the predefined technologies to the paper's Table 1.
+// TestTable1Values pins every field of the nine named builtin technologies:
+// Table 1's latencies and energies, plus the static power and volatility
+// the paper references but does not print.
 func TestTable1Values(t *testing.T) {
 	cases := []struct {
-		tech                 Tech
-		rdNS, wrNS, rdE, wrE float64
+		tech Tech
+		want Tech
 	}{
-		{DRAM, 10, 10, 10, 10},
-		{PCM, 21, 100, 12.4, 210.3},
-		{STTRAM, 35, 35, 58.5, 67.7},
-		{FeRAM, 40, 65, 12.4, 210},
-		{EDRAM, 4.4, 4.4, 3.11, 3.09},
-		{HMC, 0.18, 0.18, 0.48, 10.48},
+		{DRAM, Tech{Name: "DRAM", ReadNS: 10, WriteNS: 10, ReadPJPerBit: 10, WritePJPerBit: 10, StaticWPerGB: 0.12}},
+		{PCM, Tech{Name: "PCM", ReadNS: 21, WriteNS: 100, ReadPJPerBit: 12.4, WritePJPerBit: 210.3, NonVolatile: true}},
+		{STTRAM, Tech{Name: "STTRAM", ReadNS: 35, WriteNS: 35, ReadPJPerBit: 58.5, WritePJPerBit: 67.7, NonVolatile: true}},
+		{FeRAM, Tech{Name: "FeRAM", ReadNS: 40, WriteNS: 65, ReadPJPerBit: 12.4, WritePJPerBit: 210, NonVolatile: true}},
+		{EDRAM, Tech{Name: "eDRAM", ReadNS: 4.4, WriteNS: 4.4, ReadPJPerBit: 3.11, WritePJPerBit: 3.09, StaticWPerGB: 1.2}},
+		{HMC, Tech{Name: "HMC", ReadNS: 0.18, WriteNS: 0.18, ReadPJPerBit: 0.48, WritePJPerBit: 10.48, StaticWPerGB: 1.6}},
+		{SRAML1, Tech{Name: "SRAM-L1", ReadNS: 1.3, WriteNS: 1.3, ReadPJPerBit: 0.35, WritePJPerBit: 0.35, StaticWPerGB: 1536}},
+		{SRAML2, Tech{Name: "SRAM-L2", ReadNS: 3.3, WriteNS: 3.3, ReadPJPerBit: 0.6, WritePJPerBit: 0.6, StaticWPerGB: 1024}},
+		{SRAML3, Tech{Name: "SRAM-L3", ReadNS: 7.7, WriteNS: 7.7, ReadPJPerBit: 1.0, WritePJPerBit: 1.0, StaticWPerGB: 160}},
 	}
 	for _, c := range cases {
-		if c.tech.ReadNS != c.rdNS || c.tech.WriteNS != c.wrNS {
-			t.Errorf("%s latency = %g/%g, want %g/%g", c.tech.Name, c.tech.ReadNS, c.tech.WriteNS, c.rdNS, c.wrNS)
-		}
-		if c.tech.ReadPJPerBit != c.rdE || c.tech.WritePJPerBit != c.wrE {
-			t.Errorf("%s energy = %g/%g, want %g/%g", c.tech.Name, c.tech.ReadPJPerBit, c.tech.WritePJPerBit, c.rdE, c.wrE)
+		if c.tech != c.want {
+			t.Errorf("%s = %+v, want %+v", c.want.Name, c.tech, c.want)
 		}
 	}
 }
@@ -33,7 +37,7 @@ func TestTable1Values(t *testing.T) {
 // TestNVMZeroStatic pins the paper's assumption that NVM draws no static
 // power.
 func TestNVMZeroStatic(t *testing.T) {
-	for _, nv := range NVMs() {
+	for _, nv := range Builtin().Class(ClassNVM) {
 		if got := nv.StaticPowerW(4 << 30); got != 0 {
 			t.Errorf("%s static power = %g W, want 0", nv.Name, got)
 		}
@@ -54,45 +58,58 @@ func TestVolatileTechsHaveStatic(t *testing.T) {
 	}
 }
 
+// TestByName: the builtin catalog resolves names case-insensitively, takes
+// Table 1's "RAM" label as an alias for DRAM, and rejects unknown names.
 func TestByName(t *testing.T) {
+	cat := Builtin()
 	for _, name := range []string{"DRAM", "dram", "RAM", "PCM", "sttram", "FeRAM", "eDRAM", "hmc"} {
-		if _, err := ByName(name); err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
+		if _, err := cat.Tech(name); err != nil {
+			t.Errorf("Tech(%q): %v", name, err)
 		}
 	}
-	if _, err := ByName("flux-capacitor"); err == nil {
-		t.Error("ByName of unknown tech should fail")
+	if got, _ := cat.Tech("RAM"); got != DRAM {
+		t.Errorf("Tech(RAM) = %+v, want DRAM", got)
+	}
+	if _, err := cat.Tech("flux-capacitor"); err == nil {
+		t.Error("Tech of unknown tech should fail")
 	} else if !strings.Contains(err.Error(), "unknown technology") {
 		t.Errorf("unexpected error text: %v", err)
 	}
 }
 
+// TestNamesSortedUnique: the builtin catalog's canonical names are sorted,
+// unique, and include the six Table 1 technologies.
 func TestNamesSortedUnique(t *testing.T) {
-	names := Names()
-	if len(names) != 6 {
-		t.Fatalf("Names() = %v, want 6 entries", names)
-	}
+	names := Builtin().TechNames()
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
-			t.Fatalf("Names() not sorted/unique: %v", names)
+			t.Fatalf("TechNames() not sorted/unique: %v", names)
+		}
+	}
+	for _, want := range []string{"DRAM", "FeRAM", "HMC", "PCM", "STTRAM", "eDRAM"} {
+		if !slices.Contains(names, want) {
+			t.Errorf("TechNames() = %v, missing %s", names, want)
 		}
 	}
 }
 
+// TestCandidateSets pins the builtin catalog's paper-default sweep sets and
+// the classes that place each Table 1 technology on a design axis.
 func TestCandidateSets(t *testing.T) {
-	if got := NVMs(); len(got) != 3 || got[0].Name != "PCM" || got[1].Name != "STTRAM" || got[2].Name != "FeRAM" {
+	cat := Builtin()
+	if got := cat.NVMs(); !reflect.DeepEqual(got, []Tech{PCM, STTRAM, FeRAM}) {
 		t.Errorf("NVMs() = %v", got)
 	}
-	if got := LLCs(); len(got) != 2 || got[0].Name != "eDRAM" || got[1].Name != "HMC" {
+	if got := cat.LLCs(); !reflect.DeepEqual(got, []Tech{EDRAM, HMC}) {
 		t.Errorf("LLCs() = %v", got)
 	}
-	for _, nv := range NVMs() {
-		if !nv.IsNVMCandidate() {
-			t.Errorf("%s should be an NVM candidate", nv.Name)
-		}
+	if got := cat.Class(ClassSRAM); !reflect.DeepEqual(got, []Tech{SRAML1, SRAML2, SRAML3}) {
+		t.Errorf("Class(sram) = %v", got)
 	}
-	if DRAM.IsNVMCandidate() || EDRAM.IsNVMCandidate() {
-		t.Error("DRAM/eDRAM must not be NVM candidates")
+	for _, name := range []string{"DRAM", "eDRAM", "HMC"} {
+		if e, _ := cat.Entry(name); e.Class == ClassNVM {
+			t.Errorf("%s must not be an NVM candidate", name)
+		}
 	}
 }
 
