@@ -463,9 +463,7 @@ func BenchmarkSketcher(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wp, err := exp.ProfileWorkloadOpts(context.Background(), w, exp.ProfileOptions{
-		Scale: 64, Dilution: exp.DefaultDilution, NoSketch: true,
-	})
+	wp, err := exp.ProfileWorkload(w, 64, exp.DefaultDilution)
 	if err != nil {
 		b.Fatal(err)
 	}

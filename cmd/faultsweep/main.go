@@ -59,7 +59,7 @@ func main() {
 	c.Exit(err)
 	c.Exit(c.Start())
 
-	_, wp, err := c.ProfileWorkload(0)
+	_, wp, err := c.ProfileWorkload()
 	c.Exit(err)
 
 	backends := []design.Backend{}

@@ -24,7 +24,6 @@ import (
 	"hybridmem/internal/cli"
 	"hybridmem/internal/core"
 	"hybridmem/internal/design"
-	"hybridmem/internal/exp"
 	"hybridmem/internal/model"
 	"hybridmem/internal/obs"
 	"hybridmem/internal/report"
@@ -59,10 +58,7 @@ func main() {
 	}
 	c.Exit(c.Start())
 
-	if c.Dilution == 0 {
-		c.Dilution = exp.DefaultDilution
-	}
-	w, wp, err := c.ProfileWorkload(c.Dilution)
+	w, wp, err := c.ProfileWorkload()
 	c.Exit(err)
 
 	backend, err := c.Backend(wp.Footprint)

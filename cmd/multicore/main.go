@@ -82,9 +82,9 @@ func main() {
 		c.Exit(err)
 		fmt.Printf("solo %s L3 hit rate: %.2f%% (contention cost: %.2f points)\n",
 			c.Workload, solo.L3HitRate()*100, (solo.L3HitRate()-res.L3HitRate())*100)
-		share, err := multicore.EffectiveShare(cfg, func() workload.Workload { return mk(c.Workload) }, res.L3HitRate())
+		share, l3Size, err := multicore.EffectiveShare(cfg, func() workload.Workload { return mk(c.Workload) }, res.L3HitRate())
 		c.Exit(err)
 		fmt.Printf("effective per-core L3 share: %.0f KB of %.0f KB total (1/%d)\n",
-			float64(share)/1024, float64(20<<20/c.Scale)/1024, (20<<20/c.Scale)/share)
+			float64(share)/1024, float64(l3Size)/1024, l3Size/share)
 	}
 }

@@ -53,7 +53,7 @@ func main() {
 		wp = p
 	case *boundary:
 		label += " (post-L3)"
-		_, wp, err = c.ProfileWorkload(exp.NoDilution)
+		_, wp, err = c.ProfileWorkload()
 		c.Exit(err)
 	default:
 		w, err := c.NewWorkload(c.Workload)

@@ -21,7 +21,6 @@ import (
 	"hybridmem/internal/core"
 	"hybridmem/internal/cost"
 	"hybridmem/internal/design"
-	"hybridmem/internal/exp"
 	"hybridmem/internal/model"
 	"hybridmem/internal/report"
 )
@@ -36,7 +35,7 @@ func main() {
 	)
 	c.Parse()
 
-	_, wp, err := c.ProfileWorkload(exp.DefaultDilution)
+	_, wp, err := c.ProfileWorkload()
 	c.Exit(err)
 
 	params := cost.DefaultParams()

@@ -22,7 +22,6 @@ import (
 	"hybridmem/internal/cache"
 	"hybridmem/internal/cli"
 	"hybridmem/internal/core"
-	"hybridmem/internal/exp"
 	"hybridmem/internal/report"
 	"hybridmem/internal/wear"
 )
@@ -37,7 +36,7 @@ func main() {
 	)
 	c.Parse()
 
-	w, wp, err := c.ProfileWorkload(exp.DefaultDilution)
+	w, wp, err := c.ProfileWorkload()
 	c.Exit(err)
 	// The -config/-nvm NMM design point; run swaps its NVM terminal for a
 	// wear-tracking one.

@@ -89,8 +89,9 @@ type Row = exp.Row
 type WorkloadProfile = exp.WorkloadProfile
 
 // ProfileWorkload simulates one workload through the shared SRAM prefix and
-// returns its reusable profile. dilution is the L1-hit dilution factor
-// (DefaultDilution recommended; see Config.Dilution).
+// returns its reusable profile, reuse sketch included. dilution is the
+// L1-hit dilution factor: 0 means DefaultDilution and a negative value
+// means none (see Config.Dilution).
 func ProfileWorkload(w Workload, scale uint64, dilution int) (*WorkloadProfile, error) {
 	return exp.ProfileWorkload(w, scale, dilution)
 }

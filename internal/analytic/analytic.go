@@ -90,7 +90,7 @@ type Predictor struct {
 // New validates the input and returns a predictor.
 func New(in Input) (*Predictor, error) {
 	if in.Sketch == nil {
-		return nil, fmt.Errorf("analytic: workload %q has no sketch (profiled with NoSketch, or restored from a pre-sketch manifest)", in.Workload)
+		return nil, fmt.Errorf("analytic: workload %q input has no sketch", in.Workload)
 	}
 	if err := in.Sketch.Validate(); err != nil {
 		return nil, fmt.Errorf("analytic: workload %q: %w", in.Workload, err)

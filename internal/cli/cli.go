@@ -111,7 +111,7 @@ func newCmd(name string, fs *flag.FlagSet, flags Flag) *Cmd {
 		fs.IntVar(&c.Iters, "iters", 0, "workload iteration override (0 = defaults)")
 	}
 	if flags&Dilution != 0 {
-		fs.IntVar(&c.Dilution, "dilution", 0, "L1-hit dilution factor (0 = default)")
+		fs.IntVar(&c.Dilution, "dilution", 0, "L1-hit dilution factor (0 = default, -1 = none)")
 	}
 	if flags&Epoch != 0 {
 		fs.Uint64Var(&c.Epoch, "epoch", 0, "sample an epoch time-series every N references (0 = off)")
@@ -279,8 +279,9 @@ func (c *Cmd) NewWorkload(name string) (workload.Workload, error) {
 }
 
 // ProfileWorkload builds -workload and profiles it at -scale against the
-// catalog with the given dilution (0 = none), timing the "profile" stage.
-func (c *Cmd) ProfileWorkload(dilution int) (workload.Workload, *exp.WorkloadProfile, error) {
+// catalog with -dilution (0 = default, as everywhere; commands without the
+// flag get the default), timing the "profile" stage.
+func (c *Cmd) ProfileWorkload() (workload.Workload, *exp.WorkloadProfile, error) {
 	w, err := c.NewWorkload(c.Workload)
 	if err != nil {
 		return nil, nil, err
@@ -288,7 +289,7 @@ func (c *Cmd) ProfileWorkload(dilution int) (workload.Workload, *exp.WorkloadPro
 	fmt.Fprintf(os.Stderr, "%s: profiling %s (footprint %.1f MB)...\n", c.Name, w.Name(), float64(w.Footprint())/(1<<20))
 	defer obs.TimeStage(c.Ctx, "profile")()
 	wp, err := exp.ProfileWorkloadOpts(c.Ctx, w, exp.ProfileOptions{
-		Scale: c.Scale, Dilution: dilution, Log: c.Log, Catalog: c.Cat,
+		Scale: c.Scale, Dilution: c.Dilution, Log: c.Log, Catalog: c.Cat,
 	})
 	return w, wp, err
 }

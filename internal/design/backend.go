@@ -149,7 +149,7 @@ func (b Backend) components(prefix []core.Level) ([]core.Level, core.Memory, err
 	levels := make([]core.Level, 0, len(prefix)+len(b.Caches))
 	levels = append(levels, prefix...)
 	for _, s := range b.Caches {
-		l, err := s.build()
+		l, err := s.Build()
 		if err != nil {
 			return nil, nil, fmt.Errorf("design %s: %w", b.Name, err)
 		}

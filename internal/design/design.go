@@ -89,8 +89,8 @@ func (s LevelSpec) config() cache.Config {
 // number of sets), or nil. Line must be non-zero.
 func (s LevelSpec) Validate() error { return s.config().Validate() }
 
-// build instantiates the level.
-func (s LevelSpec) build() (core.Level, error) {
+// Build instantiates the level.
+func (s LevelSpec) Build() (core.Level, error) {
 	cfg := s.config()
 	if err := cfg.Validate(); err != nil {
 		return core.Level{}, err

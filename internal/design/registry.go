@@ -128,7 +128,7 @@ func (r *Registry) BuildPrefix(scale uint64) ([]core.Level, error) {
 	specs := r.PrefixSpecs(scale)
 	levels := make([]core.Level, len(specs))
 	for i, s := range specs {
-		l, err := s.build()
+		l, err := s.Build()
 		if err != nil {
 			return nil, fmt.Errorf("design: prefix: %w", err)
 		}

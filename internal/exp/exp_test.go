@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -58,15 +59,6 @@ func TestConfigDefaults(t *testing.T) {
 	if len(c.Workloads) != len(catalog.Names) {
 		t.Errorf("Workloads = %v", c.Workloads)
 	}
-	if c.Dilution != DefaultDilution {
-		t.Errorf("Dilution = %d", c.Dilution)
-	}
-	if got := (Config{Dilution: NoDilution}).withDefaults().Dilution; got != 0 {
-		t.Errorf("NoDilution resolved to %d", got)
-	}
-	if got := (Config{Dilution: 3}).withDefaults().Dilution; got != 3 {
-		t.Errorf("explicit dilution resolved to %d", got)
-	}
 }
 
 func TestProfileWorkloadBasics(t *testing.T) {
@@ -88,70 +80,78 @@ func TestProfileWorkloadBasics(t *testing.T) {
 }
 
 // TestProfileEventSketchTime checks that the workload_profile span reports
-// the sketch pass's share of its wall time, and zero when capture is off.
+// the sketch pass's share of its wall time and the resolved dilution.
 func TestProfileEventSketchTime(t *testing.T) {
 	w, err := catalog.New("CG", workload.Options{Scale: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, noSketch := range []bool{false, true} {
-		var buf bytes.Buffer
-		if _, err := ProfileWorkloadOpts(context.Background(), w, ProfileOptions{
-			Scale: 64, Log: obs.NewLogger(&buf), NoSketch: noSketch,
-		}); err != nil {
+	var buf bytes.Buffer
+	if _, err := ProfileWorkloadOpts(context.Background(), w, ProfileOptions{
+		Scale: 64, Log: obs.NewLogger(&buf),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var start, end map[string]any
+	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var e map[string]any
+		if err := json.Unmarshal(line, &e); err != nil {
 			t.Fatal(err)
 		}
-		var end map[string]any
-		for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
-			var e map[string]any
-			if err := json.Unmarshal(line, &e); err != nil {
-				t.Fatal(err)
-			}
-			if e["event"] == "workload_profile_end" {
-				end = e
-			}
+		switch e["event"] {
+		case "workload_profile_start":
+			start = e
+		case "workload_profile_end":
+			end = e
 		}
-		ms, ok := end["sketch_ms"].(float64)
-		wall, _ := end["wall_ms"].(float64)
-		switch {
-		case !ok:
-			t.Fatalf("NoSketch=%v: workload_profile_end has no sketch_ms: %v", noSketch, end)
-		case noSketch && ms > 1:
-			t.Errorf("NoSketch run reports sketch_ms = %g", ms)
-		case !noSketch && (ms <= 0 || ms > wall):
-			t.Errorf("sketch_ms = %g, want within (0, wall_ms = %g]", ms, wall)
-		}
+	}
+	ms, ok := end["sketch_ms"].(float64)
+	wall, _ := end["wall_ms"].(float64)
+	if !ok || ms <= 0 || ms > wall {
+		t.Errorf("sketch_ms = %v, want within (0, wall_ms = %g]: %v", end["sketch_ms"], wall, end)
+	}
+	if d, _ := start["dilution"].(float64); d != DefaultDilution {
+		t.Errorf("dilution 0 logged as %v, want %d", start["dilution"], DefaultDilution)
 	}
 }
 
+// TestDilutionAccounting pins the one dilution convention: 0 is
+// DefaultDilution, NoDilution is the raw profile, and n > 0 adds n
+// always-L1-hit loads per traced reference without touching the boundary
+// stream or the sketch.
 func TestDilutionAccounting(t *testing.T) {
 	w, err := catalog.New("CG", workload.Options{Scale: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := ProfileWorkload(w, 64, 0)
-	if err != nil {
-		t.Fatal(err)
+	profile := func(dilution int) *WorkloadProfile {
+		wp, err := ProfileWorkload(w, 64, dilution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wp
 	}
-	diluted, err := ProfileWorkload(w, 64, 4)
-	if err != nil {
-		t.Fatal(err)
+	raw, zero, def, diluted := profile(NoDilution), profile(0), profile(DefaultDilution), profile(4)
+	if !reflect.DeepEqual(zero.Manifest(), def.Manifest()) {
+		t.Fatal("dilution 0 profile differs from DefaultDilution's")
 	}
-	if diluted.TotalRefs != 5*raw.TotalRefs {
-		t.Fatalf("diluted refs = %d, want 5x %d", diluted.TotalRefs, raw.TotalRefs)
-	}
-	// Dilution must not change the boundary stream.
-	if diluted.Boundary.Len() != raw.Boundary.Len() {
-		t.Fatalf("dilution changed boundary: %d vs %d", diluted.Boundary.Len(), raw.Boundary.Len())
-	}
-	// Extra refs are all L1 load hits.
-	extra := diluted.TotalRefs - raw.TotalRefs
-	if diluted.Prefix[0].Stats.LoadHits-raw.Prefix[0].Stats.LoadHits != extra {
-		t.Fatal("dilution refs not recorded as L1 load hits")
-	}
-	// Diluted AMAT is strictly smaller (more L1-latency weight).
-	if diluted.ReferenceProfile().AMATNanos() >= raw.ReferenceProfile().AMATNanos() {
-		t.Fatal("dilution should lower reference AMAT")
+	for n, wp := range map[int]*WorkloadProfile{DefaultDilution: def, 4: diluted} {
+		if wp.TotalRefs != uint64(n+1)*raw.TotalRefs {
+			t.Fatalf("dilution %d: refs = %d, want %dx %d", n, wp.TotalRefs, n+1, raw.TotalRefs)
+		}
+		// Dilution must not change the boundary stream or its sketch.
+		if wp.Boundary.Len() != raw.Boundary.Len() || !reflect.DeepEqual(wp.Sketch, raw.Sketch) {
+			t.Fatalf("dilution %d changed the boundary stream or sketch", n)
+		}
+		// Extra refs are all L1 load hits.
+		extra := wp.TotalRefs - raw.TotalRefs
+		if wp.Prefix[0].Stats.LoadHits-raw.Prefix[0].Stats.LoadHits != extra {
+			t.Fatalf("dilution %d refs not recorded as L1 load hits", n)
+		}
+		// Diluted AMAT is strictly smaller (more L1-latency weight).
+		if wp.ReferenceProfile().AMATNanos() >= raw.ReferenceProfile().AMATNanos() {
+			t.Fatalf("dilution %d should lower reference AMAT", n)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"hybridmem/internal/core"
 	"hybridmem/internal/design"
 	"hybridmem/internal/model"
 	"hybridmem/internal/tech"
@@ -30,36 +29,9 @@ type Heatmap struct {
 // At returns the cell for the given axis indices.
 func (h *Heatmap) At(w, r int) float64 { return h.Cells[w][r] }
 
-// heatmapProfile is the per-workload state the heat maps reuse: the NMM
-// back-end snapshot with a DRAM main memory, whose terminal technology is
-// swapped analytically per grid cell.
-type heatmapProfile struct {
-	wp      *WorkloadProfile
-	backend []core.LevelStats // DRAM-cache level + main-memory module
-	memIdx  int               // index of the main-memory module in backend
-}
-
 // HeatmapConfig is the NMM configuration the paper generates its heat maps
 // from: 512MB DRAM cache with 512B pages (configuration N6).
 var HeatmapConfig = design.NConfig{Name: "N6", Capacity: 512 << 20, PageSize: 512}
-
-// heatmapProfiles replays every workload through the heat-map NMM back end
-// once, with plain DRAM as the main memory.
-func (s *Suite) heatmapProfiles() ([]heatmapProfile, error) {
-	out := make([]heatmapProfile, len(s.Profiles))
-	for i, wp := range s.Profiles {
-		b := s.reg.NMMWith(HeatmapConfig, s.reg.DRAM(), s.Cfg.Scale, wp.Footprint)
-		b.Name = "heatmap/N6"
-		built, err := b.Build()
-		if err != nil {
-			return nil, err
-		}
-		built.Replay(wp.Boundary)
-		snap := built.Snapshot()
-		out[i] = heatmapProfile{wp: wp, backend: snap, memIdx: len(snap) - 1}
-	}
-	return out, nil
-}
 
 // LatencyHeatmap reproduces Figure 9: average normalized runtime of the
 // NMM design as the main memory's read and write latency scale from DRAM's.
@@ -79,9 +51,10 @@ func (s *Suite) EnergyHeatmap(readMults, writeMults []float64) (*Heatmap, error)
 	}, func(ev model.Evaluation) float64 { return ev.NormEnergy })
 }
 
-// heatmap sweeps the multiplier grid, rescaling the main-memory technology
-// analytically per cell (the routing statistics do not depend on latency or
-// energy, so no replay is needed).
+// heatmap sweeps the multiplier grid: one NMM design point per cell and
+// workload whose main memory is DRAM rescaled by the cell's multipliers.
+// The points differ only in the terminal's technology, so RunJobs replays
+// each workload once and relabels the result per cell.
 func (s *Suite) heatmap(kind string, readMults, writeMults []float64,
 	scaleTech func(tech.Tech, float64, float64) tech.Tech,
 	metric func(model.Evaluation) float64) (*Heatmap, error) {
@@ -92,7 +65,17 @@ func (s *Suite) heatmap(kind string, readMults, writeMults []float64,
 	if len(writeMults) == 0 {
 		writeMults = DefaultMultipliers
 	}
-	hps, err := s.heatmapProfiles()
+	var jobs []Job
+	for _, wm := range writeMults {
+		for _, rm := range readMults {
+			for _, wp := range s.Profiles {
+				b := s.reg.NMMWith(HeatmapConfig, scaleTech(s.reg.DRAM(), rm, wm), s.Cfg.Scale, wp.Footprint)
+				b.Name = fmt.Sprintf("heatmap/%s/r%gx/w%gx", kind, rm, wm)
+				jobs = append(jobs, Job{WP: wp, B: b})
+			}
+		}
+	}
+	evs, err := RunJobs(s.ctx, jobs, s.Cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -102,23 +85,15 @@ func (s *Suite) heatmap(kind string, readMults, writeMults []float64,
 		WriteMults: append([]float64(nil), writeMults...),
 		Cells:      make([][]float64, len(writeMults)),
 	}
-	for wi, wm := range writeMults {
+	for wi := range writeMults {
 		hm.Cells[wi] = make([]float64, len(readMults))
-		for ri, rm := range readMults {
+		for ri := range readMults {
 			var sum float64
-			for _, hp := range hps {
-				backend := append([]core.LevelStats(nil), hp.backend...)
-				mod := backend[hp.memIdx]
-				mod.Tech = scaleTech(mod.Tech, rm, wm)
-				backend[hp.memIdx] = mod
-				name := fmt.Sprintf("heatmap/%s/r%gx/w%gx", kind, rm, wm)
-				ev, err := hp.wp.EvaluateProfile(name, backend)
-				if err != nil {
-					return nil, err
-				}
+			for _, ev := range evs[:len(s.Profiles)] {
 				sum += metric(ev)
 			}
-			hm.Cells[wi][ri] = sum / float64(len(hps))
+			evs = evs[len(s.Profiles):]
+			hm.Cells[wi][ri] = sum / float64(len(s.Profiles))
 		}
 	}
 	return hm, nil

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hybridmem/internal/core"
@@ -24,9 +25,10 @@ import (
 
 // ProfileManifestVersion is the manifest schema version; RestoreProfile
 // rejects manifests written by an incompatible schema. Version 2 added the
-// reuse sketch (the analytic fast path's input); v1 manifests fail restore,
-// which callers treat as a cache miss — the workload re-profiles and the
-// write-through repairs the store with a sketch-bearing manifest.
+// reuse sketch (the analytic fast path's input); v1 manifests, like any
+// manifest without a valid sketch, fail restore, which callers treat as a
+// cache miss — the workload re-profiles and the write-through repairs the
+// store with a sketch-bearing manifest.
 const ProfileManifestVersion = 2
 
 // ProfileManifest is the JSON-serializable state of a WorkloadProfile minus
@@ -57,9 +59,9 @@ type ProfileManifest struct {
 	// fails fast on a stream that does not match its manifest.
 	BoundaryRefs int `json:"boundary_refs"`
 	// Sketch is the boundary stream's reuse sketch (FORMATS.md documents
-	// the schema). Omitted when profiling ran with NoSketch; restored
-	// profiles then simply cannot serve analytic queries.
-	Sketch *reuse.Sketch `json:"sketch,omitempty"`
+	// the schema). Required: RestoreProfile refuses a manifest without a
+	// valid one.
+	Sketch *reuse.Sketch `json:"sketch"`
 }
 
 // Manifest captures the profile's serializable state (everything but the
@@ -81,11 +83,13 @@ func (wp *WorkloadProfile) Manifest() *ProfileManifest {
 
 // RestoreProfile rebuilds a ready-to-evaluate WorkloadProfile from a
 // manifest and its separately persisted boundary stream, refusing a
-// manifest whose sketch fails reuse.Sketch.Validate. No simulation or
-// replay runs: the returned profile evaluates design points exactly as the
-// one Manifest was taken from (asserted bit-identical by the package
-// tests). log receives the restored profile's later design_point events,
-// like ProfileOptions.Log on a fresh profile.
+// manifest without a sketch, or whose sketch fails reuse.Sketch.Validate or
+// does not hold exactly reuse.DesignGranularities (the granularities
+// profiling captures). No simulation or replay runs: the returned profile
+// evaluates design points exactly as the one Manifest was taken from
+// (asserted bit-identical by the package tests). log receives the restored
+// profile's later design_point events, like ProfileOptions.Log on a fresh
+// profile.
 func RestoreProfile(m *ProfileManifest, boundary *trace.Packed, log *obs.Logger) (*WorkloadProfile, error) {
 	if m.Version != ProfileManifestVersion {
 		return nil, fmt.Errorf("exp: profile manifest version %d (this build reads %d)", m.Version, ProfileManifestVersion)
@@ -100,10 +104,16 @@ func RestoreProfile(m *ProfileManifest, boundary *trace.Packed, log *obs.Logger)
 	if len(m.Prefix) == 0 || m.TotalRefs == 0 {
 		return nil, fmt.Errorf("exp: profile %q manifest missing prefix statistics", m.Name)
 	}
-	if m.Sketch != nil {
-		if err := m.Sketch.Validate(); err != nil {
-			return nil, fmt.Errorf("exp: profile %q: %w", m.Name, err)
-		}
+	if m.Sketch == nil {
+		return nil, fmt.Errorf("exp: profile %q manifest has no sketch", m.Name)
+	}
+	if err := m.Sketch.Validate(); err != nil {
+		return nil, fmt.Errorf("exp: profile %q: %w", m.Name, err)
+	}
+	if !slices.EqualFunc(m.Sketch.Grans, reuse.DesignGranularities, func(g reuse.GranSketch, gran uint64) bool {
+		return g.Gran == gran
+	}) {
+		return nil, fmt.Errorf("exp: profile %q sketch does not hold the granularities %v", m.Name, reuse.DesignGranularities)
 	}
 	return &WorkloadProfile{
 		Name:       m.Name,

@@ -163,11 +163,12 @@ func widenAccessHistograms(m *ProfileManifest) {
 	}
 }
 
-// TestRestoreProfileRejectsHostileSketch: a manifest whose sketch breaks
-// the capture invariants (48 buckets per histogram, buckets plus cold
-// summing to total) is refused, so a restore path re-profiles instead of
-// predicting from it. The first case is a sketch that restored and
-// predicted NMM/N6/PCM at an AMAT of ~5e14 ns before the check existed.
+// TestRestoreProfileRejectsHostileSketch: a manifest without a sketch, or
+// whose sketch breaks the capture invariants (48 buckets per histogram,
+// buckets plus cold summing to total, the seven design granularities), is
+// refused, so a restore path re-profiles instead of predicting from it.
+// The first case is a sketch that restored and predicted NMM/N6/PCM at an
+// AMAT of ~5e14 ns before the check existed.
 func TestRestoreProfileRejectsHostileSketch(t *testing.T) {
 	wp := persistProfile(t)
 	_, decode := manifestJSON(t, wp)
@@ -188,6 +189,11 @@ func TestRestoreProfileRejectsHostileSketch(t *testing.T) {
 			h.Buckets[1] += 1 << 63
 		},
 		"future sketch version": func(m *ProfileManifest) { m.Sketch.Version++ },
+		"no sketch":             func(m *ProfileManifest) { m.Sketch = nil },
+		"no granularities":      func(m *ProfileManifest) { m.Sketch.Grans = nil },
+		"4 KB granularity missing": func(m *ProfileManifest) {
+			m.Sketch.Grans = m.Sketch.Grans[:len(m.Sketch.Grans)-1]
+		},
 	}
 	for name, corrupt := range cases {
 		m := decode()
@@ -222,7 +228,7 @@ func FuzzRestoreProfile(f *testing.F) {
 			return
 		}
 		restored, err := RestoreProfile(&m, wp.Boundary, nil)
-		if err != nil || m.Sketch == nil {
+		if err != nil {
 			return
 		}
 		for _, g := range m.Sketch.Grans {

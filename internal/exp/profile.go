@@ -95,12 +95,6 @@ func (c Config) withDefaults() Config {
 	if len(c.Workloads) == 0 {
 		c.Workloads = catalog.Names
 	}
-	if c.Dilution == 0 {
-		c.Dilution = DefaultDilution
-	}
-	if c.Dilution < 0 {
-		c.Dilution = 0
-	}
 	return c
 }
 
@@ -132,10 +126,10 @@ type WorkloadProfile struct {
 	// when profiling ran with ProfileOptions.Epoch > 0 (nil otherwise).
 	Series *obs.Series
 	// Sketch is the boundary stream's multi-granularity reuse sketch, the
-	// input of the analytic fast path (package analytic). Captured by
-	// default (see ProfileOptions.NoSketch) and persisted in the profile
-	// manifest, so restored profiles answer analytic queries with zero
-	// replay. Nil when capture was disabled or the manifest predates it.
+	// input of the analytic fast path (package analytic). Every profile
+	// carries one: profiling captures it, and the profile manifest
+	// requires it, so restored profiles answer analytic queries with zero
+	// replay.
 	Sketch *reuse.Sketch
 
 	// refProfile is the reference system's full profile (prefix +
@@ -149,8 +143,9 @@ type WorkloadProfile struct {
 type ProfileOptions struct {
 	// Scale is the design-space capacity divisor.
 	Scale uint64
-	// Dilution adds that many synthetic always-L1-hit references per
-	// traced reference (see Config.Dilution); 0 means none.
+	// Dilution is the synthetic always-L1-hit references per traced
+	// reference, as in Config.Dilution: 0 means DefaultDilution and
+	// NoDilution means none.
 	Dilution int
 	// Epoch samples the prefix simulation every Epoch references into the
 	// profile's Series. Zero disables sampling.
@@ -160,14 +155,6 @@ type ProfileOptions struct {
 	// Catalog backs the SRAM prefix and reference DRAM. Nil means the
 	// builtin catalog.
 	Catalog *tech.Catalog
-	// NoSketch disables reuse-sketch capture. The sketch costs one extra
-	// in-memory pass over the (already recorded) boundary stream, 0.3–0.7
-	// µs per boundary reference over all seven granularities: about half
-	// of profiling, 0.85–1.2 s of the 1.6–2.2 s that all seven Table 4
-	// workloads take at scale 64, workload scale 1024 on a 2-vCPU Xeon.
-	// The workload_profile event's sketch_ms field reports it per
-	// workload. Capture defaults to on, since the analytic path needs it.
-	NoSketch bool
 }
 
 // registryFor resolves a catalog (nil = builtin) to a design registry.
@@ -179,15 +166,19 @@ func registryFor(cat *tech.Catalog) (*design.Registry, error) {
 }
 
 // ProfileWorkload runs w once through the shared SRAM prefix, recording the
-// boundary stream, and evaluates the reference back end. dilution adds that
-// many synthetic always-L1-hit references per traced reference (see
-// Config.Dilution); pass 0 for none.
+// boundary stream and its reuse sketch, and evaluates the reference back
+// end. dilution is the synthetic always-L1-hit references per traced
+// reference, as in Config.Dilution: 0 means DefaultDilution and
+// NoDilution means none.
 func ProfileWorkload(w workload.Workload, scale uint64, dilution int) (*WorkloadProfile, error) {
 	return ProfileWorkloadOpts(context.Background(), w, ProfileOptions{Scale: scale, Dilution: dilution})
 }
 
 // ProfileWorkloadOpts is ProfileWorkload with observability options: epoch
-// sampling of the prefix stream and structured run logging. A kernel panic
+// sampling of the prefix stream and structured run logging. It is the one
+// place that resolves the dilution setting and captures the reuse sketch:
+// one extra in-memory pass over the recorded boundary stream, which the
+// workload_profile event reports as sketch_ms. A kernel panic
 // (e.g. a typed workload.RegionError from an out-of-region reference)
 // is recovered into the returned error; the process survives.
 //
@@ -220,8 +211,15 @@ func ProfileWorkloadOpts(ctx context.Context, w workload.Workload, opt ProfileOp
 		sampler = obs.NewEpochSampler(h, opt.Epoch)
 		sink = sampler
 	}
+	dilution := opt.Dilution
+	switch {
+	case dilution == 0:
+		dilution = DefaultDilution
+	case dilution < 0:
+		dilution = 0
+	}
 	spanFields := obs.Fields{
-		"workload": w.Name(), "scale": opt.Scale, "dilution": opt.Dilution,
+		"workload": w.Name(), "scale": opt.Scale, "dilution": dilution,
 	}
 	obs.ChildSpanIfTraced(ctx).Annotate(spanFields)
 	done := opt.Log.Span("workload_profile", spanFields)
@@ -235,31 +233,27 @@ func ProfileWorkloadOpts(ctx context.Context, w workload.Workload, opt ProfileOp
 	}
 	boundary := rec.Stream()
 
-	var sketch *reuse.Sketch
 	sketchStart := time.Now()
-	if !opt.NoSketch {
-		sketcher, err := reuse.NewSketcher()
-		if err != nil {
-			return nil, err
-		}
-		buf := replayBufPool.Get().([]trace.Ref)
-		err = boundary.Batches(buf, func(refs []trace.Ref) error {
-			sketcher.AccessBatch(refs)
-			return nil
-		})
-		replayBufPool.Put(buf)
-		if err != nil {
-			return nil, fmt.Errorf("exp: sketching %s: %w", w.Name(), err)
-		}
-		sketch = sketcher.Sketch()
+	sketcher, err := reuse.NewSketcher()
+	if err != nil {
+		return nil, err
 	}
+	buf := replayBufPool.Get().([]trace.Ref)
+	err = boundary.Batches(buf, func(refs []trace.Ref) error {
+		sketcher.AccessBatch(refs)
+		return nil
+	})
+	replayBufPool.Put(buf)
+	if err != nil {
+		return nil, fmt.Errorf("exp: sketching %s: %w", w.Name(), err)
+	}
+	sketch := sketcher.Sketch()
 	sketchTime := time.Since(sketchStart)
 
 	f := obs.ThroughputFields(h.Refs(), time.Since(start))
 	f["boundary_refs"] = boundary.Len()
 	f["boundary_packed_bytes"] = boundary.PackedBytes()
 	f["boundary_raw_bytes"] = boundary.RawBytes()
-	f["sketch"] = sketch != nil
 	f["sketch_ms"] = float64(sketchTime) / float64(time.Millisecond)
 	done(f)
 
@@ -277,8 +271,8 @@ func ProfileWorkloadOpts(ctx context.Context, w workload.Workload, opt ProfileOp
 	if sampler != nil {
 		wp.Series = sampler.Series()
 	}
-	if opt.Dilution > 0 {
-		extra := wp.TotalRefs * uint64(opt.Dilution)
+	if dilution > 0 {
+		extra := wp.TotalRefs * uint64(dilution)
 		l1 := &wp.Prefix[0].Stats
 		l1.Loads += extra
 		l1.LoadHits += extra
@@ -306,9 +300,7 @@ func (wp *WorkloadProfile) profileWith(backend []core.LevelStats) model.Profile 
 // Predictor returns the analytic fast-path predictor over the profile's
 // sketch: it shares the profile's prefix statistics, reference profile, and
 // reference runtime with the exact path, so analytic and replayed
-// evaluations of the same design normalize against the same baseline. It
-// errors when the profile carries no sketch (ProfileOptions.NoSketch, or a
-// profile restored from a pre-sketch manifest).
+// evaluations of the same design normalize against the same baseline.
 func (wp *WorkloadProfile) Predictor() (*analytic.Predictor, error) {
 	return wp.PredictorWith(0)
 }
@@ -431,8 +423,7 @@ func (wp *WorkloadProfile) EvaluateSerialCtx(ctx context.Context, b design.Backe
 }
 
 // EvaluateProfile applies the model to an analytically constructed back-end
-// snapshot (used by the NDM oracle and the heat maps, which do not need a
-// replay).
+// snapshot (used by the NDM oracles, which do not need a replay).
 func (wp *WorkloadProfile) EvaluateProfile(name string, backend []core.LevelStats) (model.Evaluation, error) {
 	p := wp.profileWith(backend)
 	return model.Evaluate(name, wp.Name, wp.refProfile, wp.RefTime, p)

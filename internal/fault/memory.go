@@ -11,8 +11,8 @@ import (
 // is zero (a 4KB device page).
 const DefaultPageBytes = 4096
 
-// DefaultLineBytes is the fault-tracking line granularity when
-// Config.LineBytes is zero (one 64B ECC word / cache sector).
+// DefaultLineBytes is the fault-tracking line granularity (one 64B ECC
+// word / cache sector).
 const DefaultLineBytes = 64
 
 // Config parameterizes the NVM device-fault model applied to a terminal
@@ -36,17 +36,12 @@ type Config struct {
 	EnduranceWrites uint64
 	// PageBytes is the retirement granularity (0 = DefaultPageBytes).
 	PageBytes uint64
-	// LineBytes is the fault-tracking granularity (0 = DefaultLineBytes).
-	LineBytes uint64
 }
 
-// withDefaults resolves zero-valued granularities.
+// withDefaults resolves a zero PageBytes.
 func (c Config) withDefaults() Config {
 	if c.PageBytes == 0 {
 		c.PageBytes = DefaultPageBytes
-	}
-	if c.LineBytes == 0 {
-		c.LineBytes = DefaultLineBytes
 	}
 	return c
 }
@@ -142,7 +137,7 @@ func Wrap(mem core.Memory, cfg Config) *Memory {
 	m := &Memory{
 		inner:   mem,
 		cfg:     cfg,
-		tracker: wear.NewTracker(cfg.LineBytes),
+		tracker: wear.NewTracker(DefaultLineBytes),
 		stuck:   map[uint64]uint8{},
 		retired: map[uint64]bool{},
 	}
@@ -193,7 +188,7 @@ func (m *Memory) inject(addr, size uint64, write bool) {
 	if size == 0 {
 		size = 1
 	}
-	line := addr / m.cfg.LineBytes
+	line := addr / DefaultLineBytes
 	page := addr / m.cfg.PageBytes
 	if remapped, ok := m.retired[page]; ok {
 		// A retired page injects no further faults: remapped pages live on
@@ -281,9 +276,3 @@ func (m *Memory) Modules() []core.LevelStats { return m.inner.Modules() }
 
 // FaultStats returns the accumulated fault counters.
 func (m *Memory) FaultStats() Stats { return m.stats }
-
-// WearStats summarizes the write-wear distribution the fault model observed
-// over a module of capacityBytes.
-func (m *Memory) WearStats(capacityBytes uint64) wear.Stats {
-	return m.tracker.Stats(capacityBytes)
-}

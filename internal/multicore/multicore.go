@@ -16,49 +16,52 @@ import (
 
 	"hybridmem/internal/cache"
 	"hybridmem/internal/core"
-	"hybridmem/internal/tech"
+	"hybridmem/internal/design"
 	"hybridmem/internal/trace"
 	"hybridmem/internal/workload"
 )
 
-// Config shapes the simulated chip.
+// Config shapes the simulated chip. Its caches are the reference system's
+// (design.Registry.PrefixSpecs over the builtin catalog) at Scale: each
+// core owns a private L1 and L2, and the L3 is the whole chip's,
+// design.SharedL3Cores per-core slices.
 type Config struct {
-	// L1Size, L2Size, and L3Size are per-cache capacities in bytes
-	// (L3 is shared). Zeros select the reference system's geometry at
-	// the given co-scaling factor.
-	L1Size, L2Size, L3Size uint64
-	// Scale co-divides the default capacities (see package design).
+	// Scale co-divides every capacity (see package design). Zero selects
+	// design.DefaultScale.
 	Scale uint64
 	// BatchRefs is the number of references a core processes per
 	// interleaver turn — the granularity of simulated concurrency.
 	// Zero selects 64.
 	BatchRefs int
-	// ChannelDepth bounds each core's reference channel. Zero selects
-	// 4096.
-	ChannelDepth int
 }
 
-// withDefaults resolves zero fields.
-func (c Config) withDefaults() Config {
+// channelDepth bounds each core's reference channel: 64 default batches,
+// so a core's workload runs well ahead of its interleaver turns while the
+// references in flight stay bounded.
+const channelDepth = 4096
+
+// chip is a Config resolved to the cache levels it builds.
+type chip struct {
+	cfg        Config
+	l1, l2, l3 design.LevelSpec
+}
+
+// chip resolves zero fields and derives the cache levels from the design
+// registry's prefix.
+func (c Config) chip() (chip, error) {
 	if c.Scale == 0 {
-		c.Scale = 32
+		c.Scale = design.DefaultScale
 	}
-	if c.L1Size == 0 {
-		c.L1Size = 32 << 10 / c.Scale
-	}
-	if c.L2Size == 0 {
-		c.L2Size = 256 << 10 / c.Scale
-	}
-	if c.L3Size == 0 {
-		c.L3Size = 20 << 20 / c.Scale // the full shared L3
+	if err := design.ValidateScale(c.Scale); err != nil {
+		return chip{}, fmt.Errorf("multicore: %w", err)
 	}
 	if c.BatchRefs <= 0 {
 		c.BatchRefs = 64
 	}
-	if c.ChannelDepth <= 0 {
-		c.ChannelDepth = 4096
-	}
-	return c
+	p := design.DefaultRegistry().PrefixSpecs(c.Scale)
+	l3 := p[2]
+	l3.Size *= design.SharedL3Cores
+	return chip{cfg: c, l1: p[0], l2: p[1], l3: l3}, nil
 }
 
 // CoreResult reports one core's private-cache behaviour.
@@ -117,26 +120,29 @@ func (p *sharedPort) Modules() []core.LevelStats { return nil }
 // its own core; cores' reference streams interleave round-robin in batches
 // of cfg.BatchRefs. The result is deterministic for deterministic
 // workloads: the interleaver always drains a full batch from core i before
-// serving core i+1, regardless of goroutine scheduling.
+// serving core i+1, regardless of goroutine scheduling. A nil mem selects
+// the catalog DRAM, 4GB divided by the scale.
 func Run(cfg Config, workloads []workload.Workload, mem core.Memory) (Result, error) {
-	cfg = cfg.withDefaults()
+	c, err := cfg.chip()
+	if err != nil {
+		return Result{}, err
+	}
+	return c.run(workloads, mem)
+}
+
+// run simulates the workloads on the resolved chip.
+func (c chip) run(workloads []workload.Workload, mem core.Memory) (Result, error) {
 	if len(workloads) == 0 {
 		return Result{}, fmt.Errorf("multicore: no workloads")
 	}
-	l1cfg := cache.Config{Name: "L1", Size: cfg.L1Size, LineSize: 64, Assoc: 8}
-	l2cfg := cache.Config{Name: "L2", Size: cfg.L2Size, LineSize: 64, Assoc: 8}
-	l3cfg := cache.Config{Name: "sharedL3", Size: cfg.L3Size, LineSize: 64, Assoc: 20}
-	for _, c := range []cache.Config{l1cfg, l2cfg, l3cfg} {
-		if err := c.Validate(); err != nil {
-			return Result{}, fmt.Errorf("multicore: %w", err)
-		}
-	}
 	if mem == nil {
-		mem = core.NewSimpleMemory("DRAM", tech.DRAM, 4<<30/cfg.Scale)
+		mem = core.NewSimpleMemory("DRAM", design.DefaultRegistry().DRAM(), 4<<30/c.cfg.Scale)
 	}
-
-	l3 := cache.New(l3cfg)
-	shared, err := core.NewHierarchy([]core.Level{{Cache: l3, Tech: tech.SRAML3}}, mem)
+	l3, err := c.l3.Build()
+	if err != nil {
+		return Result{}, fmt.Errorf("multicore: %w", err)
+	}
+	shared, err := core.NewHierarchy([]core.Level{l3}, mem)
 	if err != nil {
 		return Result{}, err
 	}
@@ -152,16 +158,21 @@ func Run(cfg Config, workloads []workload.Workload, mem core.Memory) (Result, er
 	cores := make([]*coreState, len(workloads))
 	for i, w := range workloads {
 		port := &sharedPort{shared: shared, offset: uint64(i) << 44}
-		private, err := core.NewHierarchy([]core.Level{
-			{Cache: cache.New(l1cfg), Tech: tech.SRAML1},
-			{Cache: cache.New(l2cfg), Tech: tech.SRAML2},
-		}, port)
+		l1, err := c.l1.Build()
+		if err != nil {
+			return Result{}, fmt.Errorf("multicore: %w", err)
+		}
+		l2, err := c.l2.Build()
+		if err != nil {
+			return Result{}, fmt.Errorf("multicore: %w", err)
+		}
+		private, err := core.NewHierarchy([]core.Level{l1, l2}, port)
 		if err != nil {
 			return Result{}, err
 		}
 		cores[i] = &coreState{
 			name:    fmt.Sprintf("core%d:%s", i, w.Name()),
-			ch:      make(chan trace.Ref, cfg.ChannelDepth),
+			ch:      make(chan trace.Ref, channelDepth),
 			private: private,
 			port:    port,
 		}
@@ -180,14 +191,14 @@ func Run(cfg Config, workloads []workload.Workload, mem core.Memory) (Result, er
 	}
 
 	// Round-robin interleave: a full batch from each live core in turn.
-	batch := make([]trace.Ref, 0, cfg.BatchRefs)
+	batch := make([]trace.Ref, 0, c.cfg.BatchRefs)
 	live := len(cores)
 	for live > 0 {
 		for _, cs := range cores {
 			if cs.done {
 				continue
 			}
-			for len(batch) < cfg.BatchRefs {
+			for len(batch) < c.cfg.BatchRefs {
 				r, ok := <-cs.ch
 				if !ok {
 					cs.done = true
@@ -206,7 +217,7 @@ func Run(cfg Config, workloads []workload.Workload, mem core.Memory) (Result, er
 	}
 	shared.Flush()
 
-	res := Result{L3: l3.Stats()}
+	res := Result{L3: l3.Cache.Stats()}
 	if mods := mem.Modules(); len(mods) > 0 {
 		res.Memory = mods[0].Stats
 	}
@@ -226,18 +237,23 @@ func Run(cfg Config, workloads []workload.Workload, mem core.Memory) (Result, er
 
 // EffectiveShare estimates the per-core L3 capacity that would reproduce
 // the observed shared hit rate, by probing solo runs of the probe workload
-// at halving capacities. It returns the capacity (bytes) whose solo hit
-// rate is closest to sharedHitRate.
-func EffectiveShare(cfg Config, probe func() workload.Workload, sharedHitRate float64) (uint64, error) {
-	cfg = cfg.withDefaults()
-	best := cfg.L3Size
+// at halving capacities of the shared L3. It returns the capacity (bytes)
+// whose solo hit rate is closest to sharedHitRate, and the shared L3's
+// full capacity.
+func EffectiveShare(cfg Config, probe func() workload.Workload, sharedHitRate float64) (share, l3Size uint64, err error) {
+	c, err := cfg.chip()
+	if err != nil {
+		return 0, 0, err
+	}
+	l3Size = c.l3.Size
+	share = l3Size
 	bestDiff := 2.0
-	for size := cfg.L3Size; size >= cfg.L3Size/64 && size >= 64*20; size /= 2 {
-		c := cfg
-		c.L3Size = size
-		res, err := Run(c, []workload.Workload{probe()}, nil)
+	for size := l3Size; size >= l3Size/64 && size >= 64*20; size /= 2 {
+		solo := c
+		solo.l3.Size = size
+		res, err := solo.run([]workload.Workload{probe()}, nil)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		diff := res.L3HitRate() - sharedHitRate
 		if diff < 0 {
@@ -245,8 +261,8 @@ func EffectiveShare(cfg Config, probe func() workload.Workload, sharedHitRate fl
 		}
 		if diff < bestDiff {
 			bestDiff = diff
-			best = size
+			share = size
 		}
 	}
-	return best, nil
+	return share, l3Size, nil
 }

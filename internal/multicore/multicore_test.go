@@ -23,9 +23,9 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{}, nil, nil); err == nil {
 		t.Error("no workloads should fail")
 	}
-	for _, cfg := range []Config{{L1Size: 1000}, {L2Size: 1000}, {L3Size: 1000}} {
+	for _, cfg := range []Config{{Scale: 3}, {Scale: 128}} {
 		if _, err := Run(cfg, []workload.Workload{tinyWL(t, "CG"), tinyWL(t, "SP")}, nil); err == nil {
-			t.Errorf("invalid geometry %+v should fail", cfg)
+			t.Errorf("invalid scale %+v should fail", cfg)
 		}
 	}
 }
@@ -142,16 +142,20 @@ func TestEffectiveShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	share, err := EffectiveShare(cfg, func() workload.Workload { return tinyWL(t, "CG") }, quad.L3HitRate())
+	share, l3Size, err := EffectiveShare(cfg, func() workload.Workload { return tinyWL(t, "CG") }, quad.L3HitRate())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if share == 0 || share > cfg.withDefaults().L3Size {
+	// The shared L3 is the reference machine's 20MB at the scale.
+	if l3Size != 20<<20/64 {
+		t.Fatalf("shared L3 = %d B, want %d", l3Size, 20<<20/64)
+	}
+	if share == 0 || share > l3Size {
 		t.Fatalf("effective share = %d", share)
 	}
 	// Four identical co-runners must shrink the effective share below
 	// the full capacity.
-	if share >= cfg.withDefaults().L3Size {
+	if share >= l3Size {
 		t.Fatalf("share %d did not shrink", share)
 	}
 }

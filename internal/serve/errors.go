@@ -23,11 +23,6 @@ const (
 	// version the server is not serving. Do not retry; re-issue without
 	// the pin or against a server running the expected catalog.
 	CodeCatalogMismatch = "catalog_mismatch"
-	// CodeNoSketch rejects an analytic-fidelity request whose workload
-	// profile carries no reuse sketch (profiled by an older build, or
-	// with sketch capture disabled). Re-issue with fidelity "exact", or
-	// let the profile re-record.
-	CodeNoSketch = "no_sketch"
 	// CodeAnalyticUnsupported rejects an analytic-fidelity request for a
 	// design outside the analytic model (partitioned NDM or row-buffer
 	// terminals, multi-level or write-through or prefetching back-end
@@ -138,7 +133,7 @@ func errField(code, field, msg string) *APIError {
 // httpStatus maps an error code to its HTTP status.
 func httpStatus(code string) int {
 	switch code {
-	case CodeInvalidRequest, CodeUnknownTech, CodeCatalogMismatch, CodeNoSketch, CodeAnalyticUnsupported:
+	case CodeInvalidRequest, CodeUnknownTech, CodeCatalogMismatch, CodeAnalyticUnsupported:
 		return http.StatusBadRequest
 	case CodeUnknownWorkload, CodeUnknownDesign:
 		return http.StatusNotFound

@@ -194,15 +194,8 @@ func (e *Evaluator) profile(ctx context.Context, r *EvalRequest) (*exp.WorkloadP
 		if err != nil {
 			return nil, err
 		}
-		dilution := r.Dilution
-		switch dilution {
-		case 0:
-			dilution = exp.DefaultDilution
-		case -1:
-			dilution = 0
-		}
 		wp, err := exp.ProfileWorkloadOpts(ctx, w, exp.ProfileOptions{
-			Scale: r.Scale, Dilution: dilution, Log: e.Log,
+			Scale: r.Scale, Dilution: r.Dilution, Log: e.Log,
 			Catalog: r.EffectiveCatalog(),
 		})
 		if err != nil {
@@ -357,14 +350,13 @@ func (e *Evaluator) persistProfile(key string, wp *exp.WorkloadProfile) {
 }
 
 // evaluateAnalytic answers a design point from the profile's reuse sketch
-// (no replay), mapping the predictor's typed refusals onto API errors: a
-// sketch-less profile is CodeNoSketch, a design outside the analytic model
-// is CodeAnalyticUnsupported — both client-correctable 400s, neither
-// evidence against the design's health.
+// (no replay), mapping the predictor's typed refusal onto an API error: a
+// design outside the analytic model is CodeAnalyticUnsupported, a
+// client-correctable 400 and no evidence against the design's health.
 func (e *Evaluator) evaluateAnalytic(wp *exp.WorkloadProfile, b design.Backend) (model.Evaluation, error) {
 	pred, err := wp.Predictor()
 	if err != nil {
-		return model.Evaluation{}, errField(CodeNoSketch, "fidelity", err.Error())
+		return model.Evaluation{}, err
 	}
 	p, err := pred.Predict(b)
 	if err != nil {

@@ -1,19 +1,12 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"testing"
 
 	"hybridmem/internal/analytic"
-	"hybridmem/internal/design"
-	"hybridmem/internal/exp"
-	"hybridmem/internal/tech"
-	"hybridmem/internal/workload"
-	"hybridmem/internal/workload/catalog"
 )
 
 // fidelityBody is testBody plus an explicit fidelity selection.
@@ -97,31 +90,6 @@ func TestAnalyticFidelityErrors(t *testing.T) {
 	resp, body = post(t, ts, writeThrough)
 	if resp.StatusCode != http.StatusBadRequest || errorCode(t, body) != CodeAnalyticUnsupported {
 		t.Fatalf("write-through analytic: status %d code %q body %v", resp.StatusCode, errorCode(t, body), body)
-	}
-}
-
-// TestAnalyticNoSketch pins the CodeNoSketch refusal for profiles that
-// carry no sketch (older persisted manifests, NoSketch profiling).
-func TestAnalyticNoSketch(t *testing.T) {
-	e := NewEvaluator(0, nil)
-	w, err := catalog.New("CG", workload.Options{Scale: testWScale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wp, err := exp.ProfileWorkloadOpts(context.Background(), w, exp.ProfileOptions{Scale: testScale, Dilution: exp.DefaultDilution})
-	if err != nil {
-		t.Fatal(err)
-	}
-	noSketch := *wp
-	noSketch.Sketch = nil
-	b := design.DefaultRegistry().NMMWith(design.NConfigs[5], tech.PCM, testScale, wp.Footprint)
-	_, err = e.evaluateAnalytic(&noSketch, b)
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Code != CodeNoSketch {
-		t.Fatalf("sketch-less analytic evaluation: got %v, want APIError %s", err, CodeNoSketch)
-	}
-	if _, err := e.evaluateAnalytic(wp, b); err != nil {
-		t.Fatalf("sketched analytic evaluation failed: %v", err)
 	}
 }
 

@@ -33,9 +33,9 @@ type EvalRequest struct {
 	// replays the recorded boundary stream through the design; "analytic"
 	// answers from the profile's reuse sketch in microseconds (within the
 	// accuracy envelope internal/exp's goldens pin) without any replay.
-	// Analytic requests are rejected with CodeNoSketch when the profile
-	// carries no sketch, with CodeAnalyticUnsupported for designs outside
-	// the analytic model, and cannot combine with fault injection.
+	// Analytic requests are rejected with CodeAnalyticUnsupported for
+	// designs outside the analytic model, and cannot combine with fault
+	// injection.
 	Fidelity string `json:"fidelity,omitempty"`
 	// Scale is the design-space capacity co-scaling divisor (power of
 	// two in [1,64]; 0 = design.DefaultScale).
@@ -46,7 +46,8 @@ type EvalRequest struct {
 	// Iters overrides workload iteration counts (0 = workload default).
 	Iters int `json:"iters,omitempty"`
 	// Dilution is the synthetic L1-hit dilution factor (0 = default,
-	// -1 = disabled; see exp.Config.Dilution).
+	// -1 = disabled; see exp.Config.Dilution). It is keyed as sent, and
+	// exp.ProfileWorkloadOpts resolves it.
 	Dilution int `json:"dilution,omitempty"`
 	// Metrics filters which metrics appear in the response (empty =
 	// all). Metric names: see MetricNames.

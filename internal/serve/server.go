@@ -15,8 +15,8 @@
 //   - a two-fidelity evaluation path: requests with fidelity "analytic"
 //     answer from the workload profile's reuse sketch (package analytic)
 //     in microseconds with zero replay, under their own "analytic"
-//     latency-histogram outcome, with typed 400s (CodeNoSketch,
-//     CodeAnalyticUnsupported) when the sketch or model cannot serve the
+//     latency-histogram outcome, with a typed 400
+//     (CodeAnalyticUnsupported) when the analytic model cannot serve the
 //     design;
 //   - request validation with typed JSON error responses (APIError);
 //   - per-request timeouts and cancellation that genuinely abort in-flight

@@ -158,10 +158,10 @@ func TestStoreMissFallsThrough(t *testing.T) {
 	}
 }
 
-// TestHostileSketchReprofiles: a stored profile record whose sketch breaks
-// the capture invariants is a restore miss, not data. The next request
-// re-profiles the workload, and its write-through replaces the record
-// with one that restores.
+// TestHostileSketchReprofiles: a stored profile record without a sketch,
+// or whose sketch breaks the capture invariants, is a restore miss, not
+// data. The next request re-profiles the workload, and its write-through
+// replaces the record with one that restores.
 func TestHostileSketchReprofiles(t *testing.T) {
 	dir := t.TempDir()
 	req := &EvalRequest{Design: DesignSpec{Family: "reference"}, Workload: "CG", Scale: testScale, WorkloadScale: testWScale}
@@ -176,34 +176,45 @@ func TestHostileSketchReprofiles(t *testing.T) {
 	if _, err := ev.Evaluate(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	boundary, meta, ok, err := st.GetStream(key)
-	if err != nil || !ok {
-		t.Fatalf("profile record missing (ok=%v err=%v)", ok, err)
+	cases := []struct {
+		name    string
+		corrupt func(m *exp.ProfileManifest)
+	}{
+		{"70 access buckets", func(m *exp.ProfileManifest) {
+			for i := range m.Sketch.Grans {
+				h := &m.Sketch.Grans[i].Access
+				h.Buckets = append(h.Buckets, make([]uint64, 70-len(h.Buckets))...)
+				h.Buckets[65] = 1 << 40
+			}
+		}},
+		{"no sketch", func(m *exp.ProfileManifest) { m.Sketch = nil }},
 	}
-	var m exp.ProfileManifest
-	if err := json.Unmarshal(meta, &m); err != nil {
-		t.Fatal(err)
-	}
-	for i := range m.Sketch.Grans {
-		h := &m.Sketch.Grans[i].Access
-		h.Buckets = append(h.Buckets, make([]uint64, 70-len(h.Buckets))...)
-		h.Buckets[65] = 1 << 40
-	}
-	if meta, err = json.Marshal(&m); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PutStream(key, boundary, meta); err != nil {
-		t.Fatal(err)
-	}
-
-	for i, wantProfiles := range []uint64{1, 0} {
-		ev := NewEvaluator(0, nil)
-		ev.SetStoreGuard(guardStore(st))
-		if _, err := ev.Evaluate(context.Background(), req); err != nil {
+	for _, c := range cases {
+		boundary, meta, ok, err := st.GetStream(key)
+		if err != nil || !ok {
+			t.Fatalf("%s: profile record missing (ok=%v err=%v)", c.name, ok, err)
+		}
+		var m exp.ProfileManifest
+		if err := json.Unmarshal(meta, &m); err != nil {
 			t.Fatal(err)
 		}
-		if ev.ProfilesRun() != wantProfiles {
-			t.Fatalf("process %d profiled %d times, want %d", i+2, ev.ProfilesRun(), wantProfiles)
+		c.corrupt(&m)
+		if meta, err = json.Marshal(&m); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutStream(key, boundary, meta); err != nil {
+			t.Fatal(err)
+		}
+
+		for i, wantProfiles := range []uint64{1, 0} {
+			ev := NewEvaluator(0, nil)
+			ev.SetStoreGuard(guardStore(st))
+			if _, err := ev.Evaluate(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+			if ev.ProfilesRun() != wantProfiles {
+				t.Fatalf("%s: process %d profiled %d times, want %d", c.name, i+2, ev.ProfilesRun(), wantProfiles)
+			}
 		}
 	}
 	if err := st.Close(); err != nil {
