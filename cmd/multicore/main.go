@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	multicore -copies 8 -workload CG        # 8 copies of CG share the L3
-//	multicore -workloads BT,CG,Hashing      # a heterogeneous mix
+//	multicore -copies 8 -workload CG -workload-scale 512   # 8 copies of CG share the L3
+//	multicore -workloads BT,CG,Hashing -workload-scale 512 # a heterogeneous mix
 //
 // The tool prints per-core private-cache behaviour, the shared L3's hit
 // rate, and the "effective per-core share": the solo L3 capacity that
@@ -25,19 +25,15 @@ import (
 )
 
 func main() {
-	c := cli.New("multicore", cli.Scale)
+	c := cli.New("multicore", cli.Scale|cli.WorkloadScale)
 	c.AddWorkload("CG")
 	var (
 		copies = flag.Int("copies", 4, "number of identical cores")
 		mix    = flag.String("workloads", "", "comma-separated heterogeneous mix, one core each (overrides -copies)")
 		batch  = flag.Int("batch", 64, "references per interleaver turn")
 	)
-	flag.Uint64Var(&c.WorkloadScale, "workload-scale", 0, "workload footprint divisor, a power of two (0 = 8x -scale, keeping runs minutes-scale)")
 	c.Parse()
 
-	if c.WorkloadScale == 0 {
-		c.WorkloadScale = c.Scale * 8
-	}
 	mk := func(name string) workload.Workload {
 		w, err := c.NewWorkload(name)
 		c.Exit(err)

@@ -32,10 +32,17 @@ type fanBlock struct {
 }
 
 // FanoutResult is one design point's outcome from a fan-out replay: its
-// evaluation, or the error (build failure, replay panic, model error, or
-// ctx cancellation) that prevented one.
+// evaluation and the back-end snapshot it was computed from, or the error
+// (build failure, replay panic, model error, or ctx cancellation) that
+// prevented one.
 type FanoutResult struct {
 	Eval model.Evaluation
+	// Snap is the replay's back-end snapshot under the design point's own
+	// labels: wp.EvaluateProfile(b.Name, Snap) gives Eval, and so does
+	// EvaluateProfile over another member of b's replay class relabelled
+	// (design.Backend.Relabel) — serving keeps it to answer the class
+	// without a replay. Fault statistics are in Eval alone.
+	Snap []core.LevelStats
 	Err  error
 }
 
@@ -249,8 +256,9 @@ var fanWidthHist = obs.NewHistogram("hybridmem.fan_width",
 	"Replay workers sharing one boundary-stream decode per fan-out replay.")
 
 // replaysShared counts design points answered by another design point's
-// replay: the followers of a replay class. Exposed on /metrics as
-// hybridmem_replays_shared.
+// replay: the followers of a replay class here, and serve's answers from
+// its replay-snapshot tier, which count in the same registered counter.
+// Exposed on /metrics as hybridmem_replays_shared.
 var replaysShared = obs.NewCounter("hybridmem.replays_shared")
 
 // drain flushes the worker's back end into snap, or records in err the
@@ -278,7 +286,7 @@ func (wp *WorkloadProfile) finishFanout(ctx context.Context, w *fanWorker, b des
 	if follower {
 		snap = b.Relabel(snap)
 	}
-	ev, err := model.Evaluate(b.Name, wp.Name, wp.refProfile, wp.RefTime, wp.profileWith(snap))
+	ev, err := wp.EvaluateProfile(b.Name, snap)
 	if err != nil {
 		return FanoutResult{Err: err}
 	}
@@ -309,5 +317,5 @@ func (wp *WorkloadProfile) finishFanout(ctx context.Context, w *fanWorker, b des
 		}
 		wp.log.Event("design_point", f)
 	}
-	return FanoutResult{Eval: ev}
+	return FanoutResult{Eval: ev, Snap: snap}
 }

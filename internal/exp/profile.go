@@ -392,8 +392,7 @@ func (wp *WorkloadProfile) EvaluateSerialCtx(ctx context.Context, b design.Backe
 		return model.Evaluation{}, err
 	}
 	built.Flush()
-	p := wp.profileWith(built.Snapshot())
-	ev, err = model.Evaluate(b.Name, wp.Name, wp.refProfile, wp.RefTime, p)
+	ev, err = wp.EvaluateProfile(b.Name, built.Snapshot())
 	var fs *fault.Stats
 	if fm, ok := built.Memory().(*fault.Memory); ok && err == nil {
 		s := fm.FaultStats()
@@ -422,8 +421,10 @@ func (wp *WorkloadProfile) EvaluateSerialCtx(ctx context.Context, b design.Backe
 	return ev, err
 }
 
-// EvaluateProfile applies the model to an analytically constructed back-end
-// snapshot (used by the NDM oracles, which do not need a replay).
+// EvaluateProfile applies the model to a back-end snapshot: a replay's
+// (EvaluateFanout's finish step), a replay-class member's relabelled copy of
+// one (serve's snapshot tier), or an analytically constructed one (the NDM
+// oracles, which do not need a replay).
 func (wp *WorkloadProfile) EvaluateProfile(name string, backend []core.LevelStats) (model.Evaluation, error) {
 	p := wp.profileWith(backend)
 	return model.Evaluate(name, wp.Name, wp.refProfile, wp.RefTime, p)

@@ -7,11 +7,13 @@ import (
 	"time"
 )
 
-// lruCache is a bounded, mutex-guarded LRU map from canonical request keys
-// to finished evaluations. Hits promote; inserts beyond the bound evict the
-// least recently used entry.
+// lruCache is a bounded, mutex-guarded LRU map from string keys to values
+// of type V. Hits promote; inserts beyond the bound evict the least
+// recently used entry. The server's result LRU maps canonical request keys
+// to finished evaluations; the evaluator's snapshot tier maps replay
+// classes to back-end snapshots.
 //
-// An entry is either a result or a negative entry: the typed permanent
+// A result-LRU entry is either a result or a negative entry: the typed permanent
 // failure the key's evaluation produced. An evaluation is a pure function
 // of its key, so a key that panicked or failed internally fails the same
 // way every time; remembering the failure answers repeats without spending
@@ -19,7 +21,7 @@ import (
 // on the damage if a failure was misclassified as permanent — and share
 // the LRU bound with results: a client can only create one by spending an
 // evaluation, exactly as it creates a result.
-type lruCache struct {
+type lruCache[V any] struct {
 	mu    sync.Mutex
 	max   int
 	order *list.List               // front = most recent; values are *lruEntry
@@ -27,55 +29,55 @@ type lruCache struct {
 	now   func() time.Time         // expiry clock; tests inject a fake
 }
 
-// lruEntry is one cached result or negative entry.
-type lruEntry struct {
+// lruEntry is one cached value or negative entry.
+type lruEntry[V any] struct {
 	key     string
-	res     *EvalResult
+	val     V
 	failure *APIError // non-nil: a negative entry
 	expires time.Time // negative entries only
 }
 
 // newLRUCache builds a cache bounded to max entries (max <= 0 means 1).
-func newLRUCache(max int) *lruCache {
+func newLRUCache[V any](max int) *lruCache[V] {
 	if max <= 0 {
 		max = 1
 	}
-	return &lruCache{max: max, order: list.New(), items: map[string]*list.Element{}, now: time.Now}
+	return &lruCache[V]{max: max, order: list.New(), items: map[string]*list.Element{}, now: time.Now}
 }
 
-// Get returns the cached answer for key, promoting it: a result, or the
+// Get returns the cached answer for key, promoting it: a value, or the
 // typed failure of a live negative entry. An expired negative entry is
 // dropped and reported absent, so the next request re-evaluates the key.
-func (c *lruCache) Get(key string) (res *EvalResult, failure *APIError, ok bool) {
+func (c *lruCache[V]) Get(key string) (val V, failure *APIError, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, nil, false
+		return val, nil, false
 	}
-	e := el.Value.(*lruEntry)
+	e := el.Value.(*lruEntry[V])
 	if e.failure != nil && !c.now().Before(e.expires) {
 		c.order.Remove(el)
 		delete(c.items, key)
-		return nil, nil, false
+		return val, nil, false
 	}
 	c.order.MoveToFront(el)
-	return e.res, e.failure, true
+	return e.val, e.failure, true
 }
 
-// Add inserts (or refreshes) key's result, evicting the LRU entry when
-// full. A result replaces a negative entry under the same key.
-func (c *lruCache) Add(key string, res *EvalResult) {
-	c.put(&lruEntry{key: key, res: res})
+// Add inserts (or refreshes) key's value, evicting the LRU entry when
+// full. A value replaces a negative entry under the same key.
+func (c *lruCache[V]) Add(key string, val V) {
+	c.put(&lruEntry[V]{key: key, val: val})
 }
 
 // AddNegative remembers key's permanent failure for ttl.
-func (c *lruCache) AddNegative(key string, failure *APIError, ttl time.Duration) {
-	c.put(&lruEntry{key: key, failure: failure, expires: c.now().Add(ttl)})
+func (c *lruCache[V]) AddNegative(key string, failure *APIError, ttl time.Duration) {
+	c.put(&lruEntry[V]{key: key, failure: failure, expires: c.now().Add(ttl)})
 }
 
 // put installs e as the most recent entry for its key.
-func (c *lruCache) put(e *lruEntry) {
+func (c *lruCache[V]) put(e *lruEntry[V]) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[e.key]; ok {
@@ -87,12 +89,12 @@ func (c *lruCache) put(e *lruEntry) {
 	for c.order.Len() > c.max {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
+		delete(c.items, oldest.Value.(*lruEntry[V]).key)
 	}
 }
 
 // Len returns the current entry count.
-func (c *lruCache) Len() int {
+func (c *lruCache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()

@@ -13,7 +13,7 @@ import (
 func res(key string) *EvalResult { return &EvalResult{Key: key} }
 
 func TestLRUCacheEvictsLeastRecentlyUsed(t *testing.T) {
-	c := newLRUCache(2)
+	c := newLRUCache[*EvalResult](2)
 	c.Add("a", res("a"))
 	c.Add("b", res("b"))
 	if _, _, ok := c.Get("a"); !ok { // promote a; b is now LRU
@@ -34,7 +34,7 @@ func TestLRUCacheEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 func TestLRUCacheRefreshExisting(t *testing.T) {
-	c := newLRUCache(2)
+	c := newLRUCache[*EvalResult](2)
 	c.Add("a", res("a1"))
 	c.Add("a", res("a2"))
 	if c.Len() != 1 {

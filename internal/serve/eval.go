@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hybridmem/internal/analytic"
+	"hybridmem/internal/core"
 	"hybridmem/internal/design"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/fault"
@@ -37,24 +38,52 @@ type EvalResult struct {
 	Key string `json:"key"`
 	// Metrics maps metric names (MetricNames) to values.
 	Metrics map[string]float64 `json:"metrics"`
-	// ReplayRefs is how many boundary references the evaluation replayed
-	// (zero when answered from a cached reference evaluation).
+	// ReplayRefs is how many boundary references the evaluation replayed:
+	// zero when answered from the cached reference evaluation, at
+	// analytic fidelity, or from another design's replay of the same
+	// cache geometry (a shared answer; see Evaluator).
 	ReplayRefs uint64 `json:"replay_refs"`
 	// EvalMS is the wall-clock cost of computing this result on its
 	// cache miss; every later hit reports it as replay time saved.
 	EvalMS float64 `json:"eval_ms"`
+
+	// replay says how an exact evaluation got its back-end statistics:
+	// replayOwn or replayShared ("" when nothing was replayed). The
+	// server logs it on the miss's http_request event; it is not part of
+	// the response.
+	replay string
 }
+
+// EvalResult.replay values.
+const (
+	replayOwn    = "own"
+	replayShared = "shared"
+)
 
 // DefaultMaxProfiles bounds the evaluator's workload-profile cache. A
 // profile holds a recorded boundary stream (tens of MB at paper scale), so
 // the bound is deliberately small; profiles evict LRU-first.
 const DefaultMaxProfiles = 16
 
+// maxSnapshots bounds the evaluator's replay-snapshot tier. An entry is one
+// replay's back-end snapshot, a few hundred bytes, so the tier holds far
+// more replay classes than any workload has cache geometries in use.
+const maxSnapshots = 4096
+
 // Evaluator turns normalized evaluation requests into results on top of
 // the exp harness. It caches workload profiles — the expensive full-stream
 // prefix simulation — across requests, deduplicates concurrent profiling
 // of the same workload, and counts boundary replays so callers can observe
 // exactly how much simulation work each request triggered.
+//
+// Below the profiles sits the replay-snapshot tier. A replay reads only the
+// design's cache geometry (design.Backend.ReplayKey), so an exact design
+// with a replay key is answered from the back-end snapshot of its replay
+// class — (profile, replay key) — relabelled under its own technologies
+// (design.Backend.Relabel): a technology variant of a geometry already
+// replayed costs microseconds, not a replay. Concurrent misses of one class
+// wait on one replay. Designs without a replay key (fault injection,
+// row-buffer and partitioned terminals) replay alone.
 //
 // Cancellation: the boundary replay honors ctx (see exp.EvaluateCtx). The
 // profiling pass itself runs a workload kernel to completion and is not
@@ -70,6 +99,12 @@ type Evaluator struct {
 	profileUse  map[string]uint64 // LRU clock per profile key
 	useClock    uint64
 	profFlight  *flightGroup[*exp.WorkloadProfile]
+
+	// snaps is the replay-snapshot tier, keyed by profile key and replay
+	// key ("<profileKey>|<ReplayKey>"); snapFlight collapses concurrent
+	// replays of one class.
+	snaps      *lruCache[[]core.LevelStats]
+	snapFlight *flightGroup[[]core.LevelStats]
 
 	// guard, when set, is the durable tier behind the in-memory profile
 	// cache: a profile evicted (or belonging to a previous process) is
@@ -100,6 +135,9 @@ type Evaluator struct {
 	// counter's rate by wall time gives the server's replay refs/s.
 	replaysTotal    *obs.Counter
 	replayRefsTotal *obs.Counter
+	// replaysShared counts answers taken from another design's replay of
+	// the same class — the counter exp's fan-out followers also count in.
+	replaysShared *obs.Counter
 
 	// Durable profile-tier traffic: hits are profiles restored from disk
 	// with zero replay; misses fall through to a fresh profiling pass.
@@ -120,6 +158,8 @@ func NewEvaluator(maxProfiles int, log *obs.Logger) *Evaluator {
 		profiles:    map[string]*exp.WorkloadProfile{},
 		profileUse:  map[string]uint64{},
 		profFlight:  newFlightGroup[*exp.WorkloadProfile](),
+		snaps:       newLRUCache[[]core.LevelStats](maxSnapshots),
+		snapFlight:  newFlightGroup[[]core.LevelStats](),
 
 		boundaryRefs:        obs.NewCounter("memsimd.boundary_refs"),
 		boundaryPackedBytes: obs.NewCounter("memsimd.boundary_packed_bytes"),
@@ -132,6 +172,7 @@ func NewEvaluator(maxProfiles int, log *obs.Logger) *Evaluator {
 
 		replaysTotal:    obs.NewCounter("memsimd.replays_total"),
 		replayRefsTotal: obs.NewCounter("memsimd.replay_refs_total"),
+		replaysShared:   obs.NewCounter("hybridmem.replays_shared"),
 
 		profileStoreHits:   obs.NewCounter("memsimd.profile_store_hits"),
 		profileStoreMisses: obs.NewCounter("memsimd.profile_store_misses"),
@@ -391,7 +432,7 @@ func (e *Evaluator) Evaluate(ctx context.Context, r *EvalRequest) (*EvalResult, 
 		return nil, err
 	}
 	var ev model.Evaluation
-	var replayed uint64
+	var replay string
 	switch {
 	case !needsReplay:
 		// Reference designs are answered from the profile's cached
@@ -406,29 +447,15 @@ func (e *Evaluator) Evaluate(ctx context.Context, r *EvalRequest) (*EvalResult, 
 			return nil, err
 		}
 	default:
-		if f := r.Fault; f != nil {
-			b.Fault = &fault.Config{
-				Seed:            f.Seed,
-				BitErrorRate:    f.BitErrorRate,
-				EnduranceWrites: f.EnduranceWrites,
-				PageBytes:       f.PageBytes,
-			}
-		}
-		ev, err = wp.EvaluateCtx(ctx, b)
+		b.Fault = r.Fault.config()
+		ev, replay, err = e.evaluateExact(ctx, wp, profileKey(r), b)
 		if err != nil {
 			return nil, err
 		}
-		stopAccount := obs.TimeStage(ctx, "fault_account")
+	}
+	var replayed uint64
+	if replay == replayOwn {
 		replayed = uint64(wp.Boundary.Len())
-		e.replays.Add(1)
-		e.replayedRefs.Add(replayed)
-		e.replaysTotal.Add(1)
-		e.replayRefsTotal.Add(replayed)
-		e.faultCorrected.Add(ev.Fault.Corrected)
-		e.faultUncorrected.Add(ev.Fault.Uncorrected)
-		e.faultRetired.Add(ev.Fault.RetiredPages)
-		e.faultRemapped.Add(ev.Fault.Remapped)
-		stopAccount()
 	}
 	return &EvalResult{
 		Design:        ev.Design,
@@ -436,24 +463,121 @@ func (e *Evaluator) Evaluate(ctx context.Context, r *EvalRequest) (*EvalResult, 
 		Scale:         r.Scale,
 		WorkloadScale: r.WorkloadScale,
 		Key:           r.Key(),
-		Metrics: map[string]float64{
-			"amat_ns":     ev.AMATNanos,
-			"runtime_sec": ev.RuntimeSec,
-			"dynamic_j":   ev.DynamicJ,
-			"static_j":    ev.StaticJ,
-			"total_j":     ev.TotalJ,
-			"edp":         ev.EDP,
-			"norm_time":   ev.NormTime,
-			"norm_energy": ev.NormEnergy,
-			"norm_edp":    ev.NormEDP,
-
-			"fault_corrected":     float64(ev.Fault.Corrected),
-			"fault_uncorrected":   float64(ev.Fault.Uncorrected),
-			"fault_stuck_lines":   float64(ev.Fault.StuckLines),
-			"fault_retired_pages": float64(ev.Fault.RetiredPages),
-			"fault_remapped":      float64(ev.Fault.Remapped),
-		},
-		ReplayRefs: replayed,
-		EvalMS:     float64(time.Since(start)) / float64(time.Millisecond),
+		Metrics:       evalMetrics(ev),
+		ReplayRefs:    replayed,
+		EvalMS:        float64(time.Since(start)) / float64(time.Millisecond),
+		replay:        replay,
 	}, nil
+}
+
+// evalMetrics is the full metric set (MetricNames) of an evaluation.
+func evalMetrics(ev model.Evaluation) map[string]float64 {
+	return map[string]float64{
+		"amat_ns":     ev.AMATNanos,
+		"runtime_sec": ev.RuntimeSec,
+		"dynamic_j":   ev.DynamicJ,
+		"static_j":    ev.StaticJ,
+		"total_j":     ev.TotalJ,
+		"edp":         ev.EDP,
+		"norm_time":   ev.NormTime,
+		"norm_energy": ev.NormEnergy,
+		"norm_edp":    ev.NormEDP,
+
+		"fault_corrected":     float64(ev.Fault.Corrected),
+		"fault_uncorrected":   float64(ev.Fault.Uncorrected),
+		"fault_stuck_lines":   float64(ev.Fault.StuckLines),
+		"fault_retired_pages": float64(ev.Fault.RetiredPages),
+		"fault_remapped":      float64(ev.Fault.Remapped),
+	}
+}
+
+// evaluateExact answers design point b at exact fidelity. A design with a
+// replay key takes its class's back-end snapshot — from the tier, or from
+// the one replay concurrent misses of the class share — relabelled under
+// its own technologies; any other design replays alone. replay reports
+// whether this call replayed (replayOwn) or another's replay answered it
+// (replayShared).
+func (e *Evaluator) evaluateExact(ctx context.Context, wp *exp.WorkloadProfile, profile string, b design.Backend) (ev model.Evaluation, replay string, err error) {
+	key, ok := b.ReplayKey()
+	if !ok {
+		if ev, err = wp.EvaluateCtx(ctx, b); err != nil {
+			return ev, "", err
+		}
+		e.countReplay(ctx, wp, ev.Fault)
+		return ev, replayOwn, nil
+	}
+	// A member of a class fails alone, with the error its own Build would
+	// give, before it can lead or join the class's replay.
+	if err := b.Check(); err != nil {
+		return ev, "", err
+	}
+	snap, own, err := e.classSnapshot(ctx, wp, profile+"|"+key, b)
+	if err != nil {
+		return ev, "", err
+	}
+	stopFinish := obs.TimeStage(ctx, "finish")
+	ev, err = wp.EvaluateProfile(b.Name, b.Relabel(snap))
+	stopFinish()
+	if err != nil {
+		return ev, "", err
+	}
+	if own {
+		return ev, replayOwn, nil
+	}
+	e.replaysShared.Add(1)
+	return ev, replayShared, nil
+}
+
+// classSnapshot returns the back-end snapshot of the replay class named
+// key, replaying b to get it when the tier does not hold it. Concurrent
+// misses of one class share one replay, led by the first under its own
+// ctx; own reports whether this call replayed. A failed replay stores
+// nothing. A follower whose leader's request ended — timed out or
+// cancelled — while its own ctx is live leads a new replay instead of
+// inheriting that context error.
+func (e *Evaluator) classSnapshot(ctx context.Context, wp *exp.WorkloadProfile, key string, b design.Backend) (snap []core.LevelStats, own bool, err error) {
+	for {
+		if snap, _, ok := e.snaps.Get(key); ok {
+			return snap, false, nil
+		}
+		start := time.Now()
+		snap, led, err := e.snapFlight.Do(ctx, key, func() ([]core.LevelStats, error) {
+			// A flight that ended between the Get above and Do stored its
+			// snapshot before releasing the key.
+			if snap, _, ok := e.snaps.Get(key); ok {
+				return snap, nil
+			}
+			r := wp.EvaluateFanout(ctx, []design.Backend{b})[0]
+			if r.Err != nil {
+				return nil, r.Err
+			}
+			own = true
+			e.countReplay(ctx, wp, r.Eval.Fault)
+			e.snaps.Add(key, r.Snap)
+			return r.Snap, nil
+		})
+		if !led {
+			obs.AddStage(ctx, "singleflight_wait", time.Since(start))
+			if ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+				continue
+			}
+		}
+		return snap, own, err
+	}
+}
+
+// countReplay accounts one replay of wp's boundary stream and the device
+// faults it injected.
+func (e *Evaluator) countReplay(ctx context.Context, wp *exp.WorkloadProfile, fs fault.Stats) {
+	stop := obs.TimeStage(ctx, "fault_account")
+	defer stop()
+	n := uint64(wp.Boundary.Len())
+	e.replays.Add(1)
+	e.replayedRefs.Add(n)
+	e.replaysTotal.Add(1)
+	e.replayRefsTotal.Add(n)
+	e.faultCorrected.Add(fs.Corrected)
+	e.faultUncorrected.Add(fs.Uncorrected)
+	e.faultRetired.Add(fs.RetiredPages)
+	e.faultRemapped.Add(fs.Remapped)
 }

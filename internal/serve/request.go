@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"hybridmem/internal/design"
+	"hybridmem/internal/fault"
 	"hybridmem/internal/reuse"
 	"hybridmem/internal/tech"
 	"hybridmem/internal/workload/catalog"
@@ -115,6 +116,14 @@ type FaultSpec struct {
 	// PageBytes is the page-retirement granularity (0 = 4096; must be a
 	// power of two >= 64 otherwise).
 	PageBytes uint64 `json:"page_bytes,omitempty"`
+}
+
+// config is the fault model f selects; nil (no injection) for a nil spec.
+func (f *FaultSpec) config() *fault.Config {
+	if f == nil {
+		return nil
+	}
+	return &fault.Config{Seed: f.Seed, BitErrorRate: f.BitErrorRate, EnduranceWrites: f.EnduranceWrites, PageBytes: f.PageBytes}
 }
 
 // DesignSpec names a design point: a family plus its configuration-table

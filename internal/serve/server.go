@@ -144,7 +144,7 @@ type Config struct {
 // and on shutdown call BeginShutdown followed by Drain.
 type Server struct {
 	cfg      Config
-	cache    *lruCache
+	cache    *lruCache[*EvalResult]
 	flight   *flightGroup[*EvalResult]
 	inflight chan struct{}
 	limiter  *admit.Limiter
@@ -218,7 +218,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:      cfg,
-		cache:    newLRUCache(cfg.CacheEntries),
+		cache:    newLRUCache[*EvalResult](cfg.CacheEntries),
 		flight:   newFlightGroup[*EvalResult](),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 		limiter:  admit.NewLimiter(cfg.RateLimit),
@@ -412,6 +412,10 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Memsimd-Trace", span.TraceID)
 
 	var req EvalRequest
+	// replay tags an exact miss's http_request event: "own" when the
+	// evaluation replayed, "shared" when its replay class's snapshot
+	// answered it.
+	var replay string
 	// respond writes one terminal response (timed as the "encode" stage),
 	// then records the outcome-labeled latency sample and the http_request
 	// event — after the write, so the logged breakdown includes encode.
@@ -420,7 +424,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		write()
 		stopEncode()
 		s.latency.With(outcome).ObserveDuration(time.Since(start))
-		s.logRequest(ctx, r, status, start, outcome, &req)
+		s.logRequest(ctx, r, status, start, outcome, &req, replay)
 	}
 	fail := func(outcome string, apiErr *APIError) {
 		respond(httpStatus(apiErr.Code), outcome, func() { writeError(w, apiErr) })
@@ -608,6 +612,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		if req.Fidelity == FidelityAnalytic {
 			outcome = "analytic"
 		}
+		replay = res.replay
 		respond(http.StatusOK, outcome, func() { s.writeResult(w, &req, res, outcome) })
 		return
 	}
@@ -826,9 +831,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // logRequest emits one http_request run-log event (nil logger = no-op),
-// tagged with the request's trace IDs, outcome, and — when the context
-// carries a stage accumulator — the per-stage wall-time breakdown.
-func (s *Server) logRequest(ctx context.Context, r *http.Request, status int, start time.Time, outcome string, req *EvalRequest) {
+// tagged with the request's trace IDs, outcome, replay (how an exact miss
+// got its statistics; "" omits it), and — when the context carries a stage
+// accumulator — the per-stage wall-time breakdown.
+func (s *Server) logRequest(ctx context.Context, r *http.Request, status int, start time.Time, outcome string, req *EvalRequest, replay string) {
 	if s.cfg.Log == nil {
 		return
 	}
@@ -846,6 +852,9 @@ func (s *Server) logRequest(ctx context.Context, r *http.Request, status int, st
 	if req != nil && req.Workload != "" {
 		f["workload"] = req.Workload
 		f["design"] = req.Design.Family + "/" + req.Design.Config
+	}
+	if replay != "" {
+		f["replay"] = replay
 	}
 	for k, v := range obs.StagesFrom(ctx).Fields() {
 		f[k] = v
