@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hybridmem/internal/obs"
 )
 
 func res(key string) *EvalResult { return &EvalResult{Key: key} }
@@ -46,15 +48,15 @@ func TestLRUCacheRefreshExisting(t *testing.T) {
 	}
 }
 
-func TestFlightGroupCollapsesConcurrentCalls(t *testing.T) {
-	g := newFlightGroup[*EvalResult]()
+func TestLRUCacheDoCollapsesConcurrentCalls(t *testing.T) {
+	c := newLRUCache[*EvalResult](4)
 	var runs, leaders, entered atomic.Int32
 	gate := make(chan struct{})
 	const n = 16
 	var wg sync.WaitGroup
 	call := func() {
 		defer wg.Done()
-		r, led, err := g.Do(context.Background(), "k", func() (*EvalResult, error) {
+		r, ran, err := c.Do(context.Background(), "k", func() (*EvalResult, error) {
 			runs.Add(1)
 			<-gate
 			return res("shared"), nil
@@ -62,7 +64,7 @@ func TestFlightGroupCollapsesConcurrentCalls(t *testing.T) {
 		if err != nil || r.Key != "shared" {
 			t.Errorf("Do = %v, %v", r, err)
 		}
-		if led {
+		if ran {
 			leaders.Add(1)
 		}
 	}
@@ -80,8 +82,8 @@ func TestFlightGroupCollapsesConcurrentCalls(t *testing.T) {
 			call()
 		}()
 	}
-	// Let every follower reach Do before the leader is released: a call
-	// that arrives after the flight ends rightly leads a flight of its own.
+	// Let every follower reach Do before the leader is released; a call
+	// arriving after the flight ends finds the stored value instead.
 	for entered.Load() < n-1 {
 		time.Sleep(time.Millisecond)
 	}
@@ -96,11 +98,11 @@ func TestFlightGroupCollapsesConcurrentCalls(t *testing.T) {
 	}
 }
 
-func TestFlightGroupFollowerHonorsContext(t *testing.T) {
-	g := newFlightGroup[*EvalResult]()
+func TestLRUCacheDoFollowerHonorsContext(t *testing.T) {
+	c := newLRUCache[*EvalResult](4)
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	go g.Do(context.Background(), "k", func() (*EvalResult, error) {
+	go c.Do(context.Background(), "k", func() (*EvalResult, error) {
 		close(started)
 		<-gate
 		return res("late"), nil
@@ -108,7 +110,7 @@ func TestFlightGroupFollowerHonorsContext(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, _, err := g.Do(ctx, "k", func() (*EvalResult, error) {
+	_, _, err := c.Do(ctx, "k", func() (*EvalResult, error) {
 		t.Error("follower must not run fn")
 		return nil, nil
 	})
@@ -118,15 +120,114 @@ func TestFlightGroupFollowerHonorsContext(t *testing.T) {
 	close(gate) // leader finishes unhindered
 }
 
-func TestFlightGroupSequentialCallsRunIndependently(t *testing.T) {
-	g := newFlightGroup[*EvalResult]()
+// TestLRUCacheDoCachesSuccess: a success is stored, and later calls get it
+// without running fn.
+func TestLRUCacheDoCachesSuccess(t *testing.T) {
+	c := newLRUCache[*EvalResult](4)
+	var runs int
 	for i := 0; i < 3; i++ {
-		want := fmt.Sprintf("run%d", i)
-		r, led, err := g.Do(context.Background(), "k", func() (*EvalResult, error) {
-			return res(want), nil
+		r, ran, err := c.Do(context.Background(), "k", func() (*EvalResult, error) {
+			runs++
+			return res(fmt.Sprintf("run%d", runs)), nil
 		})
-		if err != nil || !led || r.Key != want {
-			t.Fatalf("call %d: res=%v led=%v err=%v", i, r, led, err)
+		if err != nil || r.Key != "run1" || ran != (i == 0) {
+			t.Fatalf("call %d: res=%v ran=%v err=%v", i, r, ran, err)
 		}
+	}
+	if runs != 1 {
+		t.Fatalf("fn ran %d times, want 1", runs)
+	}
+}
+
+// TestLRUCacheDoDoesNotCacheFailure: a failure stores nothing, so the next
+// call runs fn again.
+func TestLRUCacheDoDoesNotCacheFailure(t *testing.T) {
+	c := newLRUCache[*EvalResult](4)
+	boom := errors.New("boom")
+	if _, ran, err := c.Do(context.Background(), "k", func() (*EvalResult, error) {
+		return nil, boom
+	}); !ran || !errors.Is(err, boom) {
+		t.Fatalf("failing call: ran=%v err=%v", ran, err)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("a failure left %d entries", c.Len())
+	}
+	r, ran, err := c.Do(context.Background(), "k", func() (*EvalResult, error) {
+		return res("second"), nil
+	})
+	if err != nil || !ran || r.Key != "second" {
+		t.Fatalf("retry: res=%v ran=%v err=%v", r, ran, err)
+	}
+}
+
+// TestLRUCacheDoReturnsNegativeEntry: a live negative entry comes back as
+// its typed failure, without running fn.
+func TestLRUCacheDoReturnsNegativeEntry(t *testing.T) {
+	c := newLRUCache[*EvalResult](4)
+	failure := &APIError{Code: CodePanic, Message: "remembered"}
+	c.AddNegative("k", failure, time.Minute)
+	_, ran, err := c.Do(context.Background(), "k", func() (*EvalResult, error) {
+		t.Error("a negative entry must not run fn")
+		return nil, nil
+	})
+	var apiErr *APIError
+	if ran || !errors.As(err, &apiErr) || apiErr != failure {
+		t.Fatalf("ran=%v err=%v, want the negative entry's *APIError", ran, err)
+	}
+}
+
+// TestLRUCacheDoFollowerOfCancelledLeaderRuns: a follower whose leader's
+// flight ended on the leader's context error, while its own context is
+// live, runs fn itself instead of inheriting that error, and records its
+// wait as the singleflight_wait stage.
+func TestLRUCacheDoFollowerOfCancelledLeaderRuns(t *testing.T) {
+	c := newLRUCache[*EvalResult](4)
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(leaderCtx, "k", func() (*EvalResult, error) {
+			close(started)
+			<-leaderCtx.Done()
+			return nil, leaderCtx.Err()
+		})
+		leaderErr <- err
+	}()
+	<-started
+	follower := &waitingCtx{Context: obs.ContextWithStages(context.Background(), obs.NewStages()), waiting: make(chan struct{})}
+	go func() {
+		<-follower.waiting // the follower waits on the leader's flight
+		cancel()
+	}()
+	r, ran, err := c.Do(follower, "k", func() (*EvalResult, error) {
+		return res("own"), nil
+	})
+	if err != nil || !ran || r.Key != "own" {
+		t.Fatalf("follower: res=%v ran=%v err=%v, want its own run", r, ran, err)
+	}
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	stages, _ := obs.StagesFrom(follower).Fields()["stages"].(map[string]float64)
+	if _, ok := stages["singleflight_wait"]; !ok {
+		t.Fatalf("follower recorded no singleflight_wait: %v", stages)
+	}
+}
+
+// TestLRUCacheDoReturnsValueStoredAfterGet: a value stored between a
+// caller's Get and its Do — another request's flight ending in between —
+// is returned without running fn.
+func TestLRUCacheDoReturnsValueStoredAfterGet(t *testing.T) {
+	c := newLRUCache[*EvalResult](4)
+	if _, _, ok := c.Get("k"); ok {
+		t.Fatal("empty cache holds k")
+	}
+	c.Add("k", res("stored"))
+	r, ran, err := c.Do(context.Background(), "k", func() (*EvalResult, error) {
+		t.Error("a resident value must not run fn")
+		return nil, nil
+	})
+	if err != nil || ran || r.Key != "stored" {
+		t.Fatalf("res=%v ran=%v err=%v, want the stored value", r, ran, err)
 	}
 }

@@ -14,9 +14,15 @@ import (
 // scenario the staleness protection exists for.
 func editedCatalog(t *testing.T) *tech.Catalog {
 	t.Helper()
-	pcm := tech.Builtin().MustTech("PCM")
-	pcm.WriteNS = 50
-	cat, err := tech.Builtin().WithEntries(tech.Entry{Tech: pcm, Class: tech.ClassNVM, Source: "test edit"})
+	return editCatalog(t, "PCM", tech.ClassNVM, func(pcm *tech.Tech) { pcm.WriteNS = 50 })
+}
+
+// editCatalog returns the builtin catalog with entry name (of class) edited.
+func editCatalog(t *testing.T, name, class string, edit func(*tech.Tech)) *tech.Catalog {
+	t.Helper()
+	e := tech.Builtin().MustTech(name)
+	edit(&e)
+	cat, err := tech.Builtin().WithEntries(tech.Entry{Tech: e, Class: class, Source: "test edit"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,10 +30,12 @@ func editedCatalog(t *testing.T) *tech.Catalog {
 }
 
 // TestKeyChangesWithCatalog is the refactor's acceptance assertion: editing
-// any catalog value must change the canonical result-cache key and the
-// profile key of an otherwise identical request, so neither the in-memory
-// LRU, the persistent store, nor the profile tier can ever serve a result
-// computed under different technology parameters.
+// any catalog value must change the canonical result-cache key of an
+// otherwise identical request, so neither the in-memory LRU nor the
+// persistent store can ever serve a result computed under different
+// technology parameters. The profile key changes only with the entries
+// that shape the profiled stream — the SRAM prefix and the reference DRAM —
+// so the profile tier never restores a profile built under other ones.
 func TestKeyChangesWithCatalog(t *testing.T) {
 	mk := func() *EvalRequest {
 		return &EvalRequest{Design: DesignSpec{Family: "NMM", Config: "N6", NVM: "PCM"}, Workload: "CG"}
@@ -43,8 +51,23 @@ func TestKeyChangesWithCatalog(t *testing.T) {
 	if base.Key() == edited.Key() {
 		t.Error("catalog edit did not change the result-cache key")
 	}
-	if profileKey(base) == profileKey(edited) {
-		t.Error("catalog edit did not change the profile key")
+	if profileKey(base) != profileKey(edited) {
+		t.Error("a PCM edit changed the profile key; PCM does not shape the profiled stream")
+	}
+	for _, c := range []struct{ name, class string }{
+		{"SRAM-L1", tech.ClassSRAM}, {"SRAM-L3", tech.ClassSRAM}, {"DRAM", tech.ClassDRAM},
+	} {
+		r := mk()
+		cat := editCatalog(t, c.name, c.class, func(e *tech.Tech) { e.ReadNS *= 2 })
+		if apiErr := r.NormalizeWith(cat); apiErr != nil {
+			t.Fatal(apiErr)
+		}
+		if r.Key() == base.Key() {
+			t.Errorf("a %s edit did not change the result-cache key", c.name)
+		}
+		if profileKey(r) == profileKey(base) {
+			t.Errorf("a %s edit did not change the profile key", c.name)
+		}
 	}
 
 	// Same edit expressed as a per-request override: also a different key,

@@ -2,11 +2,14 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
-	"sync"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -18,6 +21,7 @@ import (
 	"hybridmem/internal/model"
 	"hybridmem/internal/obs"
 	"hybridmem/internal/store"
+	"hybridmem/internal/tech"
 	"hybridmem/internal/workload"
 	"hybridmem/internal/workload/catalog"
 )
@@ -93,18 +97,13 @@ type Evaluator struct {
 	// Log receives profiling and design-point events (may be nil).
 	Log *obs.Logger
 
-	maxProfiles int
-	mu          sync.Mutex
-	profiles    map[string]*exp.WorkloadProfile
-	profileUse  map[string]uint64 // LRU clock per profile key
-	useClock    uint64
-	profFlight  *flightGroup[*exp.WorkloadProfile]
-
+	// profiles caches workload profiles by profileKey, bounded LRU-first;
+	// concurrent misses of one key share one restore or profiling pass.
+	profiles *lruCache[*exp.WorkloadProfile]
 	// snaps is the replay-snapshot tier, keyed by profile key and replay
-	// key ("<profileKey>|<ReplayKey>"); snapFlight collapses concurrent
-	// replays of one class.
-	snaps      *lruCache[[]core.LevelStats]
-	snapFlight *flightGroup[[]core.LevelStats]
+	// key ("<profileKey>|<ReplayKey>"); concurrent misses of one class
+	// share one replay.
+	snaps *lruCache[[]core.LevelStats]
 
 	// guard, when set, is the durable tier behind the in-memory profile
 	// cache: a profile evicted (or belonging to a previous process) is
@@ -153,13 +152,9 @@ func NewEvaluator(maxProfiles int, log *obs.Logger) *Evaluator {
 		maxProfiles = DefaultMaxProfiles
 	}
 	return &Evaluator{
-		Log:         log,
-		maxProfiles: maxProfiles,
-		profiles:    map[string]*exp.WorkloadProfile{},
-		profileUse:  map[string]uint64{},
-		profFlight:  newFlightGroup[*exp.WorkloadProfile](),
-		snaps:       newLRUCache[[]core.LevelStats](maxSnapshots),
-		snapFlight:  newFlightGroup[[]core.LevelStats](),
+		Log:      log,
+		profiles: newLRUCache[*exp.WorkloadProfile](maxProfiles),
+		snaps:    newLRUCache[[]core.LevelStats](maxSnapshots),
 
 		boundaryRefs:        obs.NewCounter("memsimd.boundary_refs"),
 		boundaryPackedBytes: obs.NewCounter("memsimd.boundary_packed_bytes"),
@@ -204,31 +199,35 @@ func (e *Evaluator) ReplayedRefs() uint64 { return e.replayedRefs.Load() }
 func (e *Evaluator) ProfilesRun() uint64 { return e.profilesRun.Load() }
 
 // profileKey canonicalizes the profile-cache key: every request field that
-// changes the profiled stream, plus the effective catalog's content hash.
-// The catalog component is deliberately conservative — only the SRAM and
-// reference-DRAM entries actually shape the profiled stream, but keying on
-// the whole-catalog hash guarantees a stale profile is never restored for
-// edited parameters, at worst re-profiling when an unrelated entry changed.
+// changes the profiled stream, plus a hash of the four catalog entries that
+// shape the profile — the SRAM prefix's L1, L2 and L3 and the reference
+// DRAM — taken from the request's effective registry. Every other
+// technology enters only a design's model or relabels a replay snapshot,
+// so editing or overriding one (an LLC's or NVM's parameters, say) keeps
+// the profile, and with it the snapshot tier, that the stock catalog built.
 func profileKey(r *EvalRequest) string {
-	return fmt.Sprintf("%s|s%d|w%d|i%d|d%d|c%s", r.Workload, r.Scale, r.WorkloadScale, r.Iters, r.Dilution, r.CatalogHash())
+	reg := r.registry()
+	prefix := reg.PrefixSpecs(1) // technologies only; the sizes follow Scale
+	b := make([]byte, 0, 256)
+	for _, t := range [...]tech.Tech{prefix[0].Tech, prefix[1].Tech, prefix[2].Tech, reg.DRAM()} {
+		b = append(append(b, t.Name...), 0)
+		for _, v := range [...]float64{t.ReadNS, t.WriteNS, t.ReadPJPerBit, t.WritePJPerBit, t.StaticWPerGB, t.StaticWFixed} {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		b = strconv.AppendBool(b, t.NonVolatile)
+	}
+	return fmt.Sprintf("%s|s%d|w%d|i%d|d%d|t%x", r.Workload, r.Scale, r.WorkloadScale, r.Iters, r.Dilution, sha256.Sum256(b))
 }
 
 // profile returns the cached profile for the request's workload tuple,
-// profiling it once (deduplicated across concurrent requests) on a miss.
+// restoring or profiling it once (deduplicated across concurrent requests)
+// on a miss. The "profile" stage times that restore or profiling pass; a
+// wait on another request's pass is its singleflight_wait.
 func (e *Evaluator) profile(ctx context.Context, r *EvalRequest) (*exp.WorkloadProfile, error) {
 	key := profileKey(r)
-	e.mu.Lock()
-	if wp, ok := e.profiles[key]; ok {
-		e.useClock++
-		e.profileUse[key] = e.useClock
-		e.mu.Unlock()
-		return wp, nil
-	}
-	e.mu.Unlock()
-
-	wp, _, err := e.profFlight.Do(ctx, key, func() (*exp.WorkloadProfile, error) {
+	wp, _, err := e.profiles.Do(ctx, key, func() (*exp.WorkloadProfile, error) {
+		defer obs.TimeStage(ctx, "profile")()
 		if wp, ok := e.restoreProfile(key); ok {
-			e.cacheProfile(key, wp)
 			return wp, nil
 		}
 		w, err := catalog.New(r.Workload, workload.Options{Scale: r.WorkloadScale, Iters: r.Iters})
@@ -247,31 +246,9 @@ func (e *Evaluator) profile(ctx context.Context, r *EvalRequest) (*exp.WorkloadP
 		e.boundaryPackedBytes.Add(wp.Boundary.PackedBytes())
 		e.boundaryRawBytes.Add(wp.Boundary.RawBytes())
 		e.persistProfile(key, wp)
-		e.cacheProfile(key, wp)
 		return wp, nil
 	})
 	return wp, err
-}
-
-// cacheProfile installs wp into the in-memory profile cache under key,
-// evicting LRU-first past the maxProfiles bound.
-func (e *Evaluator) cacheProfile(key string, wp *exp.WorkloadProfile) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.useClock++
-	e.profiles[key] = wp
-	e.profileUse[key] = e.useClock
-	for len(e.profiles) > e.maxProfiles {
-		var oldestKey string
-		var oldest uint64
-		for k, use := range e.profileUse {
-			if oldestKey == "" || use < oldest {
-				oldestKey, oldest = k, use
-			}
-		}
-		delete(e.profiles, oldestKey)
-		delete(e.profileUse, oldestKey)
-	}
 }
 
 // profileStorePrefix namespaces persisted profiles within the store's
@@ -418,12 +395,7 @@ func (e *Evaluator) evaluateAnalytic(wp *exp.WorkloadProfile, b design.Backend) 
 // sketch (ReplayRefs 0).
 func (e *Evaluator) Evaluate(ctx context.Context, r *EvalRequest) (*EvalResult, error) {
 	start := time.Now()
-	// The evaluator owns the "profile" stage: it covers the cache hit, the
-	// singleflight leader's profiling pass, and a follower's wait uniformly
-	// (ProfileWorkloadOpts deliberately does not self-record).
-	stopProfile := obs.TimeStage(ctx, "profile")
 	wp, err := e.profile(ctx, r)
-	stopProfile()
 	if err != nil {
 		return nil, err
 	}
@@ -532,38 +504,16 @@ func (e *Evaluator) evaluateExact(ctx context.Context, wp *exp.WorkloadProfile, 
 // key, replaying b to get it when the tier does not hold it. Concurrent
 // misses of one class share one replay, led by the first under its own
 // ctx; own reports whether this call replayed. A failed replay stores
-// nothing. A follower whose leader's request ended — timed out or
-// cancelled — while its own ctx is live leads a new replay instead of
-// inheriting that context error.
+// nothing, and a live follower of a cancelled one replays itself.
 func (e *Evaluator) classSnapshot(ctx context.Context, wp *exp.WorkloadProfile, key string, b design.Backend) (snap []core.LevelStats, own bool, err error) {
-	for {
-		if snap, _, ok := e.snaps.Get(key); ok {
-			return snap, false, nil
+	return e.snaps.Do(ctx, key, func() ([]core.LevelStats, error) {
+		r := wp.EvaluateFanout(ctx, []design.Backend{b})[0]
+		if r.Err != nil {
+			return nil, r.Err
 		}
-		start := time.Now()
-		snap, led, err := e.snapFlight.Do(ctx, key, func() ([]core.LevelStats, error) {
-			// A flight that ended between the Get above and Do stored its
-			// snapshot before releasing the key.
-			if snap, _, ok := e.snaps.Get(key); ok {
-				return snap, nil
-			}
-			r := wp.EvaluateFanout(ctx, []design.Backend{b})[0]
-			if r.Err != nil {
-				return nil, r.Err
-			}
-			own = true
-			e.countReplay(ctx, wp, r.Eval.Fault)
-			e.snaps.Add(key, r.Snap)
-			return r.Snap, nil
-		})
-		if !led {
-			obs.AddStage(ctx, "singleflight_wait", time.Since(start))
-			if ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-				continue
-			}
-		}
-		return snap, own, err
-	}
+		e.countReplay(ctx, wp, r.Eval.Fault)
+		return r.Snap, nil
+	})
 }
 
 // countReplay accounts one replay of wp's boundary stream and the device

@@ -145,7 +145,6 @@ type Config struct {
 type Server struct {
 	cfg      Config
 	cache    *lruCache[*EvalResult]
-	flight   *flightGroup[*EvalResult]
 	inflight chan struct{}
 	limiter  *admit.Limiter
 	guard    *StoreGuard
@@ -219,7 +218,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		cache:    newLRUCache[*EvalResult](cfg.CacheEntries),
-		flight:   newFlightGroup[*EvalResult](),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 		limiter:  admit.NewLimiter(cfg.RateLimit),
 		guard:    cfg.StoreGuard,
@@ -561,8 +559,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
 		defer cancel()
 	}
-	flightStart := time.Now()
-	res, led, err := s.flight.Do(ctx, key, func() (*EvalResult, error) {
+	res, ran, err := s.cache.Do(ctx, key, func() (*EvalResult, error) {
 		select {
 		case s.inflight <- struct{}{}:
 		default:
@@ -570,22 +567,14 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		}
 		defer func() { <-s.inflight }()
 		res, err := s.safeEvaluate(ctx, &req, key)
-		// The answer enters the LRU before the flight is released, so a
-		// request arriving just after the leader finishes finds it rather
-		// than evaluating the key again.
-		if err == nil {
-			s.cache.Add(key, res)
-		} else if failure, ok := s.permanentFailure(ctx, err); ok {
-			s.cache.AddNegative(key, failure, NegativeTTL)
-			s.negativeEntries.Add(1)
+		if err != nil {
+			if failure, ok := s.permanentFailure(ctx, err); ok {
+				s.cache.AddNegative(key, failure, NegativeTTL)
+				s.negativeEntries.Add(1)
+			}
 		}
 		return res, err
 	})
-	if !led {
-		// A follower's whole flight time is spent waiting on the leader;
-		// the leader's time is attributed stage by stage below it.
-		obs.AddStage(ctx, "singleflight_wait", time.Since(flightStart))
-	}
 	if err != nil {
 		apiErr := toAPIError(err)
 		switch apiErr.Code {
@@ -597,7 +586,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		fail(outcomeForCode(apiErr.Code), apiErr)
 		return
 	}
-	if led {
+	if ran {
 		s.misses.Add(1)
 		if s.guard != nil {
 			stopWrite := obs.TimeStage(ctx, "store_write")
@@ -616,8 +605,9 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		respond(http.StatusOK, outcome, func() { s.writeResult(w, &req, res, outcome) })
 		return
 	}
-	// Follower of a deduplicated flight: the leader replayed once and
-	// cached; report the shared result as a hit.
+	// Another request's evaluation of the key answered this one: a
+	// follower of its flight, or one that finished since the lookup above.
+	// Report the shared result as a hit.
 	s.hits.Add(1)
 	s.savedMS.Add(uint64(res.EvalMS))
 	respond(http.StatusOK, "dedup", func() { s.writeResult(w, &req, res, "dedup") })

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -273,6 +274,53 @@ func TestConcurrentIdenticalRequestsCollapse(t *testing.T) {
 	}
 	if leaders != 1 {
 		t.Fatalf("saw %d flight leaders, want 1", leaders)
+	}
+}
+
+// TestFollowerOutlivesLeaderDeadline: a request that joins the flight of a
+// leader whose own X-Memsimd-Deadline-Ms expires mid-evaluation must not
+// inherit the leader's timeout. With its own deadline still live, the
+// follower evaluates the key itself.
+func TestFollowerOutlivesLeaderDeadline(t *testing.T) {
+	var calls atomic.Int32
+	leading := make(chan struct{})
+	runner := &stubRunner{fn: func(ctx context.Context, req *EvalRequest) (*EvalResult, error) {
+		if calls.Add(1) == 1 {
+			close(leading)
+			<-ctx.Done() // model a replay noticing its deadline
+			return nil, ctx.Err()
+		}
+		return &EvalResult{Key: req.Key(), Metrics: map[string]float64{}}, nil
+	}}
+	s := New(Config{Runner: runner})
+	s.estimate = func() time.Duration { return 0 } // shed nothing
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := testBody("NMM/N6")
+	leaderStatus := make(chan int, 1)
+	go func() {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/evaluate", strings.NewReader(body))
+		req.Header.Set(deadlineHeader, "500")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			leaderStatus <- 0
+			return
+		}
+		resp.Body.Close()
+		leaderStatus <- resp.StatusCode
+	}()
+	<-leading
+
+	resp, decoded := post(t, ts, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("follower status %d (%v), want 200", resp.StatusCode, decoded)
+	}
+	if got := <-leaderStatus; got != http.StatusGatewayTimeout {
+		t.Fatalf("leader status %d, want 504", got)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("runner called %d times, want 2 (the leader's and the follower's own)", n)
 	}
 }
 
