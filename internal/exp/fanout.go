@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +41,7 @@ type FanoutResult struct {
 	// Snap is the replay's back-end snapshot under the design point's own
 	// labels: wp.EvaluateProfile(b.Name, Snap) gives Eval, and so does
 	// EvaluateProfile over another member of b's replay class relabelled
-	// (design.Backend.Relabel) — serving keeps it to answer the class
+	// (design.Backend.Relabel) — ClassCache keeps it to answer the class
 	// without a replay. Fault statistics are in Eval alone.
 	Snap []core.LevelStats
 	Err  error
@@ -64,38 +65,15 @@ var fanoutTargetHook func(b design.Backend, t replayTarget) replayTarget
 // seam for mid-stream cancellation; nil in production.
 var fanoutDecodeHook func(block int)
 
-// fanWorker is one replay class's state inside a fan-out: the leader design
-// point it builds and replays, and the followers that share its replay key
-// and take its statistics under their own labels.
+// fanWorker is one design point's replay inside a fan-out.
 type fanWorker struct {
-	idx    int // the leader's index into the backends/results slices
+	idx    int // the design point's index into the backends/results slices
 	target replayTarget
 	in     chan *fanBlock
 	err    error
-	// name is the leader's design name, and label the panic-recovery
-	// operation name, precomputed at setup so the per-block replay path
-	// stays allocation-free.
-	name, label string
-	// key is the leader's replay key; keyed is false for a design point
-	// that replays alone (see design.Backend.ReplayKey).
-	key   string
-	keyed bool
-	// followers are the indices of the design points answered by this
-	// worker's replay, and snap the replay's back-end snapshot.
-	followers []int
-	snap      []core.LevelStats
-}
-
-// classOf returns the worker already replaying the class with the given
-// key, or nil. A fan-out seats at most a few dozen classes, so a scan beats
-// a map.
-func classOf(workers []*fanWorker, key string) *fanWorker {
-	for _, w := range workers {
-		if w.keyed && w.key == key {
-			return w
-		}
-	}
-	return nil
+	// label is the panic-recovery operation name, precomputed at setup so
+	// the per-block replay path stays allocation-free.
+	label string
 }
 
 // consume replays one block into the worker's back end, converting a panic
@@ -108,38 +86,24 @@ func (w *fanWorker) consume(refs []trace.Ref) {
 
 // EvaluateFanout replays the boundary stream once into a whole set of design
 // points: each packed 64K-ref block is decoded exactly once into a shared
-// read-only ring slot and broadcast to one replay worker per replay class,
-// replacing len(backends) full decodes with one. Design points with the
-// same replay key (design.Backend.ReplayKey: the same cache geometry over a
-// plain terminal) form one class: the first that builds replays, and the
-// rest build nothing and take its statistics under their own labels
-// (design.Backend.Relabel), so a class costs one replay however many
-// technologies it spans. Results come back in backends order; a failing
-// design point (build error, replay panic, model error) carries its own Err
-// without disturbing its siblings — a failed worker keeps draining the ring
-// so the broadcast never stalls — and a follower fails with its own Build
-// error before its leader's replay error. Cancelling ctx stops the decoder
-// at the next block boundary and marks every still-healthy design point
-// with ctx.Err().
+// read-only ring slot and broadcast to one replay worker per design point,
+// replacing len(backends) full decodes with one. Every design point
+// replays: sharing one replay among the members of a replay class is the
+// caller's (see RunJobs and ClassCache). Results come back in backends
+// order; a failing design point (build error, replay panic, model error)
+// carries its own Err without disturbing its siblings — a failed worker
+// keeps draining the ring so the broadcast never stalls. Cancelling ctx
+// stops the decoder at the next block boundary and marks every
+// still-healthy design point with ctx.Err().
 //
 // Blocks are immutable while shared: the decoder is the only writer, and it
 // only reuses a slot after every worker has released it (fanBlock.pending
 // reaching zero), so workers need no copies and no locks.
 func (wp *WorkloadProfile) EvaluateFanout(ctx context.Context, backends []design.Backend) []FanoutResult {
 	results := make([]FanoutResult, len(backends))
-	if len(backends) == 0 {
-		return results
-	}
 	start := time.Now()
 	workers := make([]*fanWorker, 0, len(backends))
 	for i, b := range backends {
-		key, keyed := b.ReplayKey()
-		if keyed {
-			if w := classOf(workers, key); w != nil {
-				w.followers = append(w.followers, i)
-				continue
-			}
-		}
 		built, err := b.Build()
 		if err != nil {
 			results[i] = FanoutResult{Err: err}
@@ -153,10 +117,7 @@ func (wp *WorkloadProfile) EvaluateFanout(ctx context.Context, backends []design
 			idx:    i,
 			target: t,
 			in:     make(chan *fanBlock, ringBlocks),
-			name:   b.Name,
 			label:  "evaluate " + b.Name + " on " + wp.Name,
-			key:    key,
-			keyed:  keyed,
 		})
 	}
 	if len(workers) == 0 {
@@ -228,94 +189,78 @@ func (wp *WorkloadProfile) EvaluateFanout(ctx context.Context, backends []design
 	}
 
 	finishStop := obs.TimeStage(ctx, "finish")
+	src := replaySource{shared: true, width: len(workers), blocks: decoded}
 	for _, w := range workers {
 		if w.err == nil {
 			w.err = ctxErr
 		}
-		w.drain()
-		results[w.idx] = wp.finishFanout(ctx, w, backends[w.idx], false, len(workers), decoded, start)
-		for _, i := range w.followers {
-			if err := backends[i].Check(); err != nil {
-				results[i] = FanoutResult{Err: err}
-				continue
-			}
-			results[i] = wp.finishFanout(ctx, w, backends[i], true, len(workers), decoded, start)
-			if results[i].Err == nil {
-				replaysShared.Add(1)
-			}
-		}
+		results[w.idx] = wp.finishFanout(ctx, w, backends[w.idx], src, start)
 	}
 	finishStop()
 	return results
 }
 
 // fanWidthHist tracks how many replay workers each fan-out broadcast every
-// decoded block to — one per replay class, so decodes per replayed
-// reference is 1/width. Exposed on /metrics as hybridmem_fan_width.
+// decoded block to, so decodes per replayed reference is 1/width. Exposed
+// on /metrics as hybridmem_fan_width.
 var fanWidthHist = obs.NewHistogram("hybridmem.fan_width",
 	"Replay workers sharing one boundary-stream decode per fan-out replay.")
 
 // replaysShared counts design points answered by another design point's
-// replay: the followers of a replay class here, and serve's answers from
-// its replay-snapshot tier, which count in the same registered counter.
-// Exposed on /metrics as hybridmem_replays_shared.
+// replay of their class (the member step, ClassCache). Exposed on
+// /metrics as hybridmem_replays_shared.
 var replaysShared = obs.NewCounter("hybridmem.replays_shared")
 
-// drain flushes the worker's back end into snap, or records in err the
-// panic that ended it.
-func (w *fanWorker) drain() {
-	if w.err != nil {
-		return
-	}
-	defer fault.RecoverTo(&w.err, w.label)
-	w.target.Flush()
-	w.snap = w.target.Snapshot()
-}
-
-// finishFanout turns the snapshot of w's replay into design point b's
-// evaluation — b is w's leader, or a follower that takes the snapshot under
-// its own labels (design.Backend.Relabel) — and emits the design_point
-// run-log event, tagged with a child span of ctx's trace so a served
-// request's design points correlate back to its trace_id.
-func (wp *WorkloadProfile) finishFanout(ctx context.Context, w *fanWorker, b design.Backend, follower bool, width, blocks int, start time.Time) (res FanoutResult) {
+// finishFanout flushes w's back end and turns its snapshot into design
+// point b's evaluation, emitting its design_point run-log event; a panic
+// in the flush is b's error.
+func (wp *WorkloadProfile) finishFanout(ctx context.Context, w *fanWorker, b design.Backend, src replaySource, start time.Time) (res FanoutResult) {
 	if w.err != nil {
 		return FanoutResult{Err: w.err}
 	}
 	defer fault.RecoverTo(&res.Err, w.label)
-	snap := w.snap
-	if follower {
-		snap = b.Relabel(snap)
-	}
+	w.target.Flush()
+	snap := w.target.Snapshot()
 	ev, err := wp.EvaluateProfile(b.Name, snap)
 	if err != nil {
 		return FanoutResult{Err: err}
 	}
-	var fs *fault.Stats
 	if fm, ok := w.target.Memory().(*fault.Memory); ok {
-		s := fm.FaultStats()
-		fs = &s
-		ev.Fault = s
+		ev.Fault = fm.FaultStats()
 	}
-	if wp.log != nil {
-		f := obs.ThroughputFields(uint64(wp.Boundary.Len()), time.Since(start))
-		obs.ChildSpanIfTraced(ctx).Annotate(f)
-		f["workload"] = wp.Name
-		f["design"] = b.Name
-		f["replayed_by"] = w.name
-		f["decode_shared"] = true
-		f["fan_width"] = width
-		f["blocks"] = blocks
-		f["norm_time"] = ev.NormTime
-		f["norm_energy"] = ev.NormEnergy
-		f["norm_edp"] = ev.NormEDP
-		if fs != nil {
-			f["fault_corrected"] = fs.Corrected
-			f["fault_uncorrected"] = fs.Uncorrected
-			f["fault_stuck_lines"] = fs.StuckLines
-			f["fault_retired_pages"] = fs.RetiredPages
-			f["fault_remapped"] = fs.Remapped
-		}
-		wp.log.Event("design_point", f)
-	}
+	src.by = b.Name
+	wp.logDesignPoint(ctx, b, ev, src, start)
 	return FanoutResult{Eval: ev, Snap: snap}
+}
+
+// replaySource says where a design point's statistics came from: design
+// by's replay, decoded by a fan-out of width workers (shared) over blocks
+// blocks. A class member's answer decoded nothing: width and blocks are 0.
+type replaySource struct {
+	by            string
+	shared        bool
+	width, blocks int
+}
+
+// logDesignPoint emits b's design_point run-log event, if the profile has a
+// run logger, tagged with a child span of ctx's trace so a served request's
+// design points correlate back to its trace_id. A design answered by
+// another's replay reports refs 0 and no replay throughput.
+func (wp *WorkloadProfile) logDesignPoint(ctx context.Context, b design.Backend, ev model.Evaluation, src replaySource, start time.Time) {
+	if wp.log == nil {
+		return
+	}
+	f := obs.Fields{"refs": 0, "wall_ms": float64(time.Since(start)) / float64(time.Millisecond)}
+	if src.by == b.Name {
+		f = obs.ThroughputFields(uint64(wp.Boundary.Len()), time.Since(start))
+	}
+	obs.ChildSpanIfTraced(ctx).Annotate(f)
+	maps.Copy(f, obs.Fields{"workload": wp.Name, "design": b.Name, "replayed_by": src.by,
+		"decode_shared": src.shared, "fan_width": src.width, "blocks": src.blocks,
+		"norm_time": ev.NormTime, "norm_energy": ev.NormEnergy, "norm_edp": ev.NormEDP})
+	if fs := ev.Fault; b.Fault != nil {
+		maps.Copy(f, obs.Fields{"fault_corrected": fs.Corrected, "fault_uncorrected": fs.Uncorrected,
+			"fault_stuck_lines": fs.StuckLines, "fault_retired_pages": fs.RetiredPages, "fault_remapped": fs.Remapped})
+	}
+	wp.log.Event("design_point", f)
 }

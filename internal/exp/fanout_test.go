@@ -95,11 +95,11 @@ func synthBoundary(src *trace.Packed, blocks int) *trace.Packed {
 }
 
 // synthProfile clones a real profile with a synthetic multi-block boundary
-// stream and no run logger.
+// stream, no run logger and an identity of its own.
 func synthProfile(wp *WorkloadProfile, blocks int) *WorkloadProfile {
 	c := *wp
 	c.Boundary = synthBoundary(wp.Boundary, blocks)
-	c.log = nil
+	c.log, c.id = nil, 0
 	return &c
 }
 
@@ -254,11 +254,13 @@ func TestPlanFanout(t *testing.T) {
 			if ch.wp != wantWP[i] {
 				t.Fatalf("chunk %d is %s, want %s", i, ch.wp.Name, wantWP[i].Name)
 			}
-			if !slices.Equal(ch.idxs, wantIdxs[i]) {
-				t.Fatalf("chunk %d idxs = %v, want %v", i, ch.idxs, wantIdxs[i])
+			idxs := slices.Concat(ch.classes...)
+			slices.Sort(idxs)
+			if !slices.Equal(idxs, wantIdxs[i]) {
+				t.Fatalf("chunk %d idxs = %v, want %v", i, idxs, wantIdxs[i])
 			}
-			if ch.width != wantWidth[i] {
-				t.Fatalf("chunk %d width = %d, want %d", i, ch.width, wantWidth[i])
+			if len(ch.classes) != wantWidth[i] {
+				t.Fatalf("chunk %d width = %d, want %d", i, len(ch.classes), wantWidth[i])
 			}
 		}
 	}

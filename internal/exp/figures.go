@@ -33,11 +33,11 @@ type RowSet struct {
 	LLC, NVM tech.Tech
 }
 
-// Rows evaluates every row set through one RunJobs call and returns each
-// set's rows, one per configuration, in sets order. One call lets design
-// points that share a cache geometry across sets — every EH configuration
-// under 4LC and 4LCNVM, every N configuration under each NVM — share one
-// replay per workload (see EvaluateFanout).
+// Rows evaluates every row set and returns each set's rows, one per
+// configuration, in sets order. Design points that share a cache geometry —
+// every EH configuration under 4LC and 4LCNVM, every N configuration under
+// each NVM — share one replay per workload, within this call and across
+// the suite's earlier calls (the suite's ClassCache).
 func (s *Suite) Rows(sets []RowSet) ([][]Row, error) {
 	n := len(s.Profiles)
 	var jobs []Job
@@ -73,7 +73,7 @@ func (s *Suite) Rows(sets []RowSet) ([][]Row, error) {
 			}
 		}
 	}
-	results, err := RunJobs(s.ctx, jobs, s.Cfg.Workers)
+	results, err := runJobs(s.ctx, s.classes, jobs, s.Cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

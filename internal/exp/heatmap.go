@@ -53,8 +53,9 @@ func (s *Suite) EnergyHeatmap(readMults, writeMults []float64) (*Heatmap, error)
 
 // heatmap sweeps the multiplier grid: one NMM design point per cell and
 // workload whose main memory is DRAM rescaled by the cell's multipliers.
-// The points differ only in the terminal's technology, so RunJobs replays
-// each workload once and relabels the result per cell.
+// The points differ only in the terminal's technology, so they form one
+// replay class per workload — Figure 1's N6 — replayed at most once per
+// suite and relabelled per cell.
 func (s *Suite) heatmap(kind string, readMults, writeMults []float64,
 	scaleTech func(tech.Tech, float64, float64) tech.Tech,
 	metric func(model.Evaluation) float64) (*Heatmap, error) {
@@ -75,7 +76,7 @@ func (s *Suite) heatmap(kind string, readMults, writeMults []float64,
 			}
 		}
 	}
-	evs, err := RunJobs(s.ctx, jobs, s.Cfg.Workers)
+	evs, err := runJobs(s.ctx, s.classes, jobs, s.Cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

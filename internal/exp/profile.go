@@ -137,6 +137,9 @@ type WorkloadProfile struct {
 	refProfile model.Profile
 	// log receives per-design-point events from Evaluate (may be nil).
 	log *obs.Logger
+	// id is the profile's replay-class identity (see identity); 0 until
+	// first used.
+	id uint64
 }
 
 // ProfileOptions configures a single-workload profiling pass.
@@ -371,10 +374,7 @@ func (wp *WorkloadProfile) EvaluateCtx(ctx context.Context, b design.Backend) (m
 // per-design-decode comparator in BenchmarkFanoutReplay.
 func (wp *WorkloadProfile) EvaluateSerialCtx(ctx context.Context, b design.Backend) (ev model.Evaluation, err error) {
 	defer fault.RecoverTo(&err, "evaluate "+b.Name+" on "+wp.Name)
-	var start time.Time
-	if wp.log != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	built, err := b.Build()
 	if err != nil {
 		return model.Evaluation{}, err
@@ -392,39 +392,20 @@ func (wp *WorkloadProfile) EvaluateSerialCtx(ctx context.Context, b design.Backe
 		return model.Evaluation{}, err
 	}
 	built.Flush()
-	ev, err = wp.EvaluateProfile(b.Name, built.Snapshot())
-	var fs *fault.Stats
-	if fm, ok := built.Memory().(*fault.Memory); ok && err == nil {
-		s := fm.FaultStats()
-		fs = &s
-		ev.Fault = s
+	if ev, err = wp.EvaluateProfile(b.Name, built.Snapshot()); err != nil {
+		return ev, err
 	}
-	if wp.log != nil && err == nil {
-		f := obs.ThroughputFields(uint64(wp.Boundary.Len()), time.Since(start))
-		obs.ChildSpanIfTraced(ctx).Annotate(f)
-		f["workload"] = wp.Name
-		f["design"] = b.Name
-		f["replayed_by"] = b.Name
-		f["decode_shared"] = false
-		f["norm_time"] = ev.NormTime
-		f["norm_energy"] = ev.NormEnergy
-		f["norm_edp"] = ev.NormEDP
-		if fs != nil {
-			f["fault_corrected"] = fs.Corrected
-			f["fault_uncorrected"] = fs.Uncorrected
-			f["fault_stuck_lines"] = fs.StuckLines
-			f["fault_retired_pages"] = fs.RetiredPages
-			f["fault_remapped"] = fs.Remapped
-		}
-		wp.log.Event("design_point", f)
+	if fm, ok := built.Memory().(*fault.Memory); ok {
+		ev.Fault = fm.FaultStats()
 	}
-	return ev, err
+	wp.logDesignPoint(ctx, b, ev, replaySource{by: b.Name, width: 1, blocks: wp.Boundary.Blocks()}, start)
+	return ev, nil
 }
 
 // EvaluateProfile applies the model to a back-end snapshot: a replay's
 // (EvaluateFanout's finish step), a replay-class member's relabelled copy of
-// one (serve's snapshot tier), or an analytically constructed one (the NDM
-// oracles, which do not need a replay).
+// one (the member step of RunJobs and ClassCache), or an analytically
+// constructed one (the NDM oracles, which do not need a replay).
 func (wp *WorkloadProfile) EvaluateProfile(name string, backend []core.LevelStats) (model.Evaluation, error) {
 	p := wp.profileWith(backend)
 	return model.Evaluate(name, wp.Name, wp.refProfile, wp.RefTime, p)
@@ -442,6 +423,10 @@ type Suite struct {
 	// reg is the design registry over Config.Catalog (builtin when nil);
 	// every sweep resolves its implicit DRAM through it.
 	reg *design.Registry
+	// classes keeps every figure call's replay classes for the suite's
+	// lifetime, so no cache geometry is replayed twice. Nil (a Suite
+	// literal) shares replays within a call only, as RunJobs does.
+	classes *ClassCache
 }
 
 // Ctx returns the suite's resolved observability context.
@@ -461,7 +446,7 @@ func NewSuite(cfg Config) (*Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Suite{Cfg: cfg, ctx: ctx, reg: reg}
+	s := &Suite{Cfg: cfg, ctx: ctx, reg: reg, classes: NewClassCache()}
 	suiteFields := obs.Fields{
 		"workloads": cfg.Workloads, "scale": cfg.Scale, "workload_scale": cfg.WorkloadScale,
 	}

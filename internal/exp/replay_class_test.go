@@ -9,6 +9,7 @@ import (
 	"hybridmem/internal/core"
 	"hybridmem/internal/design"
 	"hybridmem/internal/fault"
+	"hybridmem/internal/obs"
 	"hybridmem/internal/tech"
 )
 
@@ -211,7 +212,7 @@ func TestReplayClassMatchesOwnReplay(t *testing.T) {
 // (8 EH + 9 N, 119 in all), so 518 design points are answered by another's
 // replay.
 func TestRunJobsSharesReplays(t *testing.T) {
-	s := catalogSuite(t)
+	s := withFreshClasses(catalogSuite(t))
 	if len(s.Profiles) != 7 {
 		t.Fatalf("suite has %d workloads, want the 7 of Table 4", len(s.Profiles))
 	}
@@ -251,5 +252,117 @@ func TestRunJobsSharesReplays(t *testing.T) {
 		if !reflect.DeepEqual(alone[0], rowSets[i]) {
 			t.Fatalf("set %+v differs when evaluated alone", set)
 		}
+	}
+}
+
+// withFreshClasses returns a suite over s's profiles with an empty replay-
+// class cache, so a test's replay counts do not depend on which suite calls
+// ran before it.
+func withFreshClasses(s *Suite) *Suite {
+	c := *s
+	c.classes = NewClassCache()
+	return &c
+}
+
+// classReplays returns how many replay workers fan-outs have seated so far:
+// one per class replay.
+func classReplays() uint64 { return fanWidthHist.Snapshot().Sum }
+
+// TestSuiteReplaysEachGeometryOnce pins the suite's class cache: paperrepro's
+// Figure 1, 3 and 5 sweeps and the two heat maps span 17 cache geometries
+// per workload (Table 3's nine, Table 2's eight), and a suite replays each
+// once — Figure 5's geometries are Figure 3's, and the heat maps' N6 is
+// Figure 1's — where one replay per figure call's class would be 27. Every
+// answer equals the same call on a fresh suite, and a class member whose
+// own check fails while its class is resident fails alone, with its own
+// error, leaving the class to answer its valid members.
+func TestSuiteReplaysEachGeometryOnce(t *testing.T) {
+	s := withFreshClasses(suite(t))
+	calls := []struct {
+		name string
+		run  func(*Suite) (any, error)
+	}{
+		{"NMM/PCM", func(s *Suite) (any, error) { return s.NMM(tech.PCM) }},
+		{"4LC/eDRAM", func(s *Suite) (any, error) { return s.FourLC(tech.EDRAM) }},
+		{"4LCNVM/eDRAM/PCM", func(s *Suite) (any, error) { return s.FourLCNVM(tech.EDRAM, tech.PCM) }},
+		{"latency heat map", func(s *Suite) (any, error) { return s.LatencyHeatmap(nil, nil) }},
+		{"energy heat map", func(s *Suite) (any, error) { return s.EnergyHeatmap(nil, nil) }},
+	}
+	before := classReplays()
+	got := make([]any, len(calls))
+	for i, c := range calls {
+		var err error
+		if got[i], err = c.run(s); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+	geometries := uint64(len(design.NConfigs)+len(design.EHConfigs)) * uint64(len(s.Profiles))
+	if n := classReplays() - before; n != geometries {
+		t.Fatalf("the figure calls replayed %d classes, want %d (one per geometry and workload)", n, geometries)
+	}
+	for i, c := range calls {
+		want, err := c.run(withFreshClasses(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("%s: the suite's answer differs from a fresh suite's", c.name)
+		}
+	}
+
+	wp := s.Profiles[0]
+	bad := tech.EDRAM
+	bad.Name, bad.ReadNS = "bad-eDRAM", 0
+	invalid := s.reg.FourLCWith(design.EHConfigs[2], bad, s.Cfg.Scale, wp.Footprint)
+	valid := s.reg.FourLCWith(design.EHConfigs[2], tech.HMC, s.Cfg.Scale, wp.Footprint)
+	_, own := invalid.Build()
+	if own == nil {
+		t.Fatal("the invalid technology built")
+	}
+	before, classes := classReplays(), s.classes.Len()
+	if _, err := runJobs(context.Background(), s.classes, []Job{{WP: wp, B: invalid}}, 2); err == nil || err.Error() != own.Error() {
+		t.Fatalf("RunJobs: invalid member err %v, want its own Build error %v", err, own)
+	}
+	if _, _, err := s.classes.Do(context.Background(), wp, invalid); err == nil || err.Error() != own.Error() {
+		t.Fatalf("ClassCache.Do: invalid member err %v, want its own Build error %v", err, own)
+	}
+	evs, err := runJobs(context.Background(), s.classes, []Job{{WP: wp, B: valid}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := wp.EvaluateSerialCtx(context.Background(), valid)
+	if err != nil || evs[0] != want {
+		t.Fatalf("valid member after a failed one: serial err %v, equal %v", err, evs[0] == want)
+	}
+	if classReplays() != before || s.classes.Len() != classes {
+		t.Fatalf("resident-class members replayed %d classes and changed the cache %d -> %d",
+			classReplays()-before, classes, s.classes.Len())
+	}
+}
+
+// TestRunJobsReplaysEveryCall pins that RunJobs keeps no snapshot between
+// calls: two identical calls each decode the same, nonzero number of
+// boundary blocks, even over profiles whose suite holds their classes.
+func TestRunJobsReplaysEveryCall(t *testing.T) {
+	s := suite(t)
+	if _, err := s.NMM(tech.PCM); err != nil {
+		t.Fatal(err)
+	}
+	var jobs []Job
+	for _, wp := range s.Profiles {
+		for _, cfg := range design.NConfigs {
+			jobs = append(jobs, Job{WP: wp, B: s.reg.NMMWith(cfg, tech.PCM, s.Cfg.Scale, wp.Footprint)})
+		}
+	}
+	var decoded [2]uint64
+	for i := range decoded {
+		before := obs.DecodedBlocks()
+		if _, err := RunJobs(context.Background(), jobs, 2); err != nil {
+			t.Fatal(err)
+		}
+		decoded[i] = obs.DecodedBlocks() - before
+	}
+	if decoded[0] == 0 || decoded[1] != decoded[0] {
+		t.Fatalf("two identical RunJobs calls decoded %d and %d blocks, want the same nonzero count", decoded[0], decoded[1])
 	}
 }

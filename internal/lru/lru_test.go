@@ -1,4 +1,4 @@
-package serve
+package lru
 
 import (
 	"context"
@@ -12,10 +12,32 @@ import (
 	"hybridmem/internal/obs"
 )
 
-func res(key string) *EvalResult { return &EvalResult{Key: key} }
+// result is a cached value with an identity the tests can check.
+type result struct{ Key string }
+
+func res(key string) *result { return &result{Key: key} }
+
+// typedError is a typed failure, as serving stores its *APIError.
+type typedError struct{ msg string }
+
+func (e *typedError) Error() string { return e.msg }
+
+// waitingCtx is a follower's live context that reports, by closing
+// waiting, when the follower starts to wait on a flight (the first Done
+// call on its path).
+type waitingCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *waitingCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
 
 func TestLRUCacheEvictsLeastRecentlyUsed(t *testing.T) {
-	c := newLRUCache[*EvalResult](2)
+	c := New[*result](2)
 	c.Add("a", res("a"))
 	c.Add("b", res("b"))
 	if _, _, ok := c.Get("a"); !ok { // promote a; b is now LRU
@@ -36,7 +58,7 @@ func TestLRUCacheEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 func TestLRUCacheRefreshExisting(t *testing.T) {
-	c := newLRUCache[*EvalResult](2)
+	c := New[*result](2)
 	c.Add("a", res("a1"))
 	c.Add("a", res("a2"))
 	if c.Len() != 1 {
@@ -49,14 +71,14 @@ func TestLRUCacheRefreshExisting(t *testing.T) {
 }
 
 func TestLRUCacheDoCollapsesConcurrentCalls(t *testing.T) {
-	c := newLRUCache[*EvalResult](4)
+	c := New[*result](4)
 	var runs, leaders, entered atomic.Int32
 	gate := make(chan struct{})
 	const n = 16
 	var wg sync.WaitGroup
 	call := func() {
 		defer wg.Done()
-		r, ran, err := c.Do(context.Background(), "k", func() (*EvalResult, error) {
+		r, ran, err := c.Do(context.Background(), "k", func() (*result, error) {
 			runs.Add(1)
 			<-gate
 			return res("shared"), nil
@@ -99,10 +121,10 @@ func TestLRUCacheDoCollapsesConcurrentCalls(t *testing.T) {
 }
 
 func TestLRUCacheDoFollowerHonorsContext(t *testing.T) {
-	c := newLRUCache[*EvalResult](4)
+	c := New[*result](4)
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	go c.Do(context.Background(), "k", func() (*EvalResult, error) {
+	go c.Do(context.Background(), "k", func() (*result, error) {
 		close(started)
 		<-gate
 		return res("late"), nil
@@ -110,7 +132,7 @@ func TestLRUCacheDoFollowerHonorsContext(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, _, err := c.Do(ctx, "k", func() (*EvalResult, error) {
+	_, _, err := c.Do(ctx, "k", func() (*result, error) {
 		t.Error("follower must not run fn")
 		return nil, nil
 	})
@@ -123,10 +145,10 @@ func TestLRUCacheDoFollowerHonorsContext(t *testing.T) {
 // TestLRUCacheDoCachesSuccess: a success is stored, and later calls get it
 // without running fn.
 func TestLRUCacheDoCachesSuccess(t *testing.T) {
-	c := newLRUCache[*EvalResult](4)
+	c := New[*result](4)
 	var runs int
 	for i := 0; i < 3; i++ {
-		r, ran, err := c.Do(context.Background(), "k", func() (*EvalResult, error) {
+		r, ran, err := c.Do(context.Background(), "k", func() (*result, error) {
 			runs++
 			return res(fmt.Sprintf("run%d", runs)), nil
 		})
@@ -142,9 +164,9 @@ func TestLRUCacheDoCachesSuccess(t *testing.T) {
 // TestLRUCacheDoDoesNotCacheFailure: a failure stores nothing, so the next
 // call runs fn again.
 func TestLRUCacheDoDoesNotCacheFailure(t *testing.T) {
-	c := newLRUCache[*EvalResult](4)
+	c := New[*result](4)
 	boom := errors.New("boom")
-	if _, ran, err := c.Do(context.Background(), "k", func() (*EvalResult, error) {
+	if _, ran, err := c.Do(context.Background(), "k", func() (*result, error) {
 		return nil, boom
 	}); !ran || !errors.Is(err, boom) {
 		t.Fatalf("failing call: ran=%v err=%v", ran, err)
@@ -152,7 +174,7 @@ func TestLRUCacheDoDoesNotCacheFailure(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("a failure left %d entries", c.Len())
 	}
-	r, ran, err := c.Do(context.Background(), "k", func() (*EvalResult, error) {
+	r, ran, err := c.Do(context.Background(), "k", func() (*result, error) {
 		return res("second"), nil
 	})
 	if err != nil || !ran || r.Key != "second" {
@@ -163,16 +185,16 @@ func TestLRUCacheDoDoesNotCacheFailure(t *testing.T) {
 // TestLRUCacheDoReturnsNegativeEntry: a live negative entry comes back as
 // its typed failure, without running fn.
 func TestLRUCacheDoReturnsNegativeEntry(t *testing.T) {
-	c := newLRUCache[*EvalResult](4)
-	failure := &APIError{Code: CodePanic, Message: "remembered"}
+	c := New[*result](4)
+	failure := &typedError{"remembered"}
 	c.AddNegative("k", failure, time.Minute)
-	_, ran, err := c.Do(context.Background(), "k", func() (*EvalResult, error) {
+	_, ran, err := c.Do(context.Background(), "k", func() (*result, error) {
 		t.Error("a negative entry must not run fn")
 		return nil, nil
 	})
-	var apiErr *APIError
-	if ran || !errors.As(err, &apiErr) || apiErr != failure {
-		t.Fatalf("ran=%v err=%v, want the negative entry's *APIError", ran, err)
+	var typed *typedError
+	if ran || !errors.As(err, &typed) || typed != failure {
+		t.Fatalf("ran=%v err=%v, want the negative entry's *typedError", ran, err)
 	}
 }
 
@@ -181,12 +203,12 @@ func TestLRUCacheDoReturnsNegativeEntry(t *testing.T) {
 // live, runs fn itself instead of inheriting that error, and records its
 // wait as the singleflight_wait stage.
 func TestLRUCacheDoFollowerOfCancelledLeaderRuns(t *testing.T) {
-	c := newLRUCache[*EvalResult](4)
+	c := New[*result](4)
 	leaderCtx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(leaderCtx, "k", func() (*EvalResult, error) {
+		_, _, err := c.Do(leaderCtx, "k", func() (*result, error) {
 			close(started)
 			<-leaderCtx.Done()
 			return nil, leaderCtx.Err()
@@ -199,7 +221,7 @@ func TestLRUCacheDoFollowerOfCancelledLeaderRuns(t *testing.T) {
 		<-follower.waiting // the follower waits on the leader's flight
 		cancel()
 	}()
-	r, ran, err := c.Do(follower, "k", func() (*EvalResult, error) {
+	r, ran, err := c.Do(follower, "k", func() (*result, error) {
 		return res("own"), nil
 	})
 	if err != nil || !ran || r.Key != "own" {
@@ -218,12 +240,12 @@ func TestLRUCacheDoFollowerOfCancelledLeaderRuns(t *testing.T) {
 // caller's Get and its Do — another request's flight ending in between —
 // is returned without running fn.
 func TestLRUCacheDoReturnsValueStoredAfterGet(t *testing.T) {
-	c := newLRUCache[*EvalResult](4)
+	c := New[*result](4)
 	if _, _, ok := c.Get("k"); ok {
 		t.Fatal("empty cache holds k")
 	}
 	c.Add("k", res("stored"))
-	r, ran, err := c.Do(context.Background(), "k", func() (*EvalResult, error) {
+	r, ran, err := c.Do(context.Background(), "k", func() (*result, error) {
 		t.Error("a resident value must not run fn")
 		return nil, nil
 	})

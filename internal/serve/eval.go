@@ -14,10 +14,10 @@ import (
 	"time"
 
 	"hybridmem/internal/analytic"
-	"hybridmem/internal/core"
 	"hybridmem/internal/design"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/fault"
+	"hybridmem/internal/lru"
 	"hybridmem/internal/model"
 	"hybridmem/internal/obs"
 	"hybridmem/internal/store"
@@ -69,25 +69,19 @@ const (
 // the bound is deliberately small; profiles evict LRU-first.
 const DefaultMaxProfiles = 16
 
-// maxSnapshots bounds the evaluator's replay-snapshot tier. An entry is one
-// replay's back-end snapshot, a few hundred bytes, so the tier holds far
-// more replay classes than any workload has cache geometries in use.
-const maxSnapshots = 4096
-
 // Evaluator turns normalized evaluation requests into results on top of
 // the exp harness. It caches workload profiles — the expensive full-stream
 // prefix simulation — across requests, deduplicates concurrent profiling
 // of the same workload, and counts boundary replays so callers can observe
 // exactly how much simulation work each request triggered.
 //
-// Below the profiles sits the replay-snapshot tier. A replay reads only the
-// design's cache geometry (design.Backend.ReplayKey), so an exact design
-// with a replay key is answered from the back-end snapshot of its replay
-// class — (profile, replay key) — relabelled under its own technologies
-// (design.Backend.Relabel): a technology variant of a geometry already
-// replayed costs microseconds, not a replay. Concurrent misses of one class
-// wait on one replay. Designs without a replay key (fault injection,
-// row-buffer and partitioned terminals) replay alone.
+// Below the profiles sits the replay-snapshot tier, an exp.ClassCache: an
+// exact design with a replay key is answered from the back-end snapshot of
+// its replay class — (profile, replay key) — relabelled under its own
+// technologies, so a technology variant of a geometry already replayed
+// costs microseconds, not a replay. Concurrent misses of one class wait on
+// one replay. Designs without a replay key (fault injection, row-buffer and
+// partitioned terminals) replay alone.
 //
 // Cancellation: the boundary replay honors ctx (see exp.EvaluateCtx). The
 // profiling pass itself runs a workload kernel to completion and is not
@@ -99,11 +93,10 @@ type Evaluator struct {
 
 	// profiles caches workload profiles by profileKey, bounded LRU-first;
 	// concurrent misses of one key share one restore or profiling pass.
-	profiles *lruCache[*exp.WorkloadProfile]
-	// snaps is the replay-snapshot tier, keyed by profile key and replay
-	// key ("<profileKey>|<ReplayKey>"); concurrent misses of one class
-	// share one replay.
-	snaps *lruCache[[]core.LevelStats]
+	profiles *lru.Cache[*exp.WorkloadProfile]
+	// snaps is the replay-snapshot tier, keyed by the cached profile and
+	// the replay key.
+	snaps *exp.ClassCache
 
 	// guard, when set, is the durable tier behind the in-memory profile
 	// cache: a profile evicted (or belonging to a previous process) is
@@ -134,9 +127,6 @@ type Evaluator struct {
 	// counter's rate by wall time gives the server's replay refs/s.
 	replaysTotal    *obs.Counter
 	replayRefsTotal *obs.Counter
-	// replaysShared counts answers taken from another design's replay of
-	// the same class — the counter exp's fan-out followers also count in.
-	replaysShared *obs.Counter
 
 	// Durable profile-tier traffic: hits are profiles restored from disk
 	// with zero replay; misses fall through to a fresh profiling pass.
@@ -153,8 +143,8 @@ func NewEvaluator(maxProfiles int, log *obs.Logger) *Evaluator {
 	}
 	return &Evaluator{
 		Log:      log,
-		profiles: newLRUCache[*exp.WorkloadProfile](maxProfiles),
-		snaps:    newLRUCache[[]core.LevelStats](maxSnapshots),
+		profiles: lru.New[*exp.WorkloadProfile](maxProfiles),
+		snaps:    exp.NewClassCache(),
 
 		boundaryRefs:        obs.NewCounter("memsimd.boundary_refs"),
 		boundaryPackedBytes: obs.NewCounter("memsimd.boundary_packed_bytes"),
@@ -167,7 +157,6 @@ func NewEvaluator(maxProfiles int, log *obs.Logger) *Evaluator {
 
 		replaysTotal:    obs.NewCounter("memsimd.replays_total"),
 		replayRefsTotal: obs.NewCounter("memsimd.replay_refs_total"),
-		replaysShared:   obs.NewCounter("hybridmem.replays_shared"),
 
 		profileStoreHits:   obs.NewCounter("memsimd.profile_store_hits"),
 		profileStoreMisses: obs.NewCounter("memsimd.profile_store_misses"),
@@ -420,7 +409,7 @@ func (e *Evaluator) Evaluate(ctx context.Context, r *EvalRequest) (*EvalResult, 
 		}
 	default:
 		b.Fault = r.Fault.config()
-		ev, replay, err = e.evaluateExact(ctx, wp, profileKey(r), b)
+		ev, replay, err = e.evaluateExact(ctx, wp, b)
 		if err != nil {
 			return nil, err
 		}
@@ -463,71 +452,27 @@ func evalMetrics(ev model.Evaluation) map[string]float64 {
 	}
 }
 
-// evaluateExact answers design point b at exact fidelity. A design with a
-// replay key takes its class's back-end snapshot — from the tier, or from
-// the one replay concurrent misses of the class share — relabelled under
-// its own technologies; any other design replays alone. replay reports
-// whether this call replayed (replayOwn) or another's replay answered it
-// (replayShared).
-func (e *Evaluator) evaluateExact(ctx context.Context, wp *exp.WorkloadProfile, profile string, b design.Backend) (ev model.Evaluation, replay string, err error) {
-	key, ok := b.ReplayKey()
-	if !ok {
-		if ev, err = wp.EvaluateCtx(ctx, b); err != nil {
-			return ev, "", err
-		}
-		e.countReplay(ctx, wp, ev.Fault)
-		return ev, replayOwn, nil
-	}
-	// A member of a class fails alone, with the error its own Build would
-	// give, before it can lead or join the class's replay.
-	if err := b.Check(); err != nil {
-		return ev, "", err
-	}
-	snap, own, err := e.classSnapshot(ctx, wp, profile+"|"+key, b)
+// evaluateExact answers design point b at exact fidelity through the
+// snapshot tier. replay reports whether this call replayed (replayOwn),
+// which it counts with the device faults the replay injected, or another's
+// replay answered it (replayShared).
+func (e *Evaluator) evaluateExact(ctx context.Context, wp *exp.WorkloadProfile, b design.Backend) (ev model.Evaluation, replay string, err error) {
+	ev, own, err := e.snaps.Do(ctx, wp, b)
 	if err != nil {
 		return ev, "", err
 	}
-	stopFinish := obs.TimeStage(ctx, "finish")
-	ev, err = wp.EvaluateProfile(b.Name, b.Relabel(snap))
-	stopFinish()
-	if err != nil {
-		return ev, "", err
+	if !own {
+		return ev, replayShared, nil
 	}
-	if own {
-		return ev, replayOwn, nil
-	}
-	e.replaysShared.Add(1)
-	return ev, replayShared, nil
-}
-
-// classSnapshot returns the back-end snapshot of the replay class named
-// key, replaying b to get it when the tier does not hold it. Concurrent
-// misses of one class share one replay, led by the first under its own
-// ctx; own reports whether this call replayed. A failed replay stores
-// nothing, and a live follower of a cancelled one replays itself.
-func (e *Evaluator) classSnapshot(ctx context.Context, wp *exp.WorkloadProfile, key string, b design.Backend) (snap []core.LevelStats, own bool, err error) {
-	return e.snaps.Do(ctx, key, func() ([]core.LevelStats, error) {
-		r := wp.EvaluateFanout(ctx, []design.Backend{b})[0]
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		e.countReplay(ctx, wp, r.Eval.Fault)
-		return r.Snap, nil
-	})
-}
-
-// countReplay accounts one replay of wp's boundary stream and the device
-// faults it injected.
-func (e *Evaluator) countReplay(ctx context.Context, wp *exp.WorkloadProfile, fs fault.Stats) {
-	stop := obs.TimeStage(ctx, "fault_account")
-	defer stop()
+	defer obs.TimeStage(ctx, "fault_account")()
 	n := uint64(wp.Boundary.Len())
 	e.replays.Add(1)
 	e.replayedRefs.Add(n)
 	e.replaysTotal.Add(1)
 	e.replayRefsTotal.Add(n)
-	e.faultCorrected.Add(fs.Corrected)
-	e.faultUncorrected.Add(fs.Uncorrected)
-	e.faultRetired.Add(fs.RetiredPages)
-	e.faultRemapped.Add(fs.Remapped)
+	e.faultCorrected.Add(ev.Fault.Corrected)
+	e.faultUncorrected.Add(ev.Fault.Uncorrected)
+	e.faultRetired.Add(ev.Fault.RetiredPages)
+	e.faultRemapped.Add(ev.Fault.Remapped)
+	return ev, replayOwn, nil
 }

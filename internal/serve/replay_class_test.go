@@ -167,7 +167,7 @@ func TestSnapshotTierMatchesOwnReplay(t *testing.T) {
 				}
 			}
 
-			shared0 := ev.replaysShared.Value()
+			shared0 := obs.NewCounter("hybridmem.replays_shared").Value()
 			results := make([]*EvalResult, len(reqs))
 			var next atomic.Int64
 			var wg sync.WaitGroup
@@ -194,7 +194,7 @@ func TestSnapshotTierMatchesOwnReplay(t *testing.T) {
 				t.Errorf("%d requests replayed %d times, want %d (%d classes + %d designs without a replay key)",
 					len(reqs), ev.Replays(), want, len(classes), unkeyed)
 			}
-			if got, want := ev.replaysShared.Value()-shared0, uint64(len(reqs)-unkeyed-len(classes)); got != want {
+			if got, want := obs.NewCounter("hybridmem.replays_shared").Value()-shared0, uint64(len(reqs)-unkeyed-len(classes)); got != want {
 				t.Errorf("replays_shared advanced by %d, want %d", got, want)
 			}
 			var own uint64
@@ -367,9 +367,8 @@ func TestSnapshotTierFollowerCheckFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile := profileKey(r)
 	for i, b := range []design.Backend{invalid, good, invalid, good} {
-		ev0, replay, err := ev.evaluateExact(ctx, wp, profile, b)
+		ev0, replay, err := ev.evaluateExact(ctx, wp, b)
 		if b.Name == invalid.Name {
 			if err == nil || err.Error() != own.Error() {
 				t.Fatalf("step %d: invalid member err %v, want its own Build error %v", i, err, own)
@@ -423,7 +422,7 @@ func TestUnkeyedDesignsReplayAlone(t *testing.T) {
 	ndm := reg.NDMWith(tech.PCM, []core.AddrRange{{Start: 0, End: wp.Footprint / 2}}, wp.Footprint/2, wp.Footprint, "half")
 	for _, b := range []design.Backend{base.WithRowBuffer(), base.WithRowBuffer(), ndm, ndm} {
 		before := ev.Replays()
-		_, replay, err := ev.evaluateExact(ctx, wp, profileKey(pcm), b)
+		_, replay, err := ev.evaluateExact(ctx, wp, b)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}

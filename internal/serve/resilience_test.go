@@ -95,7 +95,7 @@ func TestNegativeEntryAnswersRepeatsUntilTTL(t *testing.T) {
 	}}
 	var clock atomic.Int64 // unix nanos
 	s := New(Config{Runner: runner})
-	s.cache.now = func() time.Time { return time.Unix(0, clock.Load()) }
+	s.cache.Now = func() time.Time { return time.Unix(0, clock.Load()) }
 	ts := newHTTPServer(t, s)
 	storedBefore, hitsBefore := s.negativeEntries.Value(), s.negativeHits.Value()
 	body := testBody("NMM/N4")

@@ -71,6 +71,7 @@ import (
 	"hybridmem/internal/admit"
 	"hybridmem/internal/design"
 	"hybridmem/internal/fault"
+	"hybridmem/internal/lru"
 	"hybridmem/internal/obs"
 	"hybridmem/internal/tech"
 	"hybridmem/internal/workload/catalog"
@@ -143,8 +144,11 @@ type Config struct {
 // Server is the HTTP evaluation service. Create with New, mount Handler,
 // and on shutdown call BeginShutdown followed by Drain.
 type Server struct {
-	cfg      Config
-	cache    *lruCache[*EvalResult]
+	cfg Config
+	// cache maps request keys to results, or to the *APIError of a key
+	// that failed permanently: an evaluation is a pure function of its
+	// key, so the negative entry answers repeats for NegativeTTL.
+	cache    *lru.Cache[*EvalResult]
 	inflight chan struct{}
 	limiter  *admit.Limiter
 	guard    *StoreGuard
@@ -217,7 +221,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:      cfg,
-		cache:    newLRUCache[*EvalResult](cfg.CacheEntries),
+		cache:    lru.New[*EvalResult](cfg.CacheEntries),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 		limiter:  admit.NewLimiter(cfg.RateLimit),
 		guard:    cfg.StoreGuard,
@@ -499,9 +503,10 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	key := req.Key()
 
 	stopLookup := obs.TimeStage(ctx, "cache_lookup")
-	res, failure, ok := s.cache.Get(key)
+	res, negative, ok := s.cache.Get(key)
 	stopLookup()
-	if ok && failure != nil {
+	if ok && negative != nil {
+		failure := toAPIError(negative)
 		// A negative entry: this key's evaluation already failed
 		// permanently, and it is a pure function of the key, so answer the
 		// repeat with the same typed error instead of failing it again.
