@@ -58,6 +58,9 @@ type candidate struct {
 	page      uint64
 	assoc     int
 	memTech   tech.Tech
+	// spec is the resolved custom design: the cache at capMB divided by
+	// the scale, in front of a footprint-sized memTech terminal.
+	spec design.Spec
 
 	// Screening (analytic) results.
 	pred     []model.Evaluation
@@ -69,27 +72,6 @@ type candidate struct {
 	measAvg model.Evaluation
 	errAMAT float64
 	errEDP  float64
-}
-
-// backend materializes the candidate for one workload footprint, following
-// the capacity-scaling and naming conventions of package design's
-// constructors (Size = capacity/scale, terminal sized to the footprint).
-func (c *candidate) backend(scale, footprint uint64) design.Backend {
-	memName := "DRAM"
-	if c.memTech.NonVolatile {
-		memName = "NVM(" + c.memTech.Name + ")"
-	}
-	b := design.Backend{
-		Name:   c.name,
-		Memory: design.MemorySpec{Name: memName, Tech: c.memTech, Capacity: footprint},
-	}
-	if c.cacheTech.Name != "" {
-		b.Caches = []design.LevelSpec{{
-			Name: c.cacheTech.Name + "$", Tech: c.cacheTech,
-			Size: c.capMB << 20 / scale, Line: c.page, Assoc: c.assoc,
-		}}
-	}
-	return b
 }
 
 func main() {
@@ -130,7 +112,7 @@ func main() {
 	memTechs, err := filterTechs("nvms", append([]tech.Tech{dram}, nvms...), *nvmF)
 	cmd.Exit(err)
 
-	cands, skipped := enumerate(cacheTechs, memTechs, caps, pages, assocs, cmd.Scale, *nocache)
+	cands, skipped := enumerate(cmd.Reg, cacheTechs, memTechs, caps, pages, assocs, cmd.Scale, *nocache)
 	if len(cands) == 0 {
 		cmd.Exit(errors.New("empty design space after constraints"))
 	}
@@ -149,7 +131,9 @@ func main() {
 	for _, c := range cands {
 		c.lifetime = math.Inf(1)
 		for i, wp := range s.Profiles {
-			p, err := preds[i].Predict(c.backend(cmd.Scale, wp.Footprint))
+			b, err := cmd.Reg.Backend(c.spec, cmd.Scale, wp.Footprint)
+			cmd.Exit(err)
+			p, err := preds[i].Predict(b)
 			if err != nil {
 				cmd.Exit(fmt.Errorf("screening %s/%s: %w", c.name, wp.Name, err))
 			}
@@ -173,7 +157,9 @@ func main() {
 	var jobs []exp.Job
 	for _, c := range frontier {
 		for _, wp := range s.Profiles {
-			jobs = append(jobs, exp.Job{WP: wp, B: c.backend(cmd.Scale, wp.Footprint)})
+			b, err := cmd.Reg.Backend(c.spec, cmd.Scale, wp.Footprint)
+			cmd.Exit(err)
+			jobs = append(jobs, exp.Job{WP: wp, B: b})
 		}
 	}
 	replayStart := time.Now()
@@ -209,16 +195,29 @@ func main() {
 }
 
 // enumerate builds the candidate grid, skipping points the constraints
-// reject: a cache smaller than one page after scaling, and a DRAM cache in
-// front of a DRAM terminal (pure overhead). The skip count is reported —
+// reject: a DRAM cache in front of a DRAM terminal (pure overhead), and a
+// cache geometry the back end cannot build, such as one smaller than a page
+// after scaling (reg.Resolve refuses it). The skip count is reported —
 // never silently truncated.
-func enumerate(cacheTechs, memTechs []tech.Tech, caps, pages, assocs []uint64, scale uint64, nocache bool) (cands []*candidate, skipped int) {
+func enumerate(reg *design.Registry, cacheTechs, memTechs []tech.Tech, caps, pages, assocs []uint64, scale uint64, nocache bool) (cands []*candidate, skipped int) {
+	add := func(c *candidate) {
+		custom := &design.Custom{Name: c.name, Memory: design.CustomMemory{Tech: c.memTech.Name}}
+		if c.cacheTech.Name != "" {
+			custom.Caches = []design.CustomLevel{{
+				Name: c.cacheTech.Name + "$", Tech: c.cacheTech.Name,
+				SizeBytes: c.capMB << 20 / scale, LineBytes: c.page, Assoc: c.assoc,
+			}}
+		}
+		c.spec = design.Spec{Family: design.FamilyCustom, Custom: custom}
+		if reg.Resolve(&c.spec) != nil {
+			skipped++
+			return
+		}
+		cands = append(cands, c)
+	}
 	for _, mt := range memTechs {
 		if nocache {
-			cands = append(cands, &candidate{
-				name:    fmt.Sprintf("X/none/%s", mt.Name),
-				memTech: mt,
-			})
+			add(&candidate{name: fmt.Sprintf("X/none/%s", mt.Name), memTech: mt})
 		}
 		for _, ct := range cacheTechs {
 			if !mt.NonVolatile && !ct.NonVolatile && ct.Name == mt.Name {
@@ -227,12 +226,8 @@ func enumerate(cacheTechs, memTechs []tech.Tech, caps, pages, assocs []uint64, s
 			}
 			for _, capMB := range caps {
 				for _, page := range pages {
-					if capMB<<20/scale < page {
-						skipped += len(assocs)
-						continue
-					}
 					for _, assoc := range assocs {
-						cands = append(cands, &candidate{
+						add(&candidate{
 							name: fmt.Sprintf("X/%s-%dMB-p%d-a%d/%s",
 								ct.Name, capMB, page, assoc, mt.Name),
 							cacheTech: ct, capMB: capMB, page: page, assoc: int(assoc),
@@ -387,14 +382,6 @@ func filterTechs(name string, axis []tech.Tech, csv string) ([]tech.Tech, error)
 				return t, nil
 			}
 		}
-		return tech.Tech{}, fmt.Errorf("technology not on this axis %v", techNames(axis))
+		return tech.Tech{}, fmt.Errorf("technology not on this axis %v", tech.Names(axis))
 	})
-}
-
-func techNames(ts []tech.Tech) []string {
-	out := make([]string, len(ts))
-	for i, t := range ts {
-		out[i] = t.Name
-	}
-	return out
 }

@@ -70,9 +70,7 @@ func main() {
 		cands := ndm.Candidates(wp.Regions, 0, 3)
 		profiled, _ := ndm.Profile(cands, wp.Boundary)
 		p := ndm.WriteAwarePlacement(profiled, design.NDMDRAMCapacity/c.Scale)
-		b, err := c.Reg.NDM(c.NVM.Name, p.NVMRanges(), p.NVMBytes(), wp.Footprint, "write-aware")
-		c.Exit(err)
-		backends = append(backends, b)
+		backends = append(backends, c.Reg.NDMWith(c.NVM, p.NVMRanges(), p.NVMBytes(), wp.Footprint, "write-aware"))
 	}
 
 	// The whole (configuration x error-rate) grid replays one workload's

@@ -52,8 +52,8 @@ func main() {
 		for _, cfg := range design.NConfigs {
 			fmt.Printf(" %s", cfg.Name)
 		}
-		fmt.Println("\ntechnologies: -llc", techNames(c.Cat.Class(tech.ClassLLC)),
-			"-nvm", techNames(c.Cat.Class(tech.ClassNVM)))
+		fmt.Println("\ntechnologies: -llc", tech.Names(c.Cat.Class(tech.ClassLLC)),
+			"-nvm", tech.Names(c.Cat.Class(tech.ClassNVM)))
 		return
 	}
 	c.Exit(c.Start())
@@ -67,22 +67,16 @@ func main() {
 		backend = backend.WithRowBuffer()
 	}
 
-	ev, err := wp.EvaluateCtx(c.Ctx, backend)
-	c.Exit(err)
-
-	// Re-run the backend once more to show per-level statistics (the
-	// evaluation consumed its own instance).
-	stopStats := obs.TimeStage(c.Ctx, "stats_replay")
-	built, err := backend.Build()
-	c.Exit(err)
-	built.Replay(wp.Boundary)
-	stopStats()
+	// One replay answers both the evaluation and the per-level table.
+	res := wp.EvaluateFanout(c.Ctx, []design.Backend{backend})[0]
+	c.Exit(res.Err)
+	ev := res.Eval
 
 	t := &report.Table{
 		Title:   fmt.Sprintf("%s on %s", wp.Name, backend.Name),
 		Headers: []string{"level", "tech", "capacity", "loads", "stores", "hit rate", "writebacks"},
 	}
-	for _, l := range append(append([]core.LevelStats(nil), wp.Prefix...), built.Snapshot()...) {
+	for _, l := range append(append([]core.LevelStats(nil), wp.Prefix...), res.Snap...) {
 		t.AddRow(l.Name, l.Tech.Name, fmt.Sprintf("%.1f KB", float64(l.Capacity)/1024),
 			fmt.Sprint(l.Stats.Loads), fmt.Sprint(l.Stats.Stores),
 			fmt.Sprintf("%.2f%%", l.Stats.HitRate()*100), fmt.Sprint(l.Stats.WriteBacks))
@@ -101,7 +95,7 @@ func main() {
 	if *breakdown {
 		profile := model.Merge(
 			model.Profile{Levels: wp.Prefix, TotalRefs: wp.TotalRefs},
-			model.Profile{Levels: built.Snapshot()},
+			model.Profile{Levels: res.Snap},
 		)
 		bt := &report.Table{
 			Title:   "per-level attribution",
@@ -152,15 +146,6 @@ func timeSeries(c *cli.Cmd, w workload.Workload, backend design.Backend) error {
 	}
 	fmt.Println()
 	return report.EpochHeatStrip(os.Stdout, series)
-}
-
-// techNames lists the technologies' names.
-func techNames(ts []tech.Tech) []string {
-	names := make([]string, len(ts))
-	for i, t := range ts {
-		names[i] = t.Name
-	}
-	return names
 }
 
 func printEval(label string, ev model.Evaluation) {

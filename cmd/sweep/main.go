@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"hybridmem/internal/cli"
+	"hybridmem/internal/design"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/model"
 	"hybridmem/internal/obs"
@@ -66,18 +67,18 @@ func main() {
 		switch f {
 		case "nmm":
 			for _, nvm := range nvms {
-				sets = append(sets, exp.RowSet{Family: exp.FamilyNMM, NVM: nvm})
+				sets = append(sets, exp.RowSet{Family: design.FamilyNMM, NVM: nvm})
 				techNames = append(techNames, nvm.Name)
 			}
 		case "4lc":
 			for _, llc := range llcs {
-				sets = append(sets, exp.RowSet{Family: exp.Family4LC, LLC: llc})
+				sets = append(sets, exp.RowSet{Family: design.Family4LC, LLC: llc})
 				techNames = append(techNames, llc.Name)
 			}
 		case "4lcnvm":
 			for _, llc := range llcs {
 				for _, nvm := range nvms {
-					sets = append(sets, exp.RowSet{Family: exp.Family4LCNVM, LLC: llc, NVM: nvm})
+					sets = append(sets, exp.RowSet{Family: design.Family4LCNVM, LLC: llc, NVM: nvm})
 					techNames = append(techNames, llc.Name+"+"+nvm.Name)
 				}
 			}

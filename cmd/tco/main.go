@@ -57,15 +57,12 @@ func main() {
 
 	var labelled []cost.Labelled
 	var evals []model.Evaluation
-	for _, b := range backends {
-		ev, err := wp.Evaluate(b)
-		c.Exit(err)
-		built, err := b.Build()
-		c.Exit(err)
+	for i, res := range wp.EvaluateFanout(c.Ctx, backends) {
+		c.Exit(res.Err)
 		// Module inventory: the shared SRAM prefix plus the back end.
-		all := append(append([]core.LevelStats(nil), wp.Prefix...), built.Snapshot()...)
-		labelled = append(labelled, cost.Labelled{Label: b.Name, Modules: all, Eval: ev})
-		evals = append(evals, ev)
+		all := append(append([]core.LevelStats(nil), wp.Prefix...), res.Snap...)
+		labelled = append(labelled, cost.Labelled{Label: backends[i].Name, Modules: all, Eval: res.Eval})
+		evals = append(evals, res.Eval)
 	}
 
 	tcos, err := cost.CompareAll(params, labelled)

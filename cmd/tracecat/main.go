@@ -25,6 +25,7 @@ import (
 	"os"
 
 	"hybridmem/internal/cli"
+	"hybridmem/internal/design"
 	"hybridmem/internal/exp"
 	"hybridmem/internal/fault"
 	"hybridmem/internal/report"
@@ -111,15 +112,14 @@ func doStat(wp *exp.WorkloadProfile) {
 func doReplay(c *cli.Cmd, wp *exp.WorkloadProfile) {
 	b, err := c.Backend(wp.Footprint)
 	c.Exit(err)
-	built, err := b.Build()
-	c.Exit(err)
-	built.Replay(wp.Boundary)
+	res := wp.EvaluateFanout(c.Ctx, []design.Backend{b})[0]
+	c.Exit(res.Err)
 
 	t := &report.Table{
 		Title:   fmt.Sprintf("%s: %d refs replayed into %s", wp.Name, wp.Boundary.Len(), b.Name),
 		Headers: []string{"level", "tech", "loads", "stores", "hit rate", "writebacks"},
 	}
-	for _, l := range built.Snapshot() {
+	for _, l := range res.Snap {
 		t.AddRow(l.Name, l.Tech.Name,
 			fmt.Sprint(l.Stats.Loads), fmt.Sprint(l.Stats.Stores),
 			fmt.Sprintf("%.2f%%", l.Stats.HitRate()*100), fmt.Sprint(l.Stats.WriteBacks))

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,20 +38,17 @@ func main() {
 		cfg := hybridmem.EHConfigs[0] // EH1: 16MB, 64B pages
 		backend := hybridmem.FourLC(cfg, llc, scale, profile.Footprint)
 
-		ev, err := profile.Evaluate(backend)
-		if err != nil {
-			log.Fatal(err)
+		res := profile.EvaluateFanout(context.Background(), []hybridmem.Backend{backend})[0]
+		if res.Err != nil {
+			log.Fatal(res.Err)
 		}
+		ev := res.Eval
 		fmt.Printf("%-16s norm time %.4f, norm energy %.4f, norm EDP %.4f\n",
 			backend.Name, ev.NormTime, ev.NormEnergy, ev.NormEDP)
 
-		// Inspect the L4's filtering effect directly.
-		built, err := backend.Build()
-		if err != nil {
-			log.Fatal(err)
-		}
-		built.Replay(profile.Boundary)
-		for _, l := range built.Snapshot() {
+		// Inspect the L4's filtering effect directly: the evaluating
+		// replay's per-level statistics.
+		for _, l := range res.Snap {
 			if l.Stats.Accesses() == 0 {
 				continue
 			}

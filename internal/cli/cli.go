@@ -7,6 +7,7 @@
 package cli
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -247,25 +248,32 @@ func checkWorkload(name string) error {
 }
 
 // Backend builds the -design/-config/-llc/-nvm design point through the
-// registry for a workload of the given footprint.
+// registry for a workload of the given footprint: -design names a family in
+// lower case, -config defaults to N6 for nmm and EH1 otherwise, and -llc
+// and -nvm apply to the families that take them.
 func (c *Cmd) Backend(footprint uint64) (design.Backend, error) {
-	config := func(def string) string {
-		if c.Config == "" {
-			return def
+	s := design.Spec{Family: c.Design}
+	for _, f := range design.GridFamilies {
+		if c.Design == strings.ToLower(f.Name) {
+			s = design.Spec{Family: f.Name, Config: cmp.Or(c.Config, "EH1")}
+			if f.Name == design.FamilyNMM {
+				s.Config = cmp.Or(c.Config, "N6")
+			}
+			if f.LLC {
+				s.LLC = c.llc
+			}
+			if f.NVM {
+				s.NVM = c.nvm
+			}
 		}
-		return c.Config
 	}
-	switch c.Design {
-	case "reference":
-		return c.Reg.Reference(footprint), nil
-	case "4lc":
-		return c.Reg.FourLC(config("EH1"), c.llc, c.Scale, footprint)
-	case "nmm":
-		return c.Reg.NMM(config("N6"), c.nvm, c.Scale, footprint)
-	case "4lcnvm":
-		return c.Reg.FourLCNVM(config("EH1"), c.llc, c.nvm, c.Scale, footprint)
+	if s.Family == c.Design && s.Family != design.FamilyReference {
+		return design.Backend{}, fmt.Errorf("unknown design %q (reference, 4lc, nmm, 4lcnvm)", c.Design)
 	}
-	return design.Backend{}, fmt.Errorf("unknown design %q (reference, 4lc, nmm, 4lcnvm)", c.Design)
+	if err := c.Reg.Resolve(&s); err != nil {
+		return design.Backend{}, err
+	}
+	return c.Reg.Backend(s, c.Scale, footprint)
 }
 
 // NewWorkload builds the named workload at -workload-scale (or -scale when

@@ -150,15 +150,7 @@ func (r *Registry) Reference(footprint uint64) Backend {
 // FourLC builds a 4-Level Cache design point by name: cfgName is a Table 2
 // row and llcName must resolve to a class-llc technology.
 func (r *Registry) FourLC(cfgName, llcName string, scale, footprint uint64) (Backend, error) {
-	cfg, err := EHByName(cfgName)
-	if err != nil {
-		return Backend{}, err
-	}
-	llc, err := r.TechOfClass(llcName, tech.ClassLLC)
-	if err != nil {
-		return Backend{}, err
-	}
-	return r.FourLCWith(cfg, llc, scale, footprint), nil
+	return r.Backend(Spec{Family: Family4LC, Config: cfgName, LLC: llcName}, scale, footprint)
 }
 
 // FourLCWith returns a 4-Level Cache design point: an eDRAM or HMC
@@ -176,15 +168,7 @@ func (r *Registry) FourLCWith(cfg EHConfig, llc tech.Tech, scale, footprint uint
 // Table 3 row and nvmName must resolve to a class-nvm technology (paper trio
 // or a catalog extension).
 func (r *Registry) NMM(cfgName, nvmName string, scale, footprint uint64) (Backend, error) {
-	cfg, err := NByName(cfgName)
-	if err != nil {
-		return Backend{}, err
-	}
-	nvm, err := r.TechOfClass(nvmName, tech.ClassNVM)
-	if err != nil {
-		return Backend{}, err
-	}
-	return r.NMMWith(cfg, nvm, scale, footprint), nil
+	return r.Backend(Spec{Family: FamilyNMM, Config: cfgName, NVM: nvmName}, scale, footprint)
 }
 
 // NMMWith returns an NVM-as-Main-Memory design point: a catalog-DRAM cache
@@ -204,19 +188,7 @@ func (r *Registry) NMMWith(cfg NConfig, nvm tech.Tech, scale, footprint uint64) 
 // FourLCNVM builds the combined design point by name: a class-llc cache in
 // front of a class-nvm main memory.
 func (r *Registry) FourLCNVM(cfgName, llcName, nvmName string, scale, footprint uint64) (Backend, error) {
-	cfg, err := EHByName(cfgName)
-	if err != nil {
-		return Backend{}, err
-	}
-	llc, err := r.TechOfClass(llcName, tech.ClassLLC)
-	if err != nil {
-		return Backend{}, err
-	}
-	nvm, err := r.TechOfClass(nvmName, tech.ClassNVM)
-	if err != nil {
-		return Backend{}, err
-	}
-	return r.FourLCNVMWith(cfg, llc, nvm, scale, footprint), nil
+	return r.Backend(Spec{Family: Family4LCNVM, Config: cfgName, LLC: llcName, NVM: nvmName}, scale, footprint)
 }
 
 // FourLCNVMWith returns the combined design point: an eDRAM or HMC cache in
@@ -235,16 +207,6 @@ func llcLevel(cfg EHConfig, llc tech.Tech, scale uint64) LevelSpec {
 		Name: llc.Name + "-L4", Tech: llc,
 		Size: cfg.Capacity / scale, Line: cfg.PageSize, Assoc: pageCacheAssoc,
 	}
-}
-
-// NDM builds an NVM+DRAM partitioned design point by name; nvmName must
-// resolve to a class-nvm technology.
-func (r *Registry) NDM(nvmName string, nvmRanges []core.AddrRange, nvmBytes, footprint uint64, label string) (Backend, error) {
-	nvm, err := r.TechOfClass(nvmName, tech.ClassNVM)
-	if err != nil {
-		return Backend{}, err
-	}
-	return r.NDMWith(nvm, nvmRanges, nvmBytes, footprint, label), nil
 }
 
 // NDMWith returns an NVM+DRAM partitioned design point. nvmRanges are the

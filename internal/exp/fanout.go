@@ -202,14 +202,14 @@ func (wp *WorkloadProfile) EvaluateFanout(ctx context.Context, backends []design
 
 // fanWidthHist tracks how many replay workers each fan-out broadcast every
 // decoded block to, so decodes per replayed reference is 1/width. Exposed
-// on /metrics as hybridmem_fan_width.
-var fanWidthHist = obs.NewHistogram("hybridmem.fan_width",
+// on /metrics as memsimd_fan_width.
+var fanWidthHist = obs.NewHistogram("memsimd.fan_width",
 	"Replay workers sharing one boundary-stream decode per fan-out replay.")
 
 // replaysShared counts design points answered by another design point's
 // replay of their class (the member step, ClassCache). Exposed on
-// /metrics as hybridmem_replays_shared.
-var replaysShared = obs.NewCounter("hybridmem.replays_shared")
+// /metrics as memsimd_replays_shared.
+var replaysShared = obs.NewCounter("memsimd.replays_shared")
 
 // finishFanout flushes w's back end and turns its snapshot into design
 // point b's evaluation, emitting its design_point run-log event; a panic

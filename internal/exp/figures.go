@@ -18,14 +18,8 @@ type Row struct {
 	PerWorkload []model.Evaluation
 }
 
-// The design families a RowSet can sweep.
-const (
-	FamilyNMM    = "NMM"
-	Family4LC    = "4LC"
-	Family4LCNVM = "4LCNVM"
-)
-
-// RowSet selects one figure's rows: a design family's Table 2 or Table 3
+// RowSet selects one figure's rows: a grid design family's (design.FamilyNMM,
+// design.Family4LC or design.Family4LCNVM) Table 2 or Table 3
 // configurations over one technology choice. NVM applies to NMM and 4LCNVM,
 // LLC to 4LC and 4LCNVM.
 type RowSet struct {
@@ -46,19 +40,19 @@ func (s *Suite) Rows(sets []RowSet) ([][]Row, error) {
 		var names []string
 		var mk func(i int, footprint uint64) design.Backend
 		switch set.Family {
-		case FamilyNMM:
+		case design.FamilyNMM:
 			for _, cfg := range design.NConfigs {
 				names = append(names, cfg.Name)
 			}
 			mk = func(i int, footprint uint64) design.Backend {
 				return s.reg.NMMWith(design.NConfigs[i], set.NVM, s.Cfg.Scale, footprint)
 			}
-		case Family4LC, Family4LCNVM:
+		case design.Family4LC, design.Family4LCNVM:
 			for _, cfg := range design.EHConfigs {
 				names = append(names, cfg.Name)
 			}
 			mk = func(i int, footprint uint64) design.Backend {
-				if set.Family == Family4LC {
+				if set.Family == design.Family4LC {
 					return s.reg.FourLCWith(design.EHConfigs[i], set.LLC, s.Cfg.Scale, footprint)
 				}
 				return s.reg.FourLCNVMWith(design.EHConfigs[i], set.LLC, set.NVM, s.Cfg.Scale, footprint)
@@ -103,19 +97,19 @@ func (s *Suite) rows(set RowSet) ([]Row, error) {
 // NVM main-memory technology: the data behind Figures 1 (normalized run
 // time) and 2 (normalized energy).
 func (s *Suite) NMM(nvm tech.Tech) ([]Row, error) {
-	return s.rows(RowSet{Family: FamilyNMM, NVM: nvm})
+	return s.rows(RowSet{Family: design.FamilyNMM, NVM: nvm})
 }
 
 // FourLC evaluates Table 2's EH1-EH8 configurations with the given LLC
 // technology over DRAM: Figures 3 and 4.
 func (s *Suite) FourLC(llc tech.Tech) ([]Row, error) {
-	return s.rows(RowSet{Family: Family4LC, LLC: llc})
+	return s.rows(RowSet{Family: design.Family4LC, LLC: llc})
 }
 
 // FourLCNVM evaluates Table 2's configurations with the given LLC
 // technology over the given NVM: Figures 5 and 6.
 func (s *Suite) FourLCNVM(llc, nvm tech.Tech) ([]Row, error) {
-	return s.rows(RowSet{Family: Family4LCNVM, LLC: llc, NVM: nvm})
+	return s.rows(RowSet{Family: design.Family4LCNVM, LLC: llc, NVM: nvm})
 }
 
 // NDMResult is one workload's oracle exploration: every placement's

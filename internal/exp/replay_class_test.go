@@ -218,12 +218,12 @@ func TestRunJobsSharesReplays(t *testing.T) {
 	}
 	var sets []RowSet
 	for _, nvm := range tech.Builtin().NVMs() {
-		sets = append(sets, RowSet{Family: FamilyNMM, NVM: nvm})
+		sets = append(sets, RowSet{Family: design.FamilyNMM, NVM: nvm})
 	}
 	for _, llc := range tech.Builtin().LLCs() {
-		sets = append(sets, RowSet{Family: Family4LC, LLC: llc})
+		sets = append(sets, RowSet{Family: design.Family4LC, LLC: llc})
 		for _, nvm := range tech.Builtin().NVMs() {
-			sets = append(sets, RowSet{Family: Family4LCNVM, LLC: llc, NVM: nvm})
+			sets = append(sets, RowSet{Family: design.Family4LCNVM, LLC: llc, NVM: nvm})
 		}
 	}
 	before := replaysShared.Value()

@@ -28,16 +28,16 @@
 package obs
 
 // refsProcessed counts simulated references processed by epoch samplers
-// and profiling passes (hybridmem_refs_processed on /metrics). Scrape it
+// and profiling passes (memsimd_refs_processed on /metrics). Scrape it
 // (or read it in-process) to watch a long sweep make progress.
-var refsProcessed = NewCounter("hybridmem.refs_processed")
+var refsProcessed = NewCounter("memsimd.refs_processed")
 
 // blocksDecoded counts packed boundary blocks decoded by the replay engine
-// (hybridmem_blocks_decoded on /metrics). Under fan-out replay each block
+// (memsimd_blocks_decoded on /metrics). Under fan-out replay each block
 // is decoded once per workload chunk regardless of how many design points
 // consume it, so the ratio of this counter to replayed references is the
 // direct observable for the decode-sharing win.
-var blocksDecoded = NewCounter("hybridmem.blocks_decoded")
+var blocksDecoded = NewCounter("memsimd.blocks_decoded")
 
 // CountRefs adds n processed references to the live counter.
 func CountRefs(n uint64) { refsProcessed.Add(n) }

@@ -62,11 +62,11 @@ memsimd_store_state{state="ok"} 1
 
 func TestPromName(t *testing.T) {
 	for in, want := range map[string]string{
-		"memsimd.requests_total":   "memsimd_requests_total",
-		"hybridmem.fan_width":      "hybridmem_fan_width",
-		"hybridmem.replays_shared": "hybridmem_replays_shared",
-		"9lives":                   "_9lives",
-		"a-b c":                    "a_b_c",
+		"memsimd.requests_total": "memsimd_requests_total",
+		"memsimd.fan_width":      "memsimd_fan_width",
+		"memsimd.replays_shared": "memsimd_replays_shared",
+		"9lives":                 "_9lives",
+		"a-b c":                  "a_b_c",
 	} {
 		if got := promName(in); got != want {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)

@@ -65,9 +65,9 @@ func (l *Logger) Event(event string, fields Fields) {
 }
 
 // runlogWriteErrors counts run-log events lost to sink write errors, across
-// every Logger in the process (hybridmem_runlog_write_errors on /metrics;
+// every Logger in the process (memsimd_runlog_write_errors on /metrics;
 // above zero means some run log has dropped events).
-var runlogWriteErrors = NewCounter("hybridmem.runlog_write_errors")
+var runlogWriteErrors = NewCounter("memsimd.runlog_write_errors")
 
 // runlogDropped returns the process-wide run-log write-error counter.
 func runlogDropped() *Counter { return runlogWriteErrors }

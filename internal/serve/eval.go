@@ -290,7 +290,7 @@ func (e *Evaluator) restoreProfile(key string) (*exp.WorkloadProfile, bool) {
 // and dilution, builtin catalog): evaluating it profiles the workload and
 // writes the profile record through, exactly as memsimd -warm does.
 func ProfileRequest(workload string, scale uint64) (*EvalRequest, error) {
-	r := &EvalRequest{Design: DesignSpec{Family: "reference"}, Workload: workload, Scale: scale}
+	r := &EvalRequest{Design: DesignSpec{Family: design.FamilyReference}, Workload: workload, Scale: scale}
 	if apiErr := r.Normalize(); apiErr != nil {
 		return nil, apiErr
 	}
@@ -388,14 +388,14 @@ func (e *Evaluator) Evaluate(ctx context.Context, r *EvalRequest) (*EvalResult, 
 	if err != nil {
 		return nil, err
 	}
-	b, needsReplay, err := r.backend(wp.Footprint)
+	b, err := r.registry().Backend(r.Design, r.Scale, wp.Footprint)
 	if err != nil {
 		return nil, err
 	}
 	var ev model.Evaluation
 	var replay string
 	switch {
-	case !needsReplay:
+	case r.Design.Family == design.FamilyReference:
 		// Reference designs are answered from the profile's cached
 		// reference evaluation at either fidelity (the analytic model is
 		// exact on cache-less designs anyway).

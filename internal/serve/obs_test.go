@@ -90,10 +90,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"memsimd_negative_hits",
 		"memsimd_requests_total",
 		"memsimd_replay_refs_total",
-		"hybridmem_fan_width",
-		"hybridmem_replays_shared",
-		"hybridmem_refs_processed",
-		"hybridmem_blocks_decoded",
+		"memsimd_fan_width",
+		"memsimd_replays_shared",
+		"memsimd_refs_processed",
+		"memsimd_blocks_decoded",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

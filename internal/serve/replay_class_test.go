@@ -149,7 +149,7 @@ func TestSnapshotTierMatchesOwnReplay(t *testing.T) {
 			unkeyed := 0
 			backends := make([]design.Backend, len(reqs))
 			for i, r := range reqs {
-				b, _, err := r.backend(wp.Footprint)
+				b, err := r.registry().Backend(r.Design, r.Scale, wp.Footprint)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -167,7 +167,7 @@ func TestSnapshotTierMatchesOwnReplay(t *testing.T) {
 				}
 			}
 
-			shared0 := obs.NewCounter("hybridmem.replays_shared").Value()
+			shared0 := obs.NewCounter("memsimd.replays_shared").Value()
 			results := make([]*EvalResult, len(reqs))
 			var next atomic.Int64
 			var wg sync.WaitGroup
@@ -178,7 +178,7 @@ func TestSnapshotTierMatchesOwnReplay(t *testing.T) {
 					for i := int(next.Add(1) - 1); i < len(reqs); i = int(next.Add(1) - 1) {
 						res, err := ev.Evaluate(ctx, reqs[i])
 						if err != nil {
-							t.Errorf("%s: %v", reqs[i].Design.label(), err)
+							t.Errorf("%s: %v", reqs[i].Design.Label(), err)
 							continue
 						}
 						results[i] = res
@@ -194,7 +194,7 @@ func TestSnapshotTierMatchesOwnReplay(t *testing.T) {
 				t.Errorf("%d requests replayed %d times, want %d (%d classes + %d designs without a replay key)",
 					len(reqs), ev.Replays(), want, len(classes), unkeyed)
 			}
-			if got, want := obs.NewCounter("hybridmem.replays_shared").Value()-shared0, uint64(len(reqs)-unkeyed-len(classes)); got != want {
+			if got, want := obs.NewCounter("memsimd.replays_shared").Value()-shared0, uint64(len(reqs)-unkeyed-len(classes)); got != want {
 				t.Errorf("replays_shared advanced by %d, want %d", got, want)
 			}
 			var own uint64
@@ -319,7 +319,7 @@ func TestSnapshotTierLeaderCancelled(t *testing.T) {
 	if res.replay != replayOwn || ev.Replays() != 1 {
 		t.Fatalf("follower answered %q after %d replays, want its own single replay", res.replay, ev.Replays())
 	}
-	b, _, err := sttram.backend(wp.Footprint)
+	b, err := sttram.registry().Backend(sttram.Design, sttram.Scale, wp.Footprint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,11 +411,11 @@ func TestUnkeyedDesignsReplayAlone(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ev.Replays() != before+1 {
-			t.Fatalf("fault-injected %s: replays %d -> %d, want one more", d.label(), before, ev.Replays())
+			t.Fatalf("fault-injected %s: replays %d -> %d, want one more", d.Label(), before, ev.Replays())
 		}
 	}
 	reg := design.DefaultRegistry()
-	base, _, err := pcm.backend(wp.Footprint)
+	base, err := pcm.registry().Backend(pcm.Design, pcm.Scale, wp.Footprint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestUnkeyedDesignsReplayAlone(t *testing.T) {
 // TestSharedAnswerOverHTTP drives three technology variants of one
 // geometry through the server: each is a result-LRU miss, one replays, the
 // other two are shared answers with replay_refs 0, counted in
-// hybridmem.replays_shared and tagged in their http_request events.
+// memsimd.replays_shared and tagged in their http_request events.
 func TestSharedAnswerOverHTTP(t *testing.T) {
 	var buf syncBuffer
 	log := obs.NewLogger(&buf)
@@ -447,7 +447,7 @@ func TestSharedAnswerOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
-	shared0 := obs.NewCounter("hybridmem.replays_shared").Value()
+	shared0 := obs.NewCounter("memsimd.replays_shared").Value()
 	for i, nvm := range []string{"PCM", "STTRAM", "FeRAM"} {
 		resp, body := post(t, ts, testBody("NMM/N6/"+nvm))
 		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Memsimd-Cache") != "miss" {
@@ -465,8 +465,8 @@ func TestSharedAnswerOverHTTP(t *testing.T) {
 	if ev.Replays() != 1 {
 		t.Fatalf("%d replays, want 1", ev.Replays())
 	}
-	if got := obs.NewCounter("hybridmem.replays_shared").Value() - shared0; got != 2 {
-		t.Fatalf("hybridmem.replays_shared advanced by %d, want 2", got)
+	if got := obs.NewCounter("memsimd.replays_shared").Value() - shared0; got != 2 {
+		t.Fatalf("memsimd.replays_shared advanced by %d, want 2", got)
 	}
 	tags := map[string]int{}
 	for _, rec := range buf.lines(t) {

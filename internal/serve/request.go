@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -126,124 +127,15 @@ func (f *FaultSpec) config() *fault.Config {
 	return &fault.Config{Seed: f.Seed, BitErrorRate: f.BitErrorRate, EnduranceWrites: f.EnduranceWrites, PageBytes: f.PageBytes}
 }
 
-// DesignSpec names a design point: a family plus its configuration-table
-// row and technology choices, or a fully custom hierarchy. In JSON it may
-// be given as a "family/config[/llc][/nvm]" path string instead of an
-// object.
-type DesignSpec struct {
-	// Family is "reference", "4LC", "NMM", "4LCNVM", or "custom".
-	Family string `json:"family"`
-	// Config is the configuration-table row: EH1-EH8 for 4LC/4LCNVM
-	// (Table 2), N1-N9 for NMM (Table 3).
-	Config string `json:"config,omitempty"`
-	// LLC is the fourth-level-cache technology for 4LC and 4LCNVM
-	// (eDRAM or HMC; empty = eDRAM).
-	LLC string `json:"llc,omitempty"`
-	// NVM is the main-memory technology for NMM and 4LCNVM (PCM,
-	// STTRAM, or FeRAM; empty = PCM).
-	NVM string `json:"nvm,omitempty"`
-	// Custom describes an arbitrary hierarchy (Family "custom").
-	Custom *CustomSpec `json:"custom,omitempty"`
-}
-
-// CustomSpec is a user-defined back end: zero or more cache levels below
-// the shared SRAM prefix, then a uniform main memory.
-type CustomSpec struct {
-	// Name labels the design in responses (empty = "custom").
-	Name string `json:"name,omitempty"`
-	// Caches are instantiated top-down between L3 and memory.
-	Caches []CustomLevel `json:"caches,omitempty"`
-	// Memory is the terminal module.
-	Memory CustomMemory `json:"memory"`
-}
-
-// CustomLevel is one cache level of a custom hierarchy.
-type CustomLevel struct {
-	// Name labels the level in breakdowns (empty = "Lx").
-	Name string `json:"name,omitempty"`
-	// Tech is a technology name or alias from the request's catalog
-	// (see tech.Catalog.TechNames).
-	Tech string `json:"tech"`
-	// SizeBytes and LineBytes size the cache; Assoc is its
-	// associativity (0 = 16 ways, the page-cache default).
-	SizeBytes uint64 `json:"size_bytes"`
-	LineBytes uint64 `json:"line_bytes"`
-	Assoc     int    `json:"assoc,omitempty"`
-	// WriteThrough selects write-through/no-write-allocate.
-	WriteThrough bool `json:"write_through,omitempty"`
-	// PrefetchNext enables a next-N-line prefetcher.
-	PrefetchNext int `json:"prefetch_next,omitempty"`
-}
-
-// CustomMemory is the terminal module of a custom hierarchy.
-type CustomMemory struct {
-	// Tech is a technology name from Table 1.
-	Tech string `json:"tech"`
-	// CapacityBytes is the module capacity (0 = sized to the workload
-	// footprint, like the reference system's DRAM).
-	CapacityBytes uint64 `json:"capacity_bytes,omitempty"`
-}
-
-// UnmarshalJSON accepts either a path string ("NMM/N6/PCM") or the
-// structured object form.
-func (d *DesignSpec) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		return d.parsePath(s)
-	}
-	type raw DesignSpec // drop methods to avoid recursion
-	var r raw
-	if err := json.Unmarshal(b, &r); err != nil {
-		return err
-	}
-	*d = DesignSpec(r)
-	return nil
-}
-
-// parsePath fills d from a "family/config[/llc][/nvm]" path.
-func (d *DesignSpec) parsePath(s string) error {
-	parts := strings.Split(s, "/")
-	d.Family = parts[0]
-	switch d.Family {
-	case "reference":
-		if len(parts) > 1 {
-			return fmt.Errorf("design path %q: reference takes no segments", s)
-		}
-	case "4LC":
-		if len(parts) < 2 || len(parts) > 3 {
-			return fmt.Errorf("design path %q: want 4LC/<EHn>[/<llc>]", s)
-		}
-		d.Config = parts[1]
-		if len(parts) == 3 {
-			d.LLC = parts[2]
-		}
-	case "NMM":
-		if len(parts) < 2 || len(parts) > 3 {
-			return fmt.Errorf("design path %q: want NMM/<Nn>[/<nvm>]", s)
-		}
-		d.Config = parts[1]
-		if len(parts) == 3 {
-			d.NVM = parts[2]
-		}
-	case "4LCNVM":
-		if len(parts) < 2 || len(parts) > 4 {
-			return fmt.Errorf("design path %q: want 4LCNVM/<EHn>[/<llc>[/<nvm>]]", s)
-		}
-		d.Config = parts[1]
-		if len(parts) >= 3 {
-			d.LLC = parts[2]
-		}
-		if len(parts) == 4 {
-			d.NVM = parts[3]
-		}
-	default:
-		return fmt.Errorf("design path %q: unknown family %q", s, d.Family)
-	}
-	return nil
-}
+// DesignSpec, CustomSpec, CustomLevel and CustomMemory are the API's names
+// for design.Spec, the one description of a design point (Normalize
+// resolves it, the evaluator builds it), and its custom-hierarchy parts.
+type (
+	DesignSpec   = design.Spec
+	CustomSpec   = design.Custom
+	CustomLevel  = design.CustomLevel
+	CustomMemory = design.CustomMemory
+)
 
 // MetricNames lists the metric keys an evaluation response can carry, in
 // canonical order. The fault_* counters are zero unless the request
@@ -254,22 +146,6 @@ var MetricNames = []string{
 	"fault_corrected", "fault_uncorrected", "fault_stuck_lines",
 	"fault_retired_pages", "fault_remapped",
 }
-
-var metricSet = func() map[string]bool {
-	m := make(map[string]bool, len(MetricNames))
-	for _, n := range MetricNames {
-		m[n] = true
-	}
-	return m
-}()
-
-var workloadSet = func() map[string]bool {
-	m := map[string]bool{}
-	for _, n := range catalog.ExtendedNames {
-		m[n] = true
-	}
-	return m
-}()
 
 // Normalize is NormalizeWith against the builtin catalog.
 func (r *EvalRequest) Normalize() *APIError {
@@ -309,7 +185,7 @@ func (r *EvalRequest) NormalizeWith(cat *tech.Catalog) *APIError {
 	if r.Workload == "" {
 		return errField(CodeInvalidRequest, "workload", "workload is required")
 	}
-	if !workloadSet[r.Workload] {
+	if !slices.Contains(catalog.ExtendedNames, r.Workload) {
 		return errField(CodeUnknownWorkload, "workload",
 			fmt.Sprintf("unknown workload %q (known: %s)", r.Workload, strings.Join(catalog.ExtendedNames, ", ")))
 	}
@@ -333,7 +209,7 @@ func (r *EvalRequest) NormalizeWith(cat *tech.Catalog) *APIError {
 		return errField(CodeInvalidRequest, "dilution", "dilution must be >= -1")
 	}
 	for _, m := range r.Metrics {
-		if !metricSet[m] {
+		if !slices.Contains(MetricNames, m) {
 			return errField(CodeInvalidRequest, "metrics",
 				fmt.Sprintf("unknown metric %q (known: %s)", m, strings.Join(MetricNames, ", ")))
 		}
@@ -351,7 +227,7 @@ func (r *EvalRequest) NormalizeWith(cat *tech.Catalog) *APIError {
 			"fault injection needs an exact replay; it does not apply at analytic fidelity")
 	}
 	if f := r.Fault; f != nil {
-		if r.Design.Family == "reference" {
+		if r.Design.Family == design.FamilyReference {
 			return errField(CodeInvalidRequest, "fault",
 				"the reference design is answered without a replay; fault injection does not apply")
 		}
@@ -364,7 +240,18 @@ func (r *EvalRequest) NormalizeWith(cat *tech.Catalog) *APIError {
 				"page_bytes must be 0 (default) or a power of two >= 64")
 		}
 	}
-	return r.Design.normalize(r.effCatalog)
+	if err := r.effReg.Resolve(&r.Design); err != nil {
+		se := err.(*design.SpecError)
+		return errField(specCodes[se.Kind], se.Field, se.Msg)
+	}
+	return nil
+}
+
+// specCodes maps each kind of design.SpecError to its API error code.
+var specCodes = map[design.SpecErrorKind]string{
+	design.SpecInvalid:       CodeInvalidRequest,
+	design.SpecUnknownDesign: CodeUnknownDesign,
+	design.SpecUnknownTech:   CodeUnknownTech,
 }
 
 // applyOverrides folds TechOverrides into the serving catalog, producing
@@ -419,141 +306,6 @@ func applyOverrides(cat *tech.Catalog, overrides map[string]TechSpec) (*tech.Cat
 		return nil, errField(CodeInvalidRequest, "tech_overrides", err.Error())
 	}
 	return eff, nil
-}
-
-// normalize validates the design spec against the effective catalog and
-// resolves defaulted and aliased technology names to their canonical
-// spellings (which is what makes the cache key spelling-independent).
-func (d *DesignSpec) normalize(cat *tech.Catalog) *APIError {
-	if cat == nil {
-		cat = tech.Builtin()
-	}
-	// checkTech resolves name on a class axis, returning the canonical
-	// name. Unknown names and known-but-wrong-class names both come back
-	// as CodeUnknownTech listing the axis's legal values (class members,
-	// extensions included).
-	checkTech := func(field, name, class string) (string, *APIError) {
-		known := func() string {
-			var names []string
-			for _, t := range cat.Class(class) {
-				names = append(names, t.Name)
-			}
-			return strings.Join(names, ", ")
-		}
-		t, err := cat.Tech(name)
-		if err != nil {
-			return "", errField(CodeUnknownTech, field,
-				fmt.Sprintf("unknown technology %q (known: %s)", name, known()))
-		}
-		if e, _ := cat.Entry(t.Name); e.Class != class {
-			return "", errField(CodeUnknownTech, field,
-				fmt.Sprintf("technology %q has catalog class %q, not %q (known: %s)", t.Name, e.Class, class, known()))
-		}
-		return t.Name, nil
-	}
-	switch d.Family {
-	case "reference":
-		if d.Config != "" || d.LLC != "" || d.NVM != "" || d.Custom != nil {
-			return errField(CodeInvalidRequest, "design", "reference takes no config, llc, nvm, or custom")
-		}
-	case "4LC":
-		if _, err := design.EHByName(d.Config); err != nil {
-			return errField(CodeUnknownDesign, "design.config", err.Error())
-		}
-		if d.LLC == "" {
-			d.LLC = tech.EDRAM.Name
-		}
-		name, apiErr := checkTech("design.llc", d.LLC, tech.ClassLLC)
-		if apiErr != nil {
-			return apiErr
-		}
-		d.LLC = name
-		if d.NVM != "" {
-			return errField(CodeInvalidRequest, "design.nvm", "4LC has a DRAM main memory; nvm does not apply")
-		}
-	case "NMM":
-		if _, err := design.NByName(d.Config); err != nil {
-			return errField(CodeUnknownDesign, "design.config", err.Error())
-		}
-		if d.NVM == "" {
-			d.NVM = tech.PCM.Name
-		}
-		name, apiErr := checkTech("design.nvm", d.NVM, tech.ClassNVM)
-		if apiErr != nil {
-			return apiErr
-		}
-		d.NVM = name
-		if d.LLC != "" {
-			return errField(CodeInvalidRequest, "design.llc", "NMM has no fourth-level cache; llc does not apply")
-		}
-	case "4LCNVM":
-		if _, err := design.EHByName(d.Config); err != nil {
-			return errField(CodeUnknownDesign, "design.config", err.Error())
-		}
-		if d.LLC == "" {
-			d.LLC = tech.EDRAM.Name
-		}
-		name, apiErr := checkTech("design.llc", d.LLC, tech.ClassLLC)
-		if apiErr != nil {
-			return apiErr
-		}
-		d.LLC = name
-		if d.NVM == "" {
-			d.NVM = tech.PCM.Name
-		}
-		name, apiErr = checkTech("design.nvm", d.NVM, tech.ClassNVM)
-		if apiErr != nil {
-			return apiErr
-		}
-		d.NVM = name
-	case "custom":
-		if d.Custom == nil {
-			return errField(CodeInvalidRequest, "design.custom", `family "custom" requires a custom spec`)
-		}
-		if d.Config != "" || d.LLC != "" || d.NVM != "" {
-			return errField(CodeInvalidRequest, "design", "custom designs take only the custom spec")
-		}
-		if d.Custom.Name == "" {
-			d.Custom.Name = "custom"
-		}
-		for i, l := range d.Custom.Caches {
-			field := fmt.Sprintf("design.custom.caches[%d]", i)
-			ct, err := cat.Tech(l.Tech)
-			if err != nil {
-				return errField(CodeUnknownTech, field+".tech", err.Error())
-			}
-			d.Custom.Caches[i].Tech = ct.Name
-			if l.SizeBytes == 0 || l.LineBytes == 0 {
-				return errField(CodeInvalidRequest, field, "size_bytes and line_bytes must be > 0")
-			}
-			if l.SizeBytes%l.LineBytes != 0 {
-				return errField(CodeInvalidRequest, field, "size_bytes must be a multiple of line_bytes")
-			}
-			if l.Assoc < 0 || l.PrefetchNext < 0 {
-				return errField(CodeInvalidRequest, field, "assoc and prefetch_next must be >= 0")
-			}
-			// Reject every geometry the back end cannot build here, as a
-			// typed 400, rather than as an internal error after profiling.
-			if err := l.levelSpec(field).Validate(); err != nil {
-				return errField(CodeInvalidRequest, field, err.Error())
-			}
-			if i > 0 && l.LineBytes < d.Custom.Caches[i-1].LineBytes {
-				return errField(CodeInvalidRequest, field+".line_bytes",
-					"line_bytes must not shrink below the line of the cache above")
-			}
-		}
-		mt, err := cat.Tech(d.Custom.Memory.Tech)
-		if err != nil {
-			return errField(CodeUnknownTech, "design.custom.memory.tech", err.Error())
-		}
-		d.Custom.Memory.Tech = mt.Name
-	case "":
-		return errField(CodeInvalidRequest, "design.family", "design family is required")
-	default:
-		return errField(CodeUnknownDesign, "design.family",
-			fmt.Sprintf("unknown design family %q (known: reference, 4LC, NMM, 4LCNVM, custom)", d.Family))
-	}
-	return nil
 }
 
 // Fidelity values EvalRequest.Fidelity accepts after normalization.
@@ -649,82 +401,4 @@ func (r *EvalRequest) registry() *design.Registry {
 		return design.DefaultRegistry()
 	}
 	return r.effReg
-}
-
-// levelSpec is the cache level a custom spec builds (technology left for
-// the caller to resolve), with the default associativity of 16 applied.
-func (l CustomLevel) levelSpec(name string) design.LevelSpec {
-	assoc := l.Assoc
-	if assoc == 0 {
-		assoc = 16
-	}
-	return design.LevelSpec{
-		Name: name, Size: l.SizeBytes, Line: l.LineBytes,
-		Assoc: assoc, WriteThrough: l.WriteThrough, PrefetchNext: l.PrefetchNext,
-	}
-}
-
-// label returns the design point's short identity for logs and panic
-// messages (e.g. "NMM/N6/PCM", or "custom/<name>").
-func (d *DesignSpec) label() string {
-	if d.Family == "custom" && d.Custom != nil {
-		return "custom/" + d.Custom.Name
-	}
-	parts := []string{d.Family}
-	for _, p := range []string{d.Config, d.LLC, d.NVM} {
-		if p != "" {
-			parts = append(parts, p)
-		}
-	}
-	return strings.Join(parts, "/")
-}
-
-// backend resolves the normalized request into a buildable design.Backend
-// via the effective catalog's registry. footprint is the profiled
-// workload's footprint (custom memories with zero capacity and all family
-// designs size their terminal from it). Reference designs return ok=false:
-// they are answered from the profile's cached reference evaluation without
-// a replay.
-func (r *EvalRequest) backend(footprint uint64) (b design.Backend, ok bool, err error) {
-	d, reg, scale := &r.Design, r.registry(), r.Scale
-	switch d.Family {
-	case "reference":
-		return design.Backend{}, false, nil
-	case "4LC":
-		b, err := reg.FourLC(d.Config, d.LLC, scale, footprint)
-		return b, true, err
-	case "NMM":
-		b, err := reg.NMM(d.Config, d.NVM, scale, footprint)
-		return b, true, err
-	case "4LCNVM":
-		b, err := reg.FourLCNVM(d.Config, d.LLC, d.NVM, scale, footprint)
-		return b, true, err
-	case "custom":
-		b := design.Backend{Name: "custom/" + d.Custom.Name}
-		for i, l := range d.Custom.Caches {
-			lt, err := reg.Tech(l.Tech)
-			if err != nil {
-				return design.Backend{}, false, err
-			}
-			name := l.Name
-			if name == "" {
-				name = fmt.Sprintf("L%d", i+4)
-			}
-			spec := l.levelSpec(name)
-			spec.Tech = lt
-			b.Caches = append(b.Caches, spec)
-		}
-		mt, err := reg.Tech(d.Custom.Memory.Tech)
-		if err != nil {
-			return design.Backend{}, false, err
-		}
-		capacity := d.Custom.Memory.CapacityBytes
-		if capacity == 0 {
-			capacity = footprint
-		}
-		b.Memory = design.MemorySpec{Name: mt.Name + "-mem", Tech: mt, Capacity: capacity}
-		return b, true, nil
-	default:
-		return design.Backend{}, false, fmt.Errorf("serve: unknown design family %q", d.Family)
-	}
 }

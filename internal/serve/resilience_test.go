@@ -26,7 +26,7 @@ func TestPanicRecoveryServesTypedError(t *testing.T) {
 			panic("synthetic replay bug")
 		},
 		"panic recovered below the server": func(req *EvalRequest) (res *EvalResult, err error) {
-			defer fault.RecoverTo(&err, "replay "+req.Design.label())
+			defer fault.RecoverTo(&err, "replay "+req.Design.Label())
 			panic("synthetic replay bug")
 		},
 	}

@@ -353,34 +353,26 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 // and the catalog's identity so clients can pin catalog_version.
 func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request) {
 	cat := s.cfg.Catalog
-	ehNames := make([]string, len(design.EHConfigs))
-	for i, c := range design.EHConfigs {
-		ehNames[i] = c.Name
+	families := map[string]any{
+		design.FamilyReference: map[string]any{},
+		design.FamilyCustom:    map[string]any{"note": "free-form hierarchy; see design.Custom"},
 	}
-	nNames := make([]string, len(design.NConfigs))
-	for i, c := range design.NConfigs {
-		nNames[i] = c.Name
-	}
-	classNames := func(class string) []string {
-		var out []string
-		for _, t := range cat.Class(class) {
-			out = append(out, t.Name)
+	for _, f := range design.GridFamilies {
+		axes := map[string]any{"configs": f.Configs}
+		if f.LLC {
+			axes["llc"] = tech.Names(cat.Class(tech.ClassLLC))
 		}
-		return out
+		if f.NVM {
+			axes["nvm"] = tech.Names(cat.Class(tech.ClassNVM))
+		}
+		families[f.Name] = axes
 	}
-	llcs, nvms := classNames(tech.ClassLLC), classNames(tech.ClassNVM)
 	var extensions []string
 	for _, e := range cat.Extensions() {
 		extensions = append(extensions, e.Tech.Name)
 	}
 	writeJSON(w, map[string]any{
-		"families": map[string]any{
-			"reference": map[string]any{},
-			"4LC":       map[string]any{"configs": ehNames, "llc": llcs},
-			"NMM":       map[string]any{"configs": nNames, "nvm": nvms},
-			"4LCNVM":    map[string]any{"configs": ehNames, "llc": llcs, "nvm": nvms},
-			"custom":    map[string]any{"note": "free-form hierarchy; see DesignSpec.Custom"},
-		},
+		"families":   families,
 		"techs":      cat.TechNames(),
 		"extensions": extensions,
 		"metrics":    MetricNames,
@@ -749,15 +741,15 @@ func (s *Server) safeEvaluate(ctx context.Context, req *EvalRequest, key string)
 		s.panics.Add(1)
 		if s.cfg.Log != nil {
 			s.cfg.Log.Warn("panic_recovered", obs.Fields{
-				"design": req.Design.label(), "workload": req.Workload,
+				"design": req.Design.Label(), "workload": req.Workload,
 				"panic": err.Error(),
 			})
 		}
 	}()
-	defer fault.RecoverTo(&err, "evaluate "+req.Design.label())
+	defer fault.RecoverTo(&err, "evaluate "+req.Design.Label())
 	res, err = s.cfg.Runner.Evaluate(ctx, req)
 	if s.cfg.Chaos.Poisoned(key) {
-		panic("chaos: poisoned design point " + req.Design.label())
+		panic("chaos: poisoned design point " + req.Design.Label())
 	}
 	return res, err
 }

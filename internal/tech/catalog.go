@@ -288,6 +288,15 @@ func (c *Catalog) TechNames() []string {
 	return out
 }
 
+// Names returns the technologies' names in order.
+func Names(ts []Tech) []string {
+	out := make([]string, len(ts))
+	for i, t := range ts {
+		out[i] = t.Name
+	}
+	return out
+}
+
 // Class returns every technology of the given class in file order,
 // including extension entries.
 func (c *Catalog) Class(class string) []Tech {
